@@ -20,12 +20,12 @@ from .network import (
 )
 from .solver import (
     ConeProblem,
+    FeasibleBasis,
     Solution,
     SolverOptions,
     StandardLP,
-    lp_oracle,
-    project_ball,
-    project_nonneg,
+    lp_phase1,
+    lp_phase2,
     solve_cone,
     solve_lp,
 )
@@ -75,8 +75,8 @@ __all__ = [
     "canonical_order", "decode_allocation", "enumerate_paths",
     "path_prefix_delay", "validate_network", "validate_path",
     # solver
-    "ConeProblem", "Solution", "SolverOptions", "StandardLP", "lp_oracle",
-    "project_ball", "project_nonneg", "solve_cone", "solve_lp",
+    "ConeProblem", "FeasibleBasis", "Solution", "SolverOptions", "StandardLP",
+    "lp_phase1", "lp_phase2", "solve_cone", "solve_lp",
     # estimators
     "Allocation", "EstimationResult", "InfeasibleError",
     "IterationLimitError", "UnboundedError", "VmtBounds", "WeightMatrix",

@@ -18,7 +18,7 @@ linear programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .solver import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_UNBOUNDED,
+    lp_phase1,
+    lp_phase2,
     solve_cone,
     solve_lp,
 )
@@ -105,8 +107,10 @@ class WeightMatrix:
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim != 1 or lam.size == 0 or lam.min() <= 0:
-            raise ValueError("weights must be a positive vector")
+        if lam.ndim != 1 or lam.size == 0 or not (
+            np.isfinite(lam).all() and lam.min() > 0
+        ):
+            raise ValueError("weights must be a finite positive vector")
         object.__setattr__(self, "lam", lam)
 
 
@@ -132,6 +136,8 @@ def _check_counts(ms: MeasurementSystem, y, *, nonnegative: bool) -> np.ndarray:
         raise ValueError(
             f"count vector length {y.size} does not match {ms.n_rows} rows"
         )
+    if not np.isfinite(y).all():
+        raise ValueError("counts must be finite")
     if nonnegative and y.size and y.min() < 0:
         raise ValueError("counts must be nonnegative")
     return y
@@ -236,27 +242,19 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
         raise ValueError("iters must be at least 1")
     if epsilon is not None and epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    result = estimate_l1(ms, y, opts)
+    y = _check_counts(ms, y, nonnegative=True)
+    # Every round has the same feasible set, so one phase 1 serves them all.
+    start = lp_phase1(ms.matrix, y, opts)
+    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols), "min", opts), "l1")
     trace = [float(np.sum(result.allocation.x))]
     if epsilon is None:
         peak = float(np.max(result.allocation.x, initial=0.0))
         epsilon = max(1e-3 * peak, 1e-12)
     for _ in range(iters - 1):
         lam = 1.0 / (result.allocation.x + epsilon)
-        result = estimate_weighted_l1(ms, y, WeightMatrix(lam), opts)
+        result = _finish(ms, lp_phase2(start, lam, "min", opts), "weighted-l1")
         trace.append(float(np.sum(result.allocation.x)))
-    return EstimationResult(
-        allocation=result.allocation,
-        od_flows=result.od_flows,
-        splits=result.splits,
-        status=result.status,
-        objective=result.objective,
-        residual_eq=result.residual_eq,
-        residual_cone=result.residual_cone,
-        iterations=result.iterations,
-        method="reweighted-l1",
-        objective_trace=tuple(trace),
-    )
+    return replace(result, method="reweighted-l1", objective_trace=tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -277,20 +275,21 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
     """Bound total vehicle-distance (or vehicle count with unit lengths).
 
     Solves the minimizing and maximizing linear programs over the feasible
-    set.  The maximum is unbounded when some column crosses no measured
-    row; that is surfaced, not clipped, so callers can treat it as a
-    failed trial.
+    set, both from one phase 1.  The maximum is unbounded when some column
+    crosses no measured row; that is surfaced, not clipped, so callers can
+    treat it as a failed trial.
     """
     y = _check_counts(ms, y, nonnegative=True)
     v = np.asarray(path_lengths, dtype=float).ravel()
     if v.shape != (ms.n_cols,):
         raise ValueError("path_lengths length does not match column count")
-    if v.size and v.min() < 0:
-        raise ValueError("path lengths must be nonnegative")
+    if v.size and not (np.isfinite(v).all() and v.min() >= 0):
+        raise ValueError("path lengths must be finite and nonnegative")
 
-    lo = solve_lp(StandardLP(c=v, A=ms.matrix, b=y, sense="min"))
+    start = lp_phase1(ms.matrix, y)
+    lo = lp_phase2(start, v, "min")
     _raise_for_status(lo, "vmt-min")
-    hi = solve_lp(StandardLP(c=v, A=ms.matrix, b=y, sense="max"))
+    hi = lp_phase2(start, v, "max")
     if hi.status == STATUS_UNBOUNDED:
         label = (
             ms.col_labels[hi.unbounded_index]

@@ -5,7 +5,12 @@ Two engines:
 * :func:`solve_lp`: two-phase revised simplex for
   ``min/max c'x  s.t.  A x = b, x >= 0``.  Bland's rule is the default
   pivot choice so the solver terminates and returns the same basic optimum
-  for the same input, every time.
+  for the same input, every time.  The two phases are separate steps:
+  :func:`lp_phase1` finds a feasible basis of ``A x = b`` once, and
+  :func:`lp_phase2` optimizes any number of objectives from it.  Pivots
+  update an explicit basis inverse by one rank-1 (product-form) step each
+  (Dantzig & Orchard-Hays 1954), with a fresh factorization every
+  ``_REFACTOR_EVERY`` pivots and for every returned point.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -14,12 +19,7 @@ Two engines:
   multiplier follows the path of a penalized program, itself one NNLS
   solve per point, until the residual equals ``delta``.
 
-:func:`lp_oracle` is a brute-force basic-solution enumerator kept
-deliberately independent of the simplex code so the two can check each
-other in tests.
-
-Problems here are desk scale (tens of rows/columns); everything is dense
-and refactored freely.
+Problems here are desk scale (tens of rows/columns); everything is dense.
 """
 
 from __future__ import annotations
@@ -27,14 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq, nnls
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE_TOL = 1e-12
+# Pivots between fresh factorizations of the simplex basis; in between,
+# each pivot updates the basis inverse by one rank-1 step, whose roundoff
+# accumulates.
+_REFACTOR_EVERY = 32
 
 # Root find on the ball multiplier: converge to machine precision.
 _ROOT_XTOL = 1e-300
@@ -52,17 +54,14 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 
 
-class ProblemTooLargeError(ValueError):
-    """The brute-force oracle refuses instances beyond its guard."""
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Shared tolerances and limits.
 
-    ``tol_feas`` bounds constraint violation at an optimal LP vertex, and
-    the distance (relative to the count norm) from the counts to the
-    nonnegative image that the equality-constrained l2 program accepts.
+    ``tol_feas`` bounds what phase 1 of the simplex may leave in its
+    artificial variables, relative to ``max(1, ||b||_1)``, and the distance
+    (relative to the count norm) from the counts to the nonnegative image
+    that the equality-constrained l2 program accepts.
     ``pivot_rule`` and ``lp_max_iter`` steer the simplex.  The cone solver
     is exact and has no tolerances of its own.
     """
@@ -121,67 +120,82 @@ class Solution:
     unbounded_index: int | None = None
 
 
-def project_nonneg(v: np.ndarray) -> np.ndarray:
-    """Componentwise projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
+@dataclass(frozen=True)
+class FeasibleBasis:
+    """Phase-1 outcome for one system ``A x = b, x >= 0``.
+
+    ``status`` is optimal when a feasible basis was found, else infeasible
+    or iteration-limit.  ``rows`` are the constraint rows kept after
+    redundant ones were dropped, and ``A_kept``/``b_kept`` those rows, each
+    multiplied by the sign that makes its count nonnegative.  ``basis``
+    indexes columns of ``A_kept`` and is feasible for it; ``iterations``
+    counts phase-1 pivots.  ``A`` and ``b`` are the system as given, for
+    residuals.  One instance serves any number of :func:`lp_phase2` calls.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    status: str
+    iterations: int
+    rows: tuple[int, ...] = ()
+    basis: tuple[int, ...] = ()
+    A_kept: np.ndarray | None = None
+    b_kept: np.ndarray | None = None
 
 
-def project_ball(v: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the ball around ``center``."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    center = np.asarray(center, dtype=float)
-    diff = v - center
-    nrm = float(np.linalg.norm(diff))
-    if nrm <= radius:
-        return v.copy()
-    if nrm == 0.0:
-        return center.copy()
-    return center + diff * (radius / nrm)
+def _exchange(inv: np.ndarray, d: np.ndarray, r: int) -> None:
+    """Update the basis inverse in place when basis position ``r`` takes
+    the column whose representation in the current basis is ``d``.
+
+    The new inverse is ``E @ inv`` for the eta matrix ``E`` that maps ``d``
+    to the ``r``-th unit vector: a rank-1 change of ``inv``.
+    """
+    pivot_row = inv[r] / d[r]
+    inv -= d[:, None] * pivot_row
+    inv[r] = pivot_row
 
 
 def _pivot_loop(A, b, c, basis, opts: SolverOptions, rule: str):
-    """Run simplex pivots in place on ``basis``.
+    """Run simplex pivots in place on ``basis`` (an integer array).
 
-    Returns (status, iterations, unbounded_entering_index).  ``A`` must
-    have full row rank with ``basis`` indexing a nonsingular column set and
-    ``b`` the current right-hand side.
+    Returns ``(status, iterations, unbounded_entering_index, inverse)``,
+    where ``inverse`` is the basis inverse at exit.  ``A`` must have full
+    row rank with ``basis`` indexing a nonsingular column set.  The inverse
+    is factored afresh every ``_REFACTOR_EVERY`` pivots, starting with the
+    first.
     """
-    m, n = A.shape
     tol = opts.tol_feas
     degenerate_streak = 0
     use_bland = rule == "bland"
-    for it in range(1, opts.lp_max_iter + 1):
-        lu = lu_factor(A[:, basis])
-        x_b = lu_solve(lu, b)
-        y = lu_solve(lu, c[basis], trans=1)
-        reduced = c - A.T @ y
+    for it in range(opts.lp_max_iter):
+        if it % _REFACTOR_EVERY == 0:
+            inv = np.linalg.inv(A[:, basis])
+        reduced = c - (c[basis] @ inv) @ A
         reduced[basis] = 0.0
 
         if use_bland:
-            candidates = np.flatnonzero(reduced < -tol)
-            if candidates.size == 0:
-                return STATUS_OPTIMAL, it - 1, None
-            j = int(candidates[0])
+            improving = reduced < -tol
+            j = int(improving.argmax())
+            if not improving[j]:
+                return STATUS_OPTIMAL, it, None, inv
         else:
-            j = int(np.argmin(reduced))
+            j = int(reduced.argmin())
             if reduced[j] >= -tol:
-                return STATUS_OPTIMAL, it - 1, None
+                return STATUS_OPTIMAL, it, None, inv
 
-        d = lu_solve(lu, A[:, j])
-        positive = d > _PIVOT_TOL
-        if not positive.any():
-            return STATUS_UNBOUNDED, it, j
+        d = inv @ A[:, j]
+        rows = (d > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return STATUS_UNBOUNDED, it + 1, j, inv
 
-        x_pos = np.maximum(x_b, 0.0)
-        ratios = np.full(m, math.inf)
-        ratios[positive] = x_pos[positive] / d[positive]
+        x_b = inv @ b
+        ratios = np.maximum(x_b[rows], 0.0) / d[rows]
         rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + _RATIO_TIE_TOL * (1.0 + rmin))
+        ties = rows[ratios <= rmin + _RATIO_TIE_TOL * (1.0 + rmin)]
         # Bland tie-break: leave the tied row whose basic variable has the
         # smallest index.
-        leave = int(min(ties, key=lambda i: basis[i]))
+        leave = int(ties[basis[ties].argmin()])
+        _exchange(inv, d, leave)
         basis[leave] = j
 
         if not use_bland:
@@ -193,165 +207,123 @@ def _pivot_loop(A, b, c, basis, opts: SolverOptions, rule: str):
                     use_bland = True
             else:
                 degenerate_streak = 0
-    return STATUS_ITERATION_LIMIT, opts.lp_max_iter, None
+    return STATUS_ITERATION_LIMIT, opts.lp_max_iter, None, None
 
 
 def _basic_point(A, b, basis, n):
-    lu = lu_factor(A[:, basis])
+    """The basic solution of ``basis`` from a fresh factorization, so that
+    no roundoff of the rank-1 updates reaches a returned point."""
     x = np.zeros(n)
-    x[basis] = lu_solve(lu, b)
+    x[basis] = np.linalg.solve(A[:, basis], b)
     return x
 
 
-def solve_lp(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
-    """Two-phase revised simplex over the equality-constrained orthant."""
-    A = np.atleast_2d(np.asarray(p.A, dtype=float))
-    b = np.asarray(p.b, dtype=float).ravel()
-    c = np.asarray(p.c, dtype=float).ravel()
+def lp_phase1(A, b, opts: SolverOptions = DEFAULT_OPTIONS) -> FeasibleBasis:
+    """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
+
+    Minimizes the sum of one artificial variable per row.  The system is
+    infeasible when more than ``opts.tol_feas * max(1, ||b||_1)`` is left
+    in them, a bound that scales with the counts so that counts rounded to
+    a fixed number of significant digits are not rejected.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
+    if b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
-    if p.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {p.sense!r}")
-    minimize = p.sense == "min"
-    c_work = c if minimize else -c
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
 
-    A_work = A.copy()
-    b_work = b.copy()
-    flip = b_work < 0
-    A_work[flip] *= -1
-    b_work[flip] *= -1
-
-    # Phase 1: drive artificial variables to zero.
+    sign = np.where(b < 0, -1.0, 1.0)
+    A_work = A * sign[:, None]
+    b_work = b * sign
     A1 = np.hstack([A_work, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status1, iters1, _ = _pivot_loop(A1, b_work, c1, basis, opts, rule="bland")
-    if status1 == STATUS_ITERATION_LIMIT:
-        return Solution(
-            x=np.zeros(n),
-            status=STATUS_ITERATION_LIMIT,
-            objective=math.nan,
-            iterations=iters1,
-        )
-    x1 = _basic_point(A1, b_work, basis, n + m)
-    if float(c1 @ x1) > opts.tol_feas:
-        return Solution(
-            x=np.zeros(n),
-            status=STATUS_INFEASIBLE,
-            objective=math.nan,
-            iterations=iters1,
-        )
+    basis = np.arange(n, n + m)
+    status, iters, _, inv = _pivot_loop(A1, b_work, c1, basis, opts, "bland")
+    if status == STATUS_ITERATION_LIMIT:
+        return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
+    artificial = basis >= n
+    left = float(np.sum((inv @ b_work)[artificial]))
+    if left > opts.tol_feas * max(1.0, float(np.abs(b).sum())):
+        return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
     # Pivot leftover artificial variables out of the basis.  When no
     # original column can replace one, the artificial's own constraint row
     # is implied by the others (its multiplier row annihilates the original
     # columns), so that row is dropped together with the artificial.
-    redundant_rows: list[int] = []
-    for pos in range(m):
-        if basis[pos] < n:
-            continue
-        lu = lu_factor(A1[:, basis])
-        e = np.zeros(m)
-        e[pos] = 1.0
-        w = lu_solve(lu, e, trans=1)
-        row_vals = w @ A_work
-        in_basis = set(basis)
-        candidates = [
-            j for j in range(n) if j not in in_basis and abs(row_vals[j]) > 1e-9
-        ]
-        if candidates:
-            basis[pos] = candidates[0]
+    redundant = np.zeros(m, dtype=bool)
+    for pos in np.flatnonzero(artificial):
+        row_vals = inv[pos] @ A_work
+        row_vals[basis[basis < n]] = 0.0
+        candidates = np.flatnonzero(np.abs(row_vals) > 1e-9)
+        if candidates.size:
+            j = int(candidates[0])
+            _exchange(inv, inv @ A_work[:, j], pos)
+            basis[pos] = j
         else:
-            redundant_rows.append(basis[pos] - n)
-    if redundant_rows:
-        keep = [i for i in range(m) if i not in set(redundant_rows)]
-        A_work = A_work[keep, :]
-        b_work = b_work[keep]
-        basis = [j for j in basis if j < n]
-        m = len(keep)
-
-    # Phase 2 on the original objective.
-    status2, iters2, unbounded_j = _pivot_loop(
-        A_work, b_work, c_work, basis, opts, rule=opts.pivot_rule
+            redundant[basis[pos] - n] = True
+    rows = np.flatnonzero(~redundant)
+    return FeasibleBasis(
+        A=A,
+        b=b,
+        status=STATUS_OPTIMAL,
+        iterations=iters,
+        rows=tuple(rows.tolist()),
+        basis=tuple(basis[basis < n].tolist()),
+        A_kept=A_work[rows],
+        b_kept=b_work[rows],
     )
-    total_iters = iters1 + iters2
-    if status2 == STATUS_UNBOUNDED:
-        x = _basic_point(A_work, b_work, basis, n)
-        return Solution(
-            x=x,
-            status=STATUS_UNBOUNDED,
-            objective=-math.inf if minimize else math.inf,
-            residual_eq=float(np.max(np.abs(A @ x - b))),
-            iterations=total_iters,
-            basis=tuple(basis),
-            unbounded_index=unbounded_j,
-        )
-    if status2 == STATUS_ITERATION_LIMIT:
-        return Solution(
-            x=np.zeros(n),
-            status=STATUS_ITERATION_LIMIT,
-            objective=math.nan,
-            iterations=total_iters,
-        )
-    x = _basic_point(A_work, b_work, basis, n)
+
+
+def lp_phase2(start: FeasibleBasis, c, sense: str = "min",
+              opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+    """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis.
+
+    ``iterations`` counts the phase-1 pivots and this call's own, as one
+    :func:`solve_lp` call would.
+    """
+    c = np.asarray(c, dtype=float).ravel()
+    n = start.A.shape[1]
+    if c.shape != (n,):
+        raise ValueError("inconsistent LP dimensions")
+    if not np.isfinite(c).all():
+        raise ValueError("c must be finite")
+    if sense not in ("min", "max"):
+        raise ValueError(f"unknown sense {sense!r}")
+    if start.status != STATUS_OPTIMAL:
+        return Solution(x=np.zeros(n), status=start.status, objective=math.nan,
+                        iterations=start.iterations)
+
+    minimize = sense == "min"
+    basis = np.array(start.basis, dtype=np.intp)
+    status, iters, unbounded_j, _ = _pivot_loop(
+        start.A_kept, start.b_kept, c if minimize else -c, basis, opts,
+        opts.pivot_rule,
+    )
+    total_iters = start.iterations + iters
+    if status == STATUS_ITERATION_LIMIT:
+        return Solution(x=np.zeros(n), status=status, objective=math.nan,
+                        iterations=total_iters)
+    x = _basic_point(start.A_kept, start.b_kept, basis, n)
+    if status == STATUS_UNBOUNDED:
+        objective = -math.inf if minimize else math.inf
+    else:
+        objective = float(c @ x)
     return Solution(
         x=x,
-        status=STATUS_OPTIMAL,
-        objective=float(c @ x),
-        residual_eq=float(np.max(np.abs(A @ x - b))),
+        status=status,
+        objective=objective,
+        residual_eq=float(np.max(np.abs(start.A @ x - start.b))),
         iterations=total_iters,
-        basis=tuple(basis),
+        basis=tuple(basis.tolist()),
+        unbounded_index=unbounded_j,
     )
 
 
-def lp_oracle(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
-    """Enumerate basic solutions; exact up to linear-solve roundoff.
-
-    Guarded to tiny instances: every full-rank column subset of size
-    rank(A) is solved exactly and the best feasible basic solution wins.
-    Assumes the optimum is attained at a vertex (bounded problem).
-    """
-    A = np.atleast_2d(np.asarray(p.A, dtype=float))
-    b = np.asarray(p.b, dtype=float).ravel()
-    c = np.asarray(p.c, dtype=float).ravel()
-    m, n = A.shape
-    if n > 16 or m > 8:
-        raise ProblemTooLargeError(f"oracle guard exceeded: {m}x{n}")
-    if p.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {p.sense!r}")
-    better = (lambda a, b: a < b) if p.sense == "min" else (lambda a, b: a > b)
-
-    rank = int(np.linalg.matrix_rank(A, tol=1e-10)) if A.size else 0
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    best_obj = None
-    best_x = None
-    if rank == 0:
-        if float(np.max(np.abs(b), initial=0.0)) <= opts.tol_feas * scale:
-            best_obj, best_x = 0.0, np.zeros(n)
-    else:
-        for subset in combinations(range(n), rank):
-            cols = A[:, subset]
-            xs, _, col_rank, _ = np.linalg.lstsq(cols, b, rcond=None)
-            if col_rank < rank:
-                continue
-            if float(np.max(np.abs(cols @ xs - b))) > 1e-9 * scale:
-                continue
-            if xs.size and float(xs.min()) < -1e-9 * scale:
-                continue
-            obj = float(c[list(subset)] @ xs)
-            if best_obj is None or better(obj, best_obj):
-                x = np.zeros(n)
-                x[list(subset)] = xs
-                best_obj, best_x = obj, x
-    if best_x is None:
-        return Solution(x=np.zeros(n), status=STATUS_INFEASIBLE, objective=math.nan)
-    return Solution(
-        x=best_x,
-        status=STATUS_OPTIMAL,
-        objective=best_obj,
-        residual_eq=float(np.max(np.abs(A @ best_x - b))),
-    )
+def solve_lp(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+    """Two-phase revised simplex over the equality-constrained orthant."""
+    return lp_phase2(lp_phase1(p.A, p.b, opts), p.c, p.sense, opts)
 
 
 class _SolveFailed(Exception):

@@ -7,7 +7,72 @@ come from exhaustive enumeration.
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
+
+from odflow.solver import (
+    DEFAULT_OPTIONS,
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    Solution,
+    SolverOptions,
+    StandardLP,
+)
+
+
+class ProblemTooLargeError(ValueError):
+    """The brute-force oracle refuses instances beyond its guard."""
+
+
+def lp_oracle(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+    """Enumerate basic solutions; exact up to linear-solve roundoff.
+
+    Guarded to tiny instances: every full-rank column subset of size
+    rank(A) is solved exactly and the best feasible basic solution wins.
+    Assumes the optimum is attained at a vertex (bounded problem).
+    """
+    A = np.atleast_2d(np.asarray(p.A, dtype=float))
+    b = np.asarray(p.b, dtype=float).ravel()
+    c = np.asarray(p.c, dtype=float).ravel()
+    m, n = A.shape
+    if n > 16 or m > 8:
+        raise ProblemTooLargeError(f"oracle guard exceeded: {m}x{n}")
+    if p.sense not in ("min", "max"):
+        raise ValueError(f"unknown sense {p.sense!r}")
+    better = (lambda a, b: a < b) if p.sense == "min" else (lambda a, b: a > b)
+
+    rank = int(np.linalg.matrix_rank(A, tol=1e-10)) if A.size else 0
+    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
+    best_obj = None
+    best_x = None
+    if rank == 0:
+        if float(np.max(np.abs(b), initial=0.0)) <= opts.tol_feas * scale:
+            best_obj, best_x = 0.0, np.zeros(n)
+    else:
+        for subset in combinations(range(n), rank):
+            cols = A[:, subset]
+            xs, _, col_rank, _ = np.linalg.lstsq(cols, b, rcond=None)
+            if col_rank < rank:
+                continue
+            if float(np.max(np.abs(cols @ xs - b))) > 1e-9 * scale:
+                continue
+            if xs.size and float(xs.min()) < -1e-9 * scale:
+                continue
+            obj = float(c[list(subset)] @ xs)
+            if best_obj is None or better(obj, best_obj):
+                x = np.zeros(n)
+                x[list(subset)] = xs
+                best_obj, best_x = obj, x
+    if best_x is None:
+        return Solution(x=np.zeros(n), status=STATUS_INFEASIBLE, objective=math.nan)
+    return Solution(
+        x=best_x,
+        status=STATUS_OPTIMAL,
+        objective=best_obj,
+        residual_eq=float(np.max(np.abs(A @ best_x - b))),
+    )
 
 
 def simulate_static_counts(net, table, measured_links, x):

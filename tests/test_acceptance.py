@@ -26,7 +26,6 @@ from odflow import (
     grid_path_count,
     grid_paths_max_turns,
     grid_turn_fraction,
-    lp_oracle,
     run_noisy_cdf,
     run_recovery_sweep,
     run_vmt_sweep,
@@ -36,7 +35,7 @@ from odflow import (
 from odflow.cli import main as cli_main
 from odflow.fixtures import SIX_LINKS_A, SUPPORT_3SPARSE, SUPPORT_4SPARSE
 from conftest import FOURZONE_MATRIX, TRIANGLE_DYNAMIC_COLUMNS, TRIANGLE_MATRIX
-from oracles import brute_force_grid_paths
+from oracles import brute_force_grid_paths, lp_oracle
 
 
 def report(name: str, ok: bool, detail: str, started: float, budget: float):

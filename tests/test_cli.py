@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from odflow import PathTable, build_static_incidence
+from odflow import PathTable, build_static_incidence, fileio
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
 
@@ -291,6 +292,30 @@ class TestVmt:
         assert payload["vmt_lower"] <= true_value + 1e-6
         assert payload["vmt_upper"] >= true_value - 1e-6
 
+    def test_saved_nguyen_counts_are_feasible(self, tmp_path, nguyen):
+        # save_measurements keeps 12 significant digits; on this
+        # rank-deficient system that rounding must not read as infeasible
+        links = list(nguyen.network.link_ids)
+        ms = build_static_incidence(nguyen.table, links, nguyen.network)
+        rng = np.random.default_rng(1)
+        x = np.zeros(ms.n_cols)
+        for group in nguyen.table.paths_by_od:
+            x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
+        counts = tmp_path / "counts.csv"
+        fileio.save_measurements(
+            fileio.Measurements("static", tuple(links), tuple(ms.matrix @ x)),
+            counts,
+        )
+        out = tmp_path / "v.json"
+        rc = main([
+            "vmt", "--network", "nguyen", "--paths", "nguyen",
+            "--measurements", str(counts), "--link-lengths",
+            "--output", str(out),
+        ])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["vmt_lower"] <= payload["vmt_upper"]
+
 
 class TestSweepCommands:
     def test_sweep_and_rerun_byte_identical(self, tmp_path):
@@ -308,6 +333,22 @@ class TestSweepCommands:
         ])
         assert rc == 0
         assert (rerun_dir / "sweep.csv").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["sweep", "--fixture", "fig2", "--supports", "4,8,12;1,7,10,13",
+          "--m-grid", "4:10"],
+         "aade58792edc729004f6574f95ecb86e463dfae41719423dad6794cf215ec943"),
+        (["vmt-sweep", "--fixture", "nguyen"],
+         "dda7ec90f87dba6cc12d80db8f171f1d0951744800eda0f73b245da8658cde3d"),
+    ])
+    def test_csv_digest_pinned(self, tmp_path, argv, digest):
+        # The digests come from the simplex that factored the basis afresh
+        # at every pivot and ran a separate phase 1 per program; seeded
+        # sweeps must not move when the LP layer is reworked.
+        out = tmp_path / "out.csv"
+        rc = main(argv + ["--trials", "20", "--seed", "3", "--output", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_sweep_requires_exactly_one_mode(self, tmp_path):
         rc = main([

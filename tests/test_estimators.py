@@ -3,6 +3,7 @@ import pytest
 
 from odflow import (
     InfeasibleError,
+    StandardLP,
     UnboundedError,
     WeightMatrix,
     build_dynamic_system,
@@ -14,6 +15,7 @@ from odflow import (
     estimate_l2_noisy,
     estimate_weighted_l1,
     reweighted_l1,
+    solve_lp,
     vmt_bounds,
 )
 from odflow.fixtures import (
@@ -33,9 +35,53 @@ def four_sparse_truth(f1=10.0, f2=20.0, f3=40.0):
     return x
 
 
+def path_lengths(bundle):
+    return np.array([
+        sum(bundle.network.link_by_id[lid].length for lid in p.links)
+        for p in bundle.table.paths
+    ])
+
+
+def nguyen_all_links(nguyen, seed):
+    """All-links system on nguyen and the counts of one random path per OD
+    pair with a uniform flow, rounded to 12 significant digits as count
+    files store them."""
+    ms = build_static_incidence(
+        nguyen.table, list(nguyen.network.link_ids), nguyen.network
+    )
+    rng = np.random.default_rng(seed)
+    x = np.zeros(ms.n_cols)
+    for group in nguyen.table.paths_by_od:
+        x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
+    y = np.array([float(f"{v:.12g}") for v in ms.matrix @ x])
+    return ms, x, y
+
+
 @pytest.fixture(scope="module")
 def six_link_system(fig2):
     return build_static_incidence(fig2.table, SIX_LINKS_A, fig2.network)
+
+
+ESTIMATORS = {
+    "l1": estimate_l1,
+    "l2": estimate_l2,
+    "l1-noisy": lambda ms, y: estimate_l1_noisy(ms, y, 0.5),
+    "l2-noisy": lambda ms, y: estimate_l2_noisy(ms, y, 0.5),
+    "weighted-l1": lambda ms, y: estimate_weighted_l1(
+        ms, y, WeightMatrix(np.ones(ms.n_cols))
+    ),
+    "reweighted-l1": reweighted_l1,
+    "vmt": lambda ms, y: vmt_bounds(ms, y, np.ones(ms.n_cols)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_counts_rejected(six_link_system, method, value):
+    y = six_link_system.matrix @ four_sparse_truth()
+    y[2] = value
+    with pytest.raises(ValueError):
+        ESTIMATORS[method](six_link_system, y)
 
 
 class TestL1:
@@ -65,7 +111,8 @@ class TestL1:
     def test_one_sparse_single_link(self, fig2):
         # one measured link on the true path: the l1 argmin puts all mass
         # on a single crossing column, at the oracle's objective
-        from odflow import StandardLP, lp_oracle
+        from odflow import StandardLP
+        from oracles import lp_oracle
 
         ms = build_static_incidence(fig2.table, ["l4-2"], fig2.network)
         y = np.array([5.0])
@@ -206,6 +253,11 @@ class TestWeighted:
         with pytest.raises(ValueError):
             WeightMatrix(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, value):
+        with pytest.raises(ValueError):
+            WeightMatrix(np.array([1.0, value]))
+
 
 class TestReweighted:
     def test_single_round_equals_plain(self, six_link_system):
@@ -252,6 +304,26 @@ class TestReweighted:
     def test_bad_iters_rejected(self, six_link_system):
         with pytest.raises(ValueError):
             reweighted_l1(six_link_system, np.ones(6), iters=0)
+
+    def test_matches_round_by_round_solves(self, fig2):
+        # one shared phase 1 gives what a full solve per round gives
+        ms = build_static_incidence(fig2.table, SIX_LINKS_B, fig2.network)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            x = np.where(rng.random(14) < 0.3, rng.uniform(1.0, 100.0, 14), 0.0)
+            y = ms.matrix @ x
+            rew = reweighted_l1(ms, y, iters=4)
+            step = estimate_l1(ms, y)
+            trace = [float(np.sum(step.allocation.x))]
+            epsilon = max(1e-3 * float(np.max(step.allocation.x)), 1e-12)
+            for _ in range(3):
+                lam = 1.0 / (step.allocation.x + epsilon)
+                step = estimate_weighted_l1(ms, y, WeightMatrix(lam))
+                trace.append(float(np.sum(step.allocation.x)))
+            assert np.array_equal(rew.allocation.x, step.allocation.x)
+            assert rew.iterations == step.iterations
+            assert rew.objective == step.objective
+            assert rew.objective_trace == tuple(trace)
 
 
 class TestVmtBounds:
@@ -301,6 +373,55 @@ class TestVmtBounds:
             vmt_bounds(six_link_system, np.zeros(6), np.ones(5))
         with pytest.raises(ValueError):
             vmt_bounds(six_link_system, np.zeros(6), -np.ones(14))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_lengths_rejected(self, six_link_system, value):
+        lengths = np.ones(14)
+        lengths[3] = value
+        with pytest.raises(ValueError):
+            vmt_bounds(six_link_system, np.zeros(6), lengths)
+
+    def test_matches_two_solve_lp_calls(self, fig2, nguyen):
+        # min and max share one phase 1; each must equal its own full solve
+        for bundle, m in ((fig2, 6), (nguyen, 22), (nguyen, 38)):
+            lengths = path_lengths(bundle)
+            link_ids = list(bundle.network.link_ids)
+            rng = np.random.default_rng(m)
+            n = bundle.table.n_paths
+            for _ in range(10):
+                measured = [link_ids[i] for i in sorted(rng.permutation(len(link_ids))[:m])]
+                ms = build_static_incidence(bundle.table, measured, bundle.network)
+                x = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 100.0, n), 0.0)
+                y = ms.matrix @ x
+                lo, hi = (
+                    solve_lp(StandardLP(c=lengths, A=ms.matrix, b=y, sense=sense))
+                    for sense in ("min", "max")
+                )
+                try:
+                    bounds = vmt_bounds(ms, y, lengths)
+                except UnboundedError as exc:
+                    got = exc.solution
+                    assert hi.status == "unbounded"
+                    assert got.iterations == hi.iterations
+                    assert got.unbounded_index == hi.unbounded_index
+                    assert np.array_equal(got.x, hi.x)
+                    continue
+                assert bounds.vmt_lower == lo.objective
+                assert bounds.vmt_upper == hi.objective
+                assert np.array_equal(bounds.x_min.x, np.clip(lo.x, 0.0, None))
+                assert np.array_equal(bounds.x_max.x, np.clip(hi.x, 0.0, None))
+
+    def test_rounded_counts_give_finite_bounds(self, nguyen):
+        # Counts rounded to 12 digits leave ~1e-10 in phase 1's artificials
+        # on this rank-deficient system; that is not an infeasibility.
+        lengths = path_lengths(nguyen)
+        for seed in range(10):
+            ms, x, y = nguyen_all_links(nguyen, seed)
+            bounds = vmt_bounds(ms, y, lengths)
+            true_value = float(lengths @ x)
+            assert bounds.vmt_lower <= true_value + 1e-6
+            assert bounds.vmt_upper >= true_value - 1e-6
+            assert np.isfinite(bounds.vmt_upper)
 
 
 class TestDynamicEstimation:

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
+from odflow import build_static_incidence
 from odflow.solver import (
+    _REFACTOR_EVERY,
     ConeProblem,
-    ProblemTooLargeError,
     SolverOptions,
     StandardLP,
-    lp_oracle,
-    project_ball,
-    project_nonneg,
+    lp_phase1,
+    lp_phase2,
     solve_cone,
     solve_lp,
 )
+from oracles import ProblemTooLargeError, lp_oracle
 
 
 def random_feasible_lp(rng, m=None, n=None, density=0.5, sense="min"):
@@ -154,6 +154,87 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             solve_lp(StandardLP(c=[1.0], A=[[1.0]], b=[1.0], sense="best"))
 
+    @pytest.mark.parametrize("field,value", [
+        ("A", [[1.0, np.nan], [0.0, 1.0]]),
+        ("A", [[1.0, np.inf], [0.0, 1.0]]),
+        ("b", [1.0, np.nan]),
+        ("b", [-np.inf, 1.0]),
+        ("c", [1.0, np.nan]),
+        ("c", [np.inf, 1.0]),
+    ])
+    def test_non_finite_input_rejected(self, field, value):
+        args = dict(c=[1.0, 1.0], A=np.eye(2), b=[1.0, 1.0])
+        args[field] = value
+        for sense in ("min", "max"):
+            with pytest.raises(ValueError):
+                solve_lp(StandardLP(sense=sense, **args))
+
+    def test_infeasibility_relative_to_counts(self):
+        # two copies of one row: a gap of 1 in 1e6 is inconsistent, a gap
+        # at the 13th significant digit is roundoff
+        A = [[1.0, 1.0], [1.0, 1.0]]
+        sol = solve_lp(StandardLP(c=[1.0, 1.0], A=A, b=[1e6, 1e6 + 1.0]))
+        assert sol.status == "infeasible"
+        sol = solve_lp(StandardLP(c=[1.0, 1.0], A=A, b=[1e6, 1e6 * (1 + 1e-13)]))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1e6, rel=1e-12)
+
+
+class TestLpPhases:
+    def test_shared_phase1_matches_full_solves(self):
+        # phase 2 must leave the shared phase-1 state untouched, so every
+        # objective optimized from it matches a fresh solve
+        rng = np.random.default_rng(808)
+        for _ in range(60):
+            lp, _ = random_feasible_lp(rng)
+            start = lp_phase1(lp.A, lp.b)
+            for c in (lp.c, -lp.c, rng.uniform(0.0, 2.0, len(lp.c))):
+                for sense in ("min", "max"):
+                    got = lp_phase2(start, c, sense)
+                    want = solve_lp(StandardLP(c=c, A=lp.A, b=lp.b, sense=sense))
+                    assert got.status == want.status
+                    assert got.iterations == want.iterations
+                    assert got.basis == want.basis
+                    assert got.unbounded_index == want.unbounded_index
+                    assert np.array_equal(got.x, want.x)
+
+    def test_phase1_failure_carried_to_every_objective(self):
+        start = lp_phase1([[1.0, 1.0]], [-1.0])
+        assert start.status == "infeasible"
+        for sense in ("min", "max"):
+            sol = lp_phase2(start, [1.0, 2.0], sense)
+            assert sol.status == "infeasible"
+            assert sol.iterations == start.iterations
+
+    def test_redundant_rows_dropped_once(self):
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        start = lp_phase1(A, [2.0, 2.0, 3.0])
+        assert start.status == "optimal"
+        assert len(start.rows) == len(start.basis) == 2
+        assert start.A_kept.shape == (2, 3)
+
+    def test_basis_past_refactor_interval(self, nguyen):
+        # A long solve crosses several refactorizations of the basis
+        # inverse and still ends on the basis of a solver that factored
+        # the basis afresh at every pivot.
+        ms = build_static_incidence(
+            nguyen.table, list(nguyen.network.link_ids), nguyen.network
+        )
+        rng = np.random.default_rng(2024)
+        x = np.zeros(ms.n_cols)
+        for group in nguyen.table.paths_by_od:
+            x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
+        start = lp_phase1(ms.matrix, ms.matrix @ x)
+        assert start.iterations > _REFACTOR_EVERY
+        sol = lp_phase2(start, np.ones(ms.n_cols))
+        assert sol.status == "optimal"
+        assert sol.iterations == 62
+        assert sol.basis == (
+            18, 11, 63, 62, 15, 65, 57, 2, 14, 0, 1, 59, 10, 55, 28, 38, 39,
+            47, 40, 36, 19, 32, 13, 44,
+        )
+        assert sol.objective == pytest.approx(320.02626652010343, rel=1e-12)
+
 
 class TestLpOracle:
     def test_guard(self):
@@ -176,61 +257,6 @@ class TestLpOracle:
         sol = lp_oracle(StandardLP(c=[2.0, 1.0], A=[[1.0, 1.0]], b=[4.0]))
         assert sol.objective == pytest.approx(4.0)
         assert sol.x == pytest.approx([0.0, 4.0])
-
-
-class TestProjections:
-    def test_ball_inside_is_identity(self):
-        v = np.array([1.0, 1.0])
-        out = project_ball(v, np.zeros(2), 5.0)
-        assert np.array_equal(out, v)
-
-    def test_ball_radial_scaling(self):
-        center = np.array([10.0, -3.0])
-        v = center + np.array([3.0, 4.0])
-        assert np.allclose(project_ball(v, center, 5.0), v)
-        out = project_ball(v, center, 2.5)
-        assert np.allclose(out, center + np.array([1.5, 2.0]))
-
-    def test_zero_radius_returns_center(self):
-        center = np.array([2.0, 2.0])
-        out = project_ball(np.array([5.0, 1.0]), center, 0.0)
-        assert np.array_equal(out, center)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            project_ball(np.zeros(2), np.zeros(2), -1.0)
-
-    def test_nonneg_examples(self):
-        assert np.array_equal(project_nonneg([1.0, -2.0, 0.0]), [1.0, 0.0, 0.0])
-        v = np.array([0.5, 2.0])
-        assert np.array_equal(project_nonneg(v), v)
-        assert np.array_equal(project_nonneg([-1.0, -2.0]), [0.0, 0.0])
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
-        st.floats(0.0, 1e3),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_ball_idempotent_and_nonexpansive(self, a, b, radius):
-        size = min(len(a), len(b))
-        u = np.asarray(a[:size])
-        w = np.asarray(b[:size])
-        center = np.zeros(size)
-        pu = project_ball(u, center, radius)
-        pw = project_ball(w, center, radius)
-        assert np.allclose(project_ball(pu, center, radius), pu, atol=1e-9)
-        assert np.linalg.norm(pu - pw) <= np.linalg.norm(u - w) + 1e-9
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_nonneg_idempotent_and_nonexpansive(self, a):
-        v = np.asarray(a)
-        p = project_nonneg(v)
-        assert np.array_equal(project_nonneg(p), p)
-        assert np.linalg.norm(p - project_nonneg(v * 0.5)) <= np.linalg.norm(
-            v - v * 0.5
-        ) + 1e-9
 
 
 class TestSolveCone:
