@@ -247,10 +247,6 @@ class MeasurementSystem:
             table=self.table,
         )
 
-    def path_index_of_column(self, j: int) -> int:
-        lbl = self.col_labels[j]
-        return lbl[0] if self.mode == "dynamic" else lbl
-
 
 def validate_network(net: Network) -> Network:
     """Check all structural invariants; return the network unchanged."""

@@ -15,9 +15,14 @@ Two engines:
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
   on Lawson-Hanson nonnegative least squares (``scipy.optimize.nnls``):
-  one NNLS solve certifies feasibility, and a root find on the ball's
-  multiplier follows the path of a penalized program, itself one NNLS
-  solve per point, until the residual equals ``delta``.
+  one NNLS solve certifies feasibility.  For the Euclidean norm the ball's
+  multiplier is the root of a secular equation on each support piece of
+  the penalized path (the trust-region equation of Moré & Sorensen 1983);
+  a KKT check certifies the piece, and an NNLS solve of the penalized
+  program supplies the next piece when it fails, so most solves take one
+  or two NNLS calls.  For the weighted sum a root find on the multiplier
+  follows the nonnegative lasso path, one NNLS solve per point, until the
+  residual equals ``delta``.
 
 Problems here are desk scale (tens of rows/columns); everything is dense.
 """
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, nnls
@@ -38,11 +42,20 @@ _RATIO_TIE_TOL = 1e-12
 # accumulates.
 _REFACTOR_EVERY = 32
 
-# Root find on the ball multiplier: converge to machine precision.
+# Root finds on the ball multiplier: converge to machine precision.  A
+# residual within _ROOT_RTOL of the sphere (counts at unit norm) is on it.
 _ROOT_XTOL = 1e-300
 _ROOT_RTOL = 4 * np.finfo(float).eps
-# Tenfold steps allowed while bracketing the l2 multiplier.
-_MAX_BRACKET_STEPS = 60
+# NNLS solves the l2 ball search may spend after its feasibility check.
+_MAX_BALL_SOLVES = 100
+# Newton steps allowed for one support piece's multiplier; from its start
+# the iteration converges quadratically and needs far fewer.
+_MAX_NEWTON_STEPS = 100
+# The l2 certificate accepts an entry of A'r within this much of zero
+# (relative to the largest entry) on the wrong side, so that a piece whose
+# root sits on a breakpoint of the path, where one entry of x or of A'r is
+# zero, still certifies after roundoff.
+_KKT_SLACK = 1e-12
 # The equality-constrained l2 program relaxes x >= 0 by this much (counts
 # at unit norm), so that a feasible set that is a single point does not
 # look empty after roundoff.
@@ -392,19 +405,119 @@ def _on_ball(x_at, A, y, delta, lo, hi) -> np.ndarray:
     """``x_at(mu)`` at the multiplier in ``[lo, hi]`` where the residual
     ``||A x_at(mu) - y||`` equals ``delta``.
 
-    Along either penalized path the residual is continuous and monotone in
+    Along the penalized path the residual is continuous and monotone in
     ``mu``, so a bracketing root find (Brent) converges to machine
     precision, as in SPGL1's Pareto-curve search (van den Berg &
-    Friedlander 2008).
+    Friedlander 2008).  A residual within roundoff of ``delta`` ends it:
+    near a flat stretch of the path the gap can reach zero to roundoff
+    long before ``mu`` meets Brent's relative tolerance.
     """
     def gap(mu):
-        return float(np.linalg.norm(A @ x_at(mu) - y)) - delta
+        g = float(np.linalg.norm(A @ x_at(mu) - y)) - delta
+        return 0.0 if abs(g) <= _ROOT_RTOL else g
 
     try:
         mu = brentq(gap, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
     except (RuntimeError, ValueError) as exc:
         raise _SolveFailed(str(exc)) from exc
     return x_at(mu)
+
+
+def _piece_root(A_S, y, delta, lo, hi):
+    """``(nu, r)``: the multiplier in ``(lo, hi]`` where the ridge path
+    restricted to the columns ``A_S`` meets the sphere, and its residual;
+    None when there is none.
+
+    On the columns ``A_S`` the penalized point is ``x_S = nu A_S' r`` with
+    residual ``r(nu) = (I + nu K)^{-1} y``, ``K = A_S A_S'``.  With
+    ``K = V diag(k) V'`` and ``c = V'y``,
+    ``||r(nu)||² = sum_i c_i² / (1 + nu k_i)²``: a secular equation, the
+    one of the trust-region subproblem (Moré & Sorensen 1983).  It falls
+    towards the part of ``y`` in the null space of ``K``, and
+    ``1/||r(nu)||`` is concave and increasing, so Newton's method on
+    ``1/||r|| - 1/delta`` started left of the root climbs to it
+    monotonically.
+    """
+    k, V = np.linalg.eigh(A_S @ A_S.T)
+    c = V.T @ y
+    null = k <= k[-1] * k.size * np.finfo(float).eps
+    if math.sqrt(c[null] @ c[null]) >= delta:
+        return None
+    k[null] = 0.0
+    nu = lo
+    for step_count in range(_MAX_NEWTON_STEPS):
+        d = 1.0 + nu * k
+        e = c / d  # r(nu) in the eigenbasis
+        norm2 = float(e @ e)
+        if step_count == 0 and norm2 <= delta * delta:
+            return None  # the piece meets the sphere at or before lo
+        step = (math.sqrt(norm2) / delta - 1.0) * norm2 / float((e * k) @ (e / d))
+        if step <= _ROOT_RTOL * nu:
+            break
+        nu += step
+        if nu > hi:
+            return None
+    else:
+        return None
+    return nu, V @ e
+
+
+def _l2_ball(A, y, delta, x_ls, dist, solve) -> np.ndarray:
+    """Least-norm ``x >= 0`` with ``||A x - y|| <= delta``, for unit-norm
+    counts, ``dist < delta < 1``, and ``x_ls`` the NNLS point at distance
+    ``dist``.
+
+    The optimum is the ridge point ``argmin ½||x||² + (nu/2)||A x - y||²``
+    (``x >= 0``) at the multiplier ``nu`` where its residual is ``delta``.
+    On a fixed support that multiplier is a secular-equation root
+    (:func:`_piece_root`).  The KKT conditions ``x = max(0, nu A'r)`` with
+    ``r = y - A x`` and ``||r|| = delta`` certify a root: entries of
+    ``A'r`` positive on the support and nonpositive off it.  A piece that
+    fails the certificate hands its multiplier to one NNLS ridge solve,
+    whose support seeds the next piece and whose residual narrows the
+    bracket on ``nu``.  A piece without a root in the bracket, or a support
+    met before, gives way to a bisection step (on a log scale): two pieces
+    whose roots lie at each other's ends of the bracket would otherwise
+    trade places for ever.  The search starts from the support of ``x_ls``.
+    """
+    # Bracket on the optimal multiplier.  x* = nu A'r* with ||r*|| = delta
+    # and ||A x*|| >= 1 - delta bound it below (halved, as the bound can be
+    # tight and a root at lo is rejected); comparing the ridge objective at
+    # x_ls bounds the residual at nu by ||x_ls||²/nu + dist², which reaches
+    # delta at the upper end.
+    lo = 0.5 * (1.0 - delta) / (delta * float(np.sum(A * A)))
+    hi = float(x_ls @ x_ls) / (delta * delta - dist * dist)
+    support = x_ls > 0
+    tried = set()
+    for _ in range(_MAX_BALL_SOLVES):
+        A_S = A[:, support]
+        key = support.tobytes()
+        piece = None if key in tried else _piece_root(A_S, y, delta, lo, hi)
+        tried.add(key)
+        if piece is None:
+            nu = math.sqrt(lo * hi)
+        else:
+            nu, r = piece
+            grad = A.T @ r
+            slack = _KKT_SLACK * float(np.abs(grad).max())
+            if (grad[support].min() >= -slack
+                    and grad[~support].max(initial=-math.inf) <= slack):
+                # The point from the piece's normal equations rather than
+                # nu A_S'r: both are accurate, but the spectral r leaves up
+                # to cond(I + nu K) times more in x - nu A'(y - A x), which
+                # blurs the multiplier read from small entries.
+                x = np.zeros(A.shape[1])
+                x[support] = np.maximum(np.linalg.solve(
+                    np.eye(A_S.shape[1]) + nu * (A_S.T @ A_S), nu * (A_S.T @ y)
+                ), 0.0)
+                return x
+        x = _ridge(A, y, nu, solve)
+        if np.linalg.norm(A @ x - y) > delta:
+            lo = nu
+        else:
+            hi = nu
+        support = x > 0
+    raise _SolveFailed("the l2 multiplier search did not settle")
 
 
 def _min_norm_point(A, x_feasible, solve) -> np.ndarray:
@@ -454,15 +567,22 @@ def solve_cone(p: ConeProblem, opts: SolverOptions = DEFAULT_OPTIONS) -> Solutio
       to the nonnegative image of ``A``.  Above ``delta`` it certifies an
       infeasible ball; at ``delta = 0`` counts within ``opts.tol_feas``
       (relative to ``||y||``) of the image are accepted.
-    * l2 objective, ``delta = 0``: the least-norm point of the feasible
-      set, a least-distance program.
-    * ``delta > 0``: the optimum lies on the sphere, on the solution path
-      of a penalized program, ``min ½||x||² + (mu/2)||A x - y||²`` for l2
-      and ``min ½||A x - y||² + mu·lam'x`` for l1, each solved exactly by
-      NNLS.  A root find on ``mu`` brings the residual to ``delta``.
+    * l2 objective, ``delta = 0`` or a ball that meets the image in the
+      one point ``A x_ls`` (NNLS residual equal to ``delta``): the
+      least-norm point of that feasible set, a least-distance program.
+    * l2 objective, ``delta > 0``: the optimum lies on the sphere, on the
+      path of ``min ½||x||² + (nu/2)||A x - y||²``.  On each support piece
+      of that path the multiplier solves a secular equation, by Newton's
+      method on the piece's spectrum; a KKT check certifies the root, and
+      a root that fails it hands over to one NNLS solve of the penalized
+      program, whose support gives the next piece (:func:`_l2_ball`).
+    * l1 objective, ``delta > 0``: the optimum lies on the sphere, on the
+      path of the nonnegative lasso ``min ½||A x - y||² + mu·lam'x``, each
+      point solved exactly by NNLS, with the NNLS point at ``mu = 0``.
+      Brent's method on ``mu`` brings the residual to ``delta``.
 
     ``iterations`` counts NNLS solves (simplex pivots on the LP branch).
-    When an NNLS solve or the root find gives up, the status is
+    When an NNLS solve or the multiplier search gives up, the status is
     iteration-limit.
     """
     A, y, lam = _cone_arrays(p)
@@ -500,24 +620,21 @@ def solve_cone(p: ConeProblem, opts: SolverOptions = DEFAULT_OPTIONS) -> Solutio
                 residual_cone=(dist - delta_unit) * scale,
                 iterations=solve.calls,
             )
-        if delta == 0.0:
-            x = _min_norm_point(A, x_ls, solve)
-        elif quad:
-            x_at = partial(_ridge, A, y_unit, solve=solve)
-            # x = 0 at mu = 0; grow the bracket until the ball is reached.
-            lo, hi = 0.0, 1.0
-            for _ in range(_MAX_BRACKET_STEPS):
-                if np.linalg.norm(A @ x_at(hi) - y_unit) <= delta_unit:
-                    break
-                lo, hi = hi, 10.0 * hi
-            else:
-                raise _SolveFailed("no multiplier reaches the ball")
-            x = _on_ball(x_at, A, y_unit, delta_unit, lo, hi)
-        else:
-            x_at = partial(_lasso, A, y_unit, lam, solve=solve)
+        if not quad:
+            def x_at(mu):
+                # At mu = 0 the lasso is the NNLS program, already solved;
+                # its dual there is a degenerate least-distance program.
+                return x_ls if mu == 0.0 else _lasso(A, y_unit, lam, mu, solve)
+
             # x = 0 for mu >= mu_max; mu = 0 gives the NNLS residual.
             mu_max = float(np.max(A.T @ y_unit / lam))
             x = _on_ball(x_at, A, y_unit, delta_unit, 0.0, mu_max)
+        elif dist >= delta_unit:
+            # The ball meets the nonnegative image in the one point A x_ls
+            # (always so at delta = 0).
+            x = _min_norm_point(A, x_ls, solve)
+        else:
+            x = _l2_ball(A, y_unit, delta_unit, x_ls, dist, solve)
     except _SolveFailed:
         return Solution(
             x=np.zeros(n),

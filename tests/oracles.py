@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production matrix builders and
 solvers: counts come from walking vehicles over the network, and optima
-come from exhaustive enumeration.
+come from exhaustive enumeration or, for the l2 ball, from plain bisection
+over NNLS solves.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import nnls
 
 from odflow.solver import (
     DEFAULT_OPTIONS,
@@ -73,6 +75,43 @@ def lp_oracle(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
         objective=best_obj,
         residual_eq=float(np.max(np.abs(A @ best_x - b))),
     )
+
+
+def l2_ball_oracle(A, y, delta) -> np.ndarray:
+    """``min ||x||  s.t.  ||A x - y|| <= delta, x >= 0`` by bisection on the
+    multiplier of its penalized program.
+
+    For a multiplier ``mu`` the point ``argmin_{x >= 0} ||x||² + mu·||A x - y||²``
+    is one NNLS solve on ``[sqrt(mu) A; I]``, and its residual falls as
+    ``mu`` grows.  A tenfold search brackets the ``mu`` where the residual
+    reaches ``delta``; bisection then closes the bracket to adjacent
+    floating-point numbers, and the point at its upper (feasible) end is
+    returned.  Assumes a feasible ball that excludes zero.
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = A.shape[1]
+
+    def penalized(mu):
+        root = math.sqrt(mu)
+        return nnls(np.vstack([root * A, np.eye(n)]),
+                    np.concatenate([root * y, np.zeros(n)]))[0]
+
+    def outside(x):
+        return np.linalg.norm(A @ x - y) > delta
+
+    lo, hi = 0.0, 1.0
+    x_hi = penalized(hi)
+    while outside(x_hi):
+        lo, hi = hi, 10.0 * hi
+        x_hi = penalized(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x = penalized(mid)
+        if outside(x):
+            lo = mid
+        else:
+            hi, x_hi = mid, x
+    return x_hi
 
 
 def simulate_static_counts(net, table, measured_links, x):

@@ -7,7 +7,10 @@ from odflow import (
     IterationLimitError,
     TrialConfig,
     add_noise,
+    build_static_incidence,
     check_recovery,
+    estimate_l1_noisy,
+    get_fixture,
     grid_path_count,
     grid_paths_max_turns,
     grid_turn_fraction,
@@ -303,6 +306,24 @@ class TestNoisyCdf:
         if report.infeasible_trials:
             assert math.isinf(report.errors_l1[-1])
             assert math.isinf(report.errors_l2[-1])
+
+    def test_l1_root_find_ends_at_roundoff_gap(self):
+        # trial 454 of run_noisy_cdf on (4, 8, 12), nu = 0.1, seed 101: the
+        # l1 ball gap reaches zero to roundoff while the multiplier is still
+        # far from Brent's relative tolerance
+        bundle = get_fixture("fig2")
+        pt, net = bundle.table, bundle.network
+        rng = substream(101, 454)
+        x_true = sample_allocation(pt, (4, 8, 12), rng)
+        measured = sample_measurements(list(net.link_ids), 10, rng)
+        ms = build_static_incidence(pt, measured, net)
+        y = add_noise(ms.matrix @ x_true, 0.1, rng)
+        delta = 0.1 * math.sqrt(10)
+        result = estimate_l1_noisy(ms, y, delta)
+        assert result.status == "optimal"
+        assert np.linalg.norm(y - ms.matrix @ result.allocation.x) == pytest.approx(
+            delta, rel=1e-9
+        )
 
     def test_iteration_limit_propagates(self, monkeypatch):
         # only infeasible balls are tallied; a solver that gives up is an error

@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from odflow import build_static_incidence
+from odflow import (
+    add_noise,
+    build_static_incidence,
+    get_fixture,
+    sample_allocation,
+    sample_measurements,
+    substream,
+)
 from odflow.solver import (
     _REFACTOR_EVERY,
     ConeProblem,
     SolverOptions,
     StandardLP,
+    _piece_root,
     lp_phase1,
     lp_phase2,
     solve_cone,
     solve_lp,
 )
-from oracles import ProblemTooLargeError, lp_oracle
+from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle
 
 
 def random_feasible_lp(rng, m=None, n=None, density=0.5, sense="min"):
@@ -309,6 +317,21 @@ class TestSolveCone:
             assert sol.x.min() >= 0.0
             assert np.linalg.norm(lp.b - lp.A @ sol.x) <= delta + 1e-6
 
+    def test_l1_noisy_on_noiseless_counts(self):
+        # counts inside the cone of A: the lasso path starts at the NNLS
+        # point, where the lasso's dual is a degenerate least-distance program
+        bundle = get_fixture("fig2")
+        net = bundle.network
+        A = build_static_incidence(bundle.table, list(net.link_ids), net).matrix
+        x0 = np.zeros(A.shape[1])
+        x0[[1, 8, 11]] = [20.0, 50.0, 80.0]
+        y = A @ x0
+        sol = solve_cone(ConeProblem(A=A, y=y, delta=0.5, objective="l1"))
+        assert sol.status == "optimal"
+        assert np.linalg.norm(y - A @ sol.x) == pytest.approx(0.5, rel=1e-9)
+        assert sol.x.min() >= 0.0
+        assert sol.objective < x0.sum()
+
     def test_weighted_objective(self):
         # weight strongly against the first column; mass should move away
         A = np.array([[1.0, 1.0]])
@@ -431,3 +454,89 @@ class TestConeCertificates:
                 assert (sol.status == "infeasible") == (dist > delta)
                 verdicts[sol.status] += 1
         assert min(verdicts.values()) > 0
+
+
+def noisy_cdf_instances(fixture, support, noise_sd, m, seed, trials):
+    """``(A, y, delta)`` of each trial of ``run_noisy_cdf``'s scheme."""
+    bundle = get_fixture(fixture)
+    pt, net = bundle.table, bundle.network
+    out = []
+    for t in range(trials):
+        rng = substream(seed, t)
+        x_true = sample_allocation(pt, support, rng)
+        measured = sample_measurements(list(net.link_ids), m, rng)
+        A = build_static_incidence(pt, measured, net).matrix
+        y = add_noise(A @ x_true, noise_sd, rng)
+        out.append((A, y, noise_sd * np.sqrt(m)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fig2_noisy():
+    return (noisy_cdf_instances("fig2", (4, 8, 12), 0.1, 10, 17, 100)
+            + noisy_cdf_instances("fig2", (1, 7, 10, 13), 0.02, 10, 17, 100))
+
+
+class TestL2Ball:
+    """The exact l2 ball solve: secular-equation roots on support pieces,
+    certified by the KKT conditions, with NNLS solves as the fallback."""
+
+    def test_matches_bisection_oracle(self, fig2_noisy):
+        instances = fig2_noisy + noisy_cdf_instances(
+            "nguyen", (0, 10, 20, 30, 40, 50, 60), 1.0, 22, 17, 30
+        )
+        compared = 0
+        for A, y, delta in instances:
+            sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l2"))
+            feasible = nnls(A, y)[1] <= delta
+            assert sol.status == ("optimal" if feasible else "infeasible")
+            if feasible:
+                want = l2_ball_oracle(A, y, delta)
+                assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
+                compared += 1
+        assert compared >= 200
+
+    def test_few_nnls_solves(self, fig2_noisy):
+        # iterations counts the feasibility NNLS plus the fallback solves
+        counts = [
+            solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l2")).iterations
+            for A, y, delta in fig2_noisy
+        ]
+        assert np.median(counts) <= 3
+
+    def test_first_support_fails_certificate(self):
+        # nnls picks the first of the two equal columns; the optimum splits
+        sol = solve_cone(ConeProblem(
+            A=np.array([[1.0, 1.0]]), y=np.array([2.0]), delta=0.5, objective="l2"
+        ))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([0.75, 0.75], rel=1e-12)
+        assert sol.iterations == 2  # the feasibility check and one fallback
+
+    def test_repeated_support_bisects(self):
+        # two pieces here have their roots at each other's ends of the
+        # bracket; solving them again would trade places for ever
+        A, y, delta = noisy_cdf_instances("fig2", (4, 8, 12), 0.1, 10, 9, 113)[112]
+        sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l2"))
+        assert sol.status == "optimal"
+        want = l2_ball_oracle(A, y, delta)
+        assert np.linalg.norm(sol.x - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_piece_without_root(self):
+        A_S = np.array([[1.0], [0.0]])
+        y = np.array([0.6, 0.8])  # 0.8 of it lies outside the range of A_S
+        assert _piece_root(A_S, y, 0.5, 0.0, np.inf) is None
+        nu, r = _piece_root(A_S, y, 0.9, 0.0, np.inf)
+        assert nu == pytest.approx(0.6 / np.sqrt(0.81 - 0.64) - 1.0, rel=1e-12)
+        assert r == pytest.approx([0.6 / (1.0 + nu), 0.8], rel=1e-12)
+        assert _piece_root(A_S, y, 0.9, 0.0, 0.4) is None  # root beyond hi
+
+    def test_ball_touching_image(self):
+        # the counts lie exactly delta from the image {A x : x >= 0}, which
+        # the ball meets in one point
+        A = np.array([[1.0, 1.0], [0.0, 0.0]])
+        sol = solve_cone(ConeProblem(
+            A=A, y=np.array([2.0, 1.0]), delta=1.0, objective="l2"
+        ))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([1.0, 1.0], rel=1e-9)
