@@ -22,7 +22,6 @@ from .solver import (
     ConeProblem,
     FeasibleBasis,
     Solution,
-    SolverOptions,
     StandardLP,
     lp_phase1,
     lp_phase2,
@@ -75,7 +74,7 @@ __all__ = [
     "canonical_order", "decode_allocation", "enumerate_paths",
     "path_prefix_delay", "validate_network", "validate_path",
     # solver
-    "ConeProblem", "FeasibleBasis", "Solution", "SolverOptions", "StandardLP",
+    "ConeProblem", "FeasibleBasis", "Solution", "StandardLP",
     "lp_phase1", "lp_phase2", "solve_cone", "solve_lp",
     # estimators
     "Allocation", "EstimationResult", "InfeasibleError",

@@ -50,6 +50,7 @@ from .network import (
     build_dynamic_system,
     build_static_incidence,
     enumerate_paths,
+    split_column_labels,
 )
 
 EXIT_OK = 0
@@ -63,14 +64,6 @@ SEED_ENV_VAR = "ODFLOW_SEED"
 
 class UsageError(ValueError):
     """Bad flag combination detected after argparse."""
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    try:
-        return int(raw) if raw is not None else 0
-    except ValueError:
-        return 0
 
 
 def _resolve_network(spec: str):
@@ -247,10 +240,10 @@ def _cmd_vmt(args) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise fileio.FileFormatError(f"cannot read lengths file: {exc}") from exc
     elif args.link_lengths:
+        paths, _ = split_column_labels(ms.col_labels)
         per_path = [
-            sum(net.link_by_id[lid].length for lid in table.paths[
-                lbl[0] if isinstance(lbl, tuple) else lbl].links)
-            for lbl in ms.col_labels
+            sum(net.link_by_id[lid].length for lid in table.paths[n].links)
+            for n in paths
         ]
         lengths = np.asarray(per_path)
     else:
@@ -353,8 +346,10 @@ def _cmd_rerun(args) -> int:
 
 
 def _add_seed(parser) -> None:
+    # argparse applies ``type`` to a string default, so a malformed
+    # $ODFLOW_SEED is a usage error like a malformed --seed.
     parser.add_argument(
-        "--seed", type=int, default=_default_seed(),
+        "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
         help=f"experiment seed (default: ${SEED_ENV_VAR} or 0)",
     )
 

@@ -22,12 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import MeasurementSystem, PathTable, decode_allocation
+from .network import (
+    MeasurementSystem,
+    PathTable,
+    decode_allocation,
+    split_column_labels,
+)
 from .solver import (
     ConeProblem,
-    DEFAULT_OPTIONS,
     Solution,
-    SolverOptions,
     StandardLP,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
@@ -92,11 +95,8 @@ class Allocation:
 
     def per_path_totals(self) -> np.ndarray:
         """Sum over departure slots, giving one flow per catalogued path."""
-        totals = np.zeros(self.table.n_paths)
-        for j, lbl in enumerate(self.labels):
-            n = lbl[0] if isinstance(lbl, tuple) else lbl
-            totals[n] += self.x[j]
-        return totals
+        paths, _ = split_column_labels(self.labels)
+        return np.bincount(paths, weights=self.x, minlength=self.table.n_paths)
 
 
 @dataclass(frozen=True)
@@ -180,55 +180,50 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
     )
 
 
-def estimate_l1(ms: MeasurementSystem, y,
-                opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+def estimate_l1(ms: MeasurementSystem, y) -> EstimationResult:
     """Sparsest-looking allocation: minimize total flow subject to the counts."""
     y = _check_counts(ms, y, nonnegative=True)
     lp = StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
-    return _finish(ms, solve_lp(lp, opts), "l1")
+    return _finish(ms, solve_lp(lp), "l1")
 
 
-def estimate_weighted_l1(ms: MeasurementSystem, y, weights: WeightMatrix,
-                         opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+def estimate_weighted_l1(ms: MeasurementSystem, y,
+                         weights: WeightMatrix) -> EstimationResult:
     """Weighted variant: entries with larger weights are penalized harder."""
     y = _check_counts(ms, y, nonnegative=True)
     if weights.lam.shape != (ms.n_cols,):
         raise ValueError("weight vector length does not match column count")
     lp = StandardLP(c=weights.lam, A=ms.matrix, b=y, sense="min")
-    return _finish(ms, solve_lp(lp, opts), "weighted-l1")
+    return _finish(ms, solve_lp(lp), "weighted-l1")
 
 
-def estimate_l2(ms: MeasurementSystem, y,
-                opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+def estimate_l2(ms: MeasurementSystem, y) -> EstimationResult:
     """Minimum-Euclidean-norm allocation; the classical dense baseline."""
     y = _check_counts(ms, y, nonnegative=True)
     cone = ConeProblem(A=ms.matrix, y=y, delta=0.0, objective="l2")
-    return _finish(ms, solve_cone(cone, opts), "l2")
+    return _finish(ms, solve_cone(cone), "l2")
 
 
-def estimate_l1_noisy(ms: MeasurementSystem, y, delta: float,
-                      opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+def estimate_l1_noisy(ms: MeasurementSystem, y, delta: float) -> EstimationResult:
     """Noise-aware l1 program: counts only have to hold within a ball."""
     y = _check_counts(ms, y, nonnegative=False)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     cone = ConeProblem(A=ms.matrix, y=y, delta=delta, objective="l1")
-    return _finish(ms, solve_cone(cone, opts), "l1-noisy")
+    return _finish(ms, solve_cone(cone), "l1-noisy")
 
 
-def estimate_l2_noisy(ms: MeasurementSystem, y, delta: float,
-                      opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+def estimate_l2_noisy(ms: MeasurementSystem, y, delta: float) -> EstimationResult:
     """Noise-aware minimum-norm program."""
     y = _check_counts(ms, y, nonnegative=False)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     cone = ConeProblem(A=ms.matrix, y=y, delta=delta, objective="l2")
-    return _finish(ms, solve_cone(cone, opts), "l2-noisy")
+    return _finish(ms, solve_cone(cone), "l2-noisy")
 
 
 def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
-                  epsilon: float | None = None,
-                  opts: SolverOptions = DEFAULT_OPTIONS) -> EstimationResult:
+                  epsilon: float | None = None) -> EstimationResult:
     """Iterated weighted-l1: each round reweights by 1/(previous flow + eps).
 
     Entries that came back large are penalized less on the next round,
@@ -244,15 +239,15 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
         raise ValueError("epsilon must be positive")
     y = _check_counts(ms, y, nonnegative=True)
     # Every round has the same feasible set, so one phase 1 serves them all.
-    start = lp_phase1(ms.matrix, y, opts)
-    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols), "min", opts), "l1")
+    start = lp_phase1(ms.matrix, y)
+    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols), "min"), "l1")
     trace = [float(np.sum(result.allocation.x))]
     if epsilon is None:
         peak = float(np.max(result.allocation.x, initial=0.0))
         epsilon = max(1e-3 * peak, 1e-12)
     for _ in range(iters - 1):
         lam = 1.0 / (result.allocation.x + epsilon)
-        result = _finish(ms, lp_phase2(start, lam, "min", opts), "weighted-l1")
+        result = _finish(ms, lp_phase2(start, lam, "min"), "weighted-l1")
         trace.append(float(np.sum(result.allocation.x)))
     return replace(result, method="reweighted-l1", objective_trace=tuple(trace))
 

@@ -46,7 +46,6 @@ from .estimators import (
 )
 from .fixtures import get_fixture
 from .network import LinkId, PathTable, build_static_incidence
-from .solver import DEFAULT_OPTIONS, SolverOptions
 
 
 class SparsityRangeError(ValueError):
@@ -257,7 +256,6 @@ def run_recovery_sweep(
     cfg: TrialConfig,
     m_grid: Sequence[int] | None = None,
     supports: Sequence[tuple[int, ...] | int] | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> RecoveryReport:
     """Noiseless l1 recovery rates over a (support, M) grid.
 
@@ -296,7 +294,7 @@ def run_recovery_sweep(
                 ms = build_static_incidence(pt, measured, net)
                 y = ms.matrix @ x_true
                 try:
-                    res = estimate_l1(ms, y, opts)
+                    res = estimate_l1(ms, y)
                 except EstimationError:
                     per_m[m].append(RecoveryFlags(False, False, False, math.inf))
                     continue
@@ -350,7 +348,6 @@ class NoisyCdfReport:
 def run_noisy_cdf(
     cfg: TrialConfig,
     delta: float | None = None,
-    opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> NoisyCdfReport:
     """Relative-error samples of the noise-aware l1 and l2 programs.
 
@@ -380,8 +377,8 @@ def run_noisy_cdf(
         y = add_noise(ms.matrix @ x_true, cfg.noise_sd, rng)
         nrm = float(np.linalg.norm(x_true))
         try:
-            r1 = estimate_l1_noisy(ms, y, delta, opts)
-            r2 = estimate_l2_noisy(ms, y, delta, opts)
+            r1 = estimate_l1_noisy(ms, y, delta)
+            r2 = estimate_l2_noisy(ms, y, delta)
         except InfeasibleError:
             infeasible += 1
             errs_l1.append(math.inf)

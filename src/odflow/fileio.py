@@ -30,6 +30,7 @@ from .network import (
     Network,
     Path,
     PathTable,
+    split_column_labels,
     validate_network,
     validate_path,
 )
@@ -216,20 +217,17 @@ def write_csv(path: FsPath | str, header: Sequence[str], rows) -> None:
 
 def result_to_dict(result: EstimationResult, table: PathTable) -> dict:
     alloc = result.allocation
+    paths, departures = split_column_labels(alloc.labels)
     entries = []
-    for j, label in enumerate(alloc.labels):
-        if isinstance(label, tuple):
-            n, departure = label
-        else:
-            n, departure = label, None
+    for j, n in enumerate(paths):
         entry = {
             "path": int(n),
             "od": list(table.paths[n].od),
             "links": list(table.paths[n].links),
             "flow": float(alloc.x[j]),
         }
-        if departure is not None:
-            entry["departure"] = int(departure)
+        if departures is not None:
+            entry["departure"] = int(departures[j])
         entries.append(entry)
     return {
         "method": result.method,
@@ -254,10 +252,10 @@ def result_to_dict(result: EstimationResult, table: PathTable) -> dict:
 
 def bounds_to_dict(bounds: VmtBounds, table: PathTable) -> dict:
     def _alloc_list(alloc):
+        paths, _ = split_column_labels(alloc.labels)
         return [
-            {"path": int(n if not isinstance(n, tuple) else n[0]),
-             "flow": float(v)}
-            for n, v in zip(alloc.labels, alloc.x)
+            {"path": int(n), "flow": float(v)}
+            for n, v in zip(paths, alloc.x)
         ]
 
     return {

@@ -248,6 +248,20 @@ class MeasurementSystem:
         )
 
 
+def split_column_labels(col_labels: Sequence) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(paths, departures)``: the path index and departure time of each
+    column label.
+
+    Static columns are labelled by path index and have no departure times
+    (``departures`` is None); dynamic columns by ``(path index, departure
+    time)`` pairs.
+    """
+    cols = np.array(col_labels, dtype=np.intp)
+    if cols.ndim == 2:
+        return cols[:, 0], cols[:, 1]
+    return cols, None
+
+
 def validate_network(net: Network) -> Network:
     """Check all structural invariants; return the network unchanged."""
     if len(set(net.nodes)) != len(net.nodes):

@@ -3,14 +3,15 @@
 Two engines:
 
 * :func:`solve_lp`: two-phase revised simplex for
-  ``min/max c'x  s.t.  A x = b, x >= 0``.  Bland's rule is the default
-  pivot choice so the solver terminates and returns the same basic optimum
-  for the same input, every time.  The two phases are separate steps:
-  :func:`lp_phase1` finds a feasible basis of ``A x = b`` once, and
-  :func:`lp_phase2` optimizes any number of objectives from it.  Pivots
-  update an explicit basis inverse by one rank-1 (product-form) step each
-  (Dantzig & Orchard-Hays 1954), with a fresh factorization every
-  ``_REFACTOR_EVERY`` pivots and for every returned point.
+  ``min/max c'x  s.t.  A x = b, x >= 0``.  Every pivot follows Bland's
+  rule (Bland 1977), so the solver terminates and returns the same basic
+  optimum for the same input, every time; it has no options.  The two
+  phases are separate steps: :func:`lp_phase1` finds a feasible basis of
+  ``A x = b`` once, and :func:`lp_phase2` optimizes any number of
+  objectives from it.  Pivots update an explicit basis inverse by one
+  rank-1 (product-form) step each (Dantzig & Orchard-Hays 1954), with a
+  fresh factorization every ``_REFACTOR_EVERY`` pivots and for every
+  returned point; a phase gives up after ``_MAX_PIVOTS`` pivots.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -41,6 +42,13 @@ _RATIO_TIE_TOL = 1e-12
 # each pivot updates the basis inverse by one rank-1 step, whose roundoff
 # accumulates.
 _REFACTOR_EVERY = 32
+# Feasibility and optimality tolerance: what phase 1 may leave in its
+# artificials (relative to max(1, ||b||_1)), the reduced cost below which a
+# column improves, and the distance (relative to the count norm) from the
+# counts to the nonnegative image that the delta = 0 cone program accepts.
+_TOL_FEAS = 1e-9
+# Simplex pivots per phase before the solve reports iteration-limit.
+_MAX_PIVOTS = 50_000
 
 # Root finds on the ball multiplier: converge to machine precision.  A
 # residual within _ROOT_RTOL of the sphere (counts at unit norm) is on it.
@@ -65,26 +73,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration-limit"
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Shared tolerances and limits.
-
-    ``tol_feas`` bounds what phase 1 of the simplex may leave in its
-    artificial variables, relative to ``max(1, ||b||_1)``, and the distance
-    (relative to the count norm) from the counts to the nonnegative image
-    that the equality-constrained l2 program accepts.
-    ``pivot_rule`` and ``lp_max_iter`` steer the simplex.  The cone solver
-    is exact and has no tolerances of its own.
-    """
-
-    tol_feas: float = 1e-9
-    pivot_rule: str = "bland"  # or "dantzig" (falls back to bland on stall)
-    lp_max_iter: int = 50_000
-
-
-DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -168,33 +156,27 @@ def _exchange(inv: np.ndarray, d: np.ndarray, r: int) -> None:
     inv[r] = pivot_row
 
 
-def _pivot_loop(A, b, c, basis, opts: SolverOptions, rule: str):
+def _pivot_loop(A, b, c, basis):
     """Run simplex pivots in place on ``basis`` (an integer array).
 
     Returns ``(status, iterations, unbounded_entering_index, inverse)``,
     where ``inverse`` is the basis inverse at exit.  ``A`` must have full
-    row rank with ``basis`` indexing a nonsingular column set.  The inverse
-    is factored afresh every ``_REFACTOR_EVERY`` pivots, starting with the
+    row rank with ``basis`` indexing a nonsingular column set.  Bland's
+    rule picks both the entering and the leaving variable.  The inverse is
+    factored afresh every ``_REFACTOR_EVERY`` pivots, starting with the
     first.
     """
-    tol = opts.tol_feas
-    degenerate_streak = 0
-    use_bland = rule == "bland"
-    for it in range(opts.lp_max_iter):
+    for it in range(_MAX_PIVOTS):
         if it % _REFACTOR_EVERY == 0:
             inv = np.linalg.inv(A[:, basis])
         reduced = c - (c[basis] @ inv) @ A
         reduced[basis] = 0.0
 
-        if use_bland:
-            improving = reduced < -tol
-            j = int(improving.argmax())
-            if not improving[j]:
-                return STATUS_OPTIMAL, it, None, inv
-        else:
-            j = int(reduced.argmin())
-            if reduced[j] >= -tol:
-                return STATUS_OPTIMAL, it, None, inv
+        # Enter the improving column of smallest index.
+        improving = reduced < -_TOL_FEAS
+        j = int(improving.argmax())
+        if not improving[j]:
+            return STATUS_OPTIMAL, it, None, inv
 
         d = inv @ A[:, j]
         rows = (d > _PIVOT_TOL).nonzero()[0]
@@ -205,22 +187,11 @@ def _pivot_loop(A, b, c, basis, opts: SolverOptions, rule: str):
         ratios = np.maximum(x_b[rows], 0.0) / d[rows]
         rmin = ratios.min()
         ties = rows[ratios <= rmin + _RATIO_TIE_TOL * (1.0 + rmin)]
-        # Bland tie-break: leave the tied row whose basic variable has the
-        # smallest index.
+        # Leave the tied row whose basic variable has the smallest index.
         leave = int(ties[basis[ties].argmin()])
         _exchange(inv, d, leave)
         basis[leave] = j
-
-        if not use_bland:
-            # Dantzig pricing can cycle on degenerate vertices; hand over to
-            # Bland after a long run of zero-progress pivots.
-            if rmin <= _RATIO_TIE_TOL:
-                degenerate_streak += 1
-                if degenerate_streak > 50:
-                    use_bland = True
-            else:
-                degenerate_streak = 0
-    return STATUS_ITERATION_LIMIT, opts.lp_max_iter, None, None
+    return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None, None
 
 
 def _basic_point(A, b, basis, n):
@@ -231,11 +202,11 @@ def _basic_point(A, b, basis, n):
     return x
 
 
-def lp_phase1(A, b, opts: SolverOptions = DEFAULT_OPTIONS) -> FeasibleBasis:
+def lp_phase1(A, b) -> FeasibleBasis:
     """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
 
     Minimizes the sum of one artificial variable per row.  The system is
-    infeasible when more than ``opts.tol_feas * max(1, ||b||_1)`` is left
+    infeasible when more than ``_TOL_FEAS * max(1, ||b||_1)`` is left
     in them, a bound that scales with the counts so that counts rounded to
     a fixed number of significant digits are not rejected.
     """
@@ -253,12 +224,12 @@ def lp_phase1(A, b, opts: SolverOptions = DEFAULT_OPTIONS) -> FeasibleBasis:
     A1 = np.hstack([A_work, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    status, iters, _, inv = _pivot_loop(A1, b_work, c1, basis, opts, "bland")
+    status, iters, _, inv = _pivot_loop(A1, b_work, c1, basis)
     if status == STATUS_ITERATION_LIMIT:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
     artificial = basis >= n
     left = float(np.sum((inv @ b_work)[artificial]))
-    if left > opts.tol_feas * max(1.0, float(np.abs(b).sum())):
+    if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
         return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
     # Pivot leftover artificial variables out of the basis.  When no
@@ -289,8 +260,7 @@ def lp_phase1(A, b, opts: SolverOptions = DEFAULT_OPTIONS) -> FeasibleBasis:
     )
 
 
-def lp_phase2(start: FeasibleBasis, c, sense: str = "min",
-              opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
     """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis.
 
     ``iterations`` counts the phase-1 pivots and this call's own, as one
@@ -311,8 +281,7 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min",
     minimize = sense == "min"
     basis = np.array(start.basis, dtype=np.intp)
     status, iters, unbounded_j, _ = _pivot_loop(
-        start.A_kept, start.b_kept, c if minimize else -c, basis, opts,
-        opts.pivot_rule,
+        start.A_kept, start.b_kept, c if minimize else -c, basis
     )
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
@@ -334,9 +303,9 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min",
     )
 
 
-def solve_lp(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def solve_lp(p: StandardLP) -> Solution:
     """Two-phase revised simplex over the equality-constrained orthant."""
-    return lp_phase2(lp_phase1(p.A, p.b, opts), p.c, p.sense, opts)
+    return lp_phase2(lp_phase1(p.A, p.b), p.c, p.sense)
 
 
 class _SolveFailed(Exception):
@@ -558,14 +527,14 @@ def _cone_arrays(p: ConeProblem):
     return A, y, lam
 
 
-def solve_cone(p: ConeProblem, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def solve_cone(p: ConeProblem) -> Solution:
     """Exact solve of the ball-constrained nonnegative program.
 
     * ``||y|| <= delta``: zero is feasible, hence optimal.
     * l1 objective, ``delta = 0``: the linear program, by :func:`solve_lp`.
     * Otherwise the residual of ``nnls(A, y)`` is the distance from ``y``
       to the nonnegative image of ``A``.  Above ``delta`` it certifies an
-      infeasible ball; at ``delta = 0`` counts within ``opts.tol_feas``
+      infeasible ball; at ``delta = 0`` counts within ``_TOL_FEAS``
       (relative to ``||y||``) of the image are accepted.
     * l2 objective, ``delta = 0`` or a ball that meets the image in the
       one point ``A x_ls`` (NNLS residual equal to ``delta``): the
@@ -604,7 +573,7 @@ def solve_cone(p: ConeProblem, opts: SolverOptions = DEFAULT_OPTIONS) -> Solutio
     if scale <= delta:
         return optimal(np.zeros(n), 0)
     if delta == 0.0 and not quad:
-        sol = solve_lp(StandardLP(c=lam, A=A, b=y), opts)
+        sol = solve_lp(StandardLP(c=lam, A=A, b=y))
         return replace(sol, residual_cone=float(np.linalg.norm(y - A @ sol.x)))
 
     # Counts scaled to unit norm; the solution scales back linearly.
@@ -612,7 +581,7 @@ def solve_cone(p: ConeProblem, opts: SolverOptions = DEFAULT_OPTIONS) -> Solutio
     solve = _CountedNnls()
     try:
         x_ls, dist = solve(A, y_unit)
-        if dist > (delta_unit if delta > 0 else opts.tol_feas):
+        if dist > (delta_unit if delta > 0 else _TOL_FEAS):
             return Solution(
                 x=np.zeros(n),
                 status=STATUS_INFEASIBLE,

@@ -15,11 +15,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from odflow.solver import (
-    DEFAULT_OPTIONS,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     Solution,
-    SolverOptions,
     StandardLP,
 )
 
@@ -28,7 +26,7 @@ class ProblemTooLargeError(ValueError):
     """The brute-force oracle refuses instances beyond its guard."""
 
 
-def lp_oracle(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
+def lp_oracle(p: StandardLP) -> Solution:
     """Enumerate basic solutions; exact up to linear-solve roundoff.
 
     Guarded to tiny instances: every full-rank column subset of size
@@ -50,7 +48,7 @@ def lp_oracle(p: StandardLP, opts: SolverOptions = DEFAULT_OPTIONS) -> Solution:
     best_obj = None
     best_x = None
     if rank == 0:
-        if float(np.max(np.abs(b), initial=0.0)) <= opts.tol_feas * scale:
+        if float(np.max(np.abs(b), initial=0.0)) <= 1e-9 * scale:
             best_obj, best_x = 0.0, np.zeros(n)
     else:
         for subset in combinations(range(n), rank):

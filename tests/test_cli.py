@@ -404,6 +404,17 @@ class TestSweepCommands:
     def test_usage_error_without_command(self):
         assert main([]) == 2
 
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ODFLOW_SEED", "7x")
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sweep", "--fixture", "fig2", "--supports", "4,8,12",
+            "--m-grid", "10", "--trials", "3", "--output", str(out),
+        ])
+        assert rc == 2
+        assert "argument --seed: invalid int value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODFLOW_SEED", "77")
         out_a = tmp_path / "a.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from odflow import (
+    Allocation,
     InfeasibleError,
     StandardLP,
     UnboundedError,
@@ -437,3 +438,14 @@ class TestDynamicEstimation:
         assert np.linalg.norm(res.allocation.x - x) <= 1e-6 * np.linalg.norm(x)
         # decoded flows aggregate departures per path
         assert res.od_flows[1] == pytest.approx(9.0, abs=1e-8)
+
+    def test_per_path_totals_sum_departures(self, nguyen):
+        # reference: the per-column loop, summing in column order
+        links = list(nguyen.network.link_ids)
+        ms = build_dynamic_system(nguyen.table, nguyen.network, links, [3, 4, 5])
+        x = np.random.default_rng(9).uniform(0.0, 10.0, ms.n_cols)
+        alloc = Allocation(x=x, table=ms.table, labels=ms.col_labels)
+        want = np.zeros(nguyen.table.n_paths)
+        for j, (n, _) in enumerate(ms.col_labels):
+            want[n] += x[j]
+        assert np.array_equal(alloc.per_path_totals(), want)

@@ -52,15 +52,6 @@ class TestNetworkRoundTrip:
         loaded = load_network(path)
         assert loaded.coords == {1: (0.0, 0.0), 2: (1.0, 2.0)}
 
-    def test_shipped_data_files_match_fixtures(self, bundle):
-        from importlib import resources
-
-        data = resources.files("odflow") / "data"
-        net = load_network(str(data / f"{bundle.name}.network.json"))
-        assert net.links == bundle.network.links
-        paths = load_paths(str(data / f"{bundle.name}.paths.json"), net)
-        assert paths == bundle.table.paths
-
     def test_malformed_network_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"nodes": [1, 2]}')

@@ -30,6 +30,7 @@ from odflow.network import (
     UnknownLinkError,
     UselessRowError,
     WrongEndpointsError,
+    split_column_labels,
 )
 from conftest import FOURZONE_MATRIX, TRIANGLE_DYNAMIC_COLUMNS, TRIANGLE_MATRIX
 from oracles import simulate_dynamic_counts, simulate_static_counts
@@ -309,6 +310,20 @@ class TestDynamicSystem:
         ms = build_dynamic_system(fig1.table, fig1.network, measured, [0])
         departures = {dep for (_, dep) in ms.col_labels}
         assert -1 in departures
+
+
+class TestSplitColumnLabels:
+    def test_static_labels_are_paths(self, fig2):
+        ms = build_static_incidence(fig2.table, list(fig2.network.link_ids))
+        paths, departures = split_column_labels(ms.col_labels)
+        assert paths.tolist() == list(range(14))
+        assert departures is None
+
+    def test_dynamic_labels_split(self, fig1):
+        measured = [l.id for l in fig1.network.links]
+        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0])
+        paths, departures = split_column_labels(ms.col_labels)
+        assert list(zip(paths.tolist(), departures.tolist())) == list(ms.col_labels)
 
 
 class TestDecodeAllocation:
