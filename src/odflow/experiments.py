@@ -185,11 +185,9 @@ def check_recovery(
     )
     path_ok = rel <= tol
 
-    flows_hat = np.zeros(pt.n_od_pairs)
-    flows_true = np.zeros(pt.n_od_pairs)
-    for n, k in enumerate(pt.od_of_path):
-        flows_hat[k] += x_hat[n]
-        flows_true[k] += x_true[n]
+    od = np.asarray(pt.od_of_path, dtype=np.intp)
+    flows_hat = np.bincount(od, weights=x_hat, minlength=pt.n_od_pairs)
+    flows_true = np.bincount(od, weights=x_true, minlength=pt.n_od_pairs)
     od_ok = bool(
         np.all(np.abs(flows_hat - flows_true) <= tol * np.maximum(flows_true, 1.0))
     )

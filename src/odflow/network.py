@@ -591,9 +591,9 @@ def decode_allocation(x: Sequence[float], pt: PathTable) -> DecodedAllocation:
         )
     if x.min(initial=0.0) < 0:
         raise NegativeEntryError("allocation has a negative entry")
-    flows = [0.0] * pt.n_od_pairs
-    for n, k in enumerate(pt.od_of_path):
-        flows[k] += float(x[n])
+    flows = np.bincount(
+        np.asarray(pt.od_of_path, dtype=np.intp), weights=x, minlength=pt.n_od_pairs
+    ).tolist()
     splits: dict[int, float] = {}
     for n, k in enumerate(pt.od_of_path):
         if flows[k] > 0:

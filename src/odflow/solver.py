@@ -16,14 +16,12 @@ Two engines:
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
   on Lawson-Hanson nonnegative least squares (``scipy.optimize.nnls``):
-  one NNLS solve certifies feasibility.  For the Euclidean norm the ball's
-  multiplier is the root of a secular equation on each support piece of
-  the penalized path (the trust-region equation of Moré & Sorensen 1983);
-  a KKT check certifies the piece, and an NNLS solve of the penalized
-  program supplies the next piece when it fails, so most solves take one
-  or two NNLS calls.  For the weighted sum a root find on the multiplier
-  follows the nonnegative lasso path, one NNLS solve per point, until the
-  residual equals ``delta``.
+  one NNLS solve certifies feasibility.  The ball's multiplier is a root
+  on each support piece of the penalized path: of a secular equation for
+  the Euclidean norm (the trust-region equation of Moré & Sorensen 1983),
+  in closed form for the weighted sum.  A KKT check certifies the piece,
+  and an NNLS solve of the penalized program supplies the next piece when
+  it fails, so most solves take one or two NNLS calls.
 
 Problems here are desk scale (tens of rows/columns); everything is dense.
 """
@@ -32,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, nnls
+from scipy.optimize import lsq_linear, nnls
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE_TOL = 1e-12
@@ -50,19 +49,18 @@ _TOL_FEAS = 1e-9
 # Simplex pivots per phase before the solve reports iteration-limit.
 _MAX_PIVOTS = 50_000
 
-# Root finds on the ball multiplier: converge to machine precision.  A
-# residual within _ROOT_RTOL of the sphere (counts at unit norm) is on it.
-_ROOT_XTOL = 1e-300
+# Newton's method on an l2 piece stops once its step falls below this
+# fraction of the multiplier.
 _ROOT_RTOL = 4 * np.finfo(float).eps
-# NNLS solves the l2 ball search may spend after its feasibility check.
+# NNLS solves the ball search may spend after its feasibility check.
 _MAX_BALL_SOLVES = 100
 # Newton steps allowed for one support piece's multiplier; from its start
 # the iteration converges quadratically and needs far fewer.
 _MAX_NEWTON_STEPS = 100
-# The l2 certificate accepts an entry of A'r within this much of zero
-# (relative to the largest entry) on the wrong side, so that a piece whose
-# root sits on a breakpoint of the path, where one entry of x or of A'r is
-# zero, still certifies after roundoff.
+# The KKT checks allow this much on the wrong side, relative to the largest
+# entry of A'r (l2 certificate) or to the roundoff in A'r (l1 certificate,
+# ridge check), so that a root on a breakpoint of the path, where one
+# entry of x or of A'r is zero, still certifies.
 _KKT_SLACK = 1e-12
 # The equality-constrained l2 program relaxes x >= 0 by this much (counts
 # at unit norm), so that a feasible set that is a single point does not
@@ -309,8 +307,8 @@ def solve_lp(p: StandardLP) -> Solution:
 
 
 class _SolveFailed(Exception):
-    """An NNLS solve or the multiplier search hit its iteration cap, or a
-    least-distance program broke down."""
+    """An NNLS or BVLS solve or the multiplier search hit its iteration cap,
+    or a least-distance program broke down."""
 
 
 class _CountedNnls:
@@ -326,6 +324,21 @@ class _CountedNnls:
             return nnls(E, f)
         except RuntimeError as exc:
             raise _SolveFailed(str(exc)) from exc
+
+    def bvls(self, E: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The same program by bounded-variable least squares (Stark &
+        Parker 1995), counted as one more solve."""
+        self.calls += 1
+        fit = lsq_linear(E, f, bounds=(0.0, np.inf), method="bvls")
+        if fit.status == 0:
+            raise _SolveFailed(fit.message)
+        return fit.x
+
+
+def _roundoff(A, y, x) -> float:
+    """The scale of the roundoff in ``A'(y - A x)``:
+    ``max |A|'(|y| + |A||x|)``."""
+    return float(((np.abs(y) + np.abs(A) @ np.abs(x)) @ np.abs(A)).max())
 
 
 def _ldp(G: np.ndarray, h: np.ndarray, solve: _CountedNnls):
@@ -349,47 +362,33 @@ def _ldp(G: np.ndarray, h: np.ndarray, solve: _CountedNnls):
     return r[:k] / -r[-1], u / -r[-1]
 
 
-def _lasso(A, y, lam, mu, solve) -> np.ndarray:
-    """``argmin_{x >= 0} ½||A x - y||² + mu·lam'x``.
+def _lasso(A, y, lam, nu, solve) -> np.ndarray:
+    """``argmin_{x >= 0} lam'x + (nu/2)·||A x - y||²``.
 
-    Its dual is the projection of ``y`` onto ``{r : A'r <= mu·lam}``, a
+    Its dual is the projection of ``y`` onto ``{r : nu A'r <= lam}``, a
     least-distance program in ``z = r - y`` whose multipliers are ``x``.
     """
-    return _ldp(-A.T, A.T @ y - mu * lam, solve)[1]
+    return _ldp(-A.T, A.T @ y - lam / nu, solve)[1]
 
 
-def _ridge(A, y, mu, solve) -> np.ndarray:
-    """``argmin_{x >= 0} ½||x||² + (mu/2)·||A x - y||²``: NNLS on
-    ``[sqrt(mu) A; I]``."""
-    n = A.shape[1]
-    root = math.sqrt(mu)
-    x, _ = solve(
-        np.vstack([root * A, np.eye(n)]),
-        np.concatenate([root * y, np.zeros(n)]),
-    )
-    return x
+def _ridge(A, y, nu, solve) -> np.ndarray:
+    """``argmin_{x >= 0} ½||x||² + (nu/2)·||A x - y||²``: NNLS on
+    ``[sqrt(nu) A; I]``.
 
-
-def _on_ball(x_at, A, y, delta, lo, hi) -> np.ndarray:
-    """``x_at(mu)`` at the multiplier in ``[lo, hi]`` where the residual
-    ``||A x_at(mu) - y||`` equals ``delta``.
-
-    Along the penalized path the residual is continuous and monotone in
-    ``mu``, so a bracketing root find (Brent) converges to machine
-    precision, as in SPGL1's Pareto-curve search (van den Berg &
-    Friedlander 2008).  A residual within roundoff of ``delta`` ends it:
-    near a flat stretch of the path the gap can reach zero to roundoff
-    long before ``mu`` meets Brent's relative tolerance.
+    scipy's NNLS can stop short of this optimum on large rank-deficient
+    stacks, so an answer that misses the KKT conditions
+    ``x = max(0, nu A'(y - A x))`` by more than roundoff is solved again by
+    BVLS.
     """
-    def gap(mu):
-        g = float(np.linalg.norm(A @ x_at(mu) - y)) - delta
-        return 0.0 if abs(g) <= _ROOT_RTOL else g
-
-    try:
-        mu = brentq(gap, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
-    except (RuntimeError, ValueError) as exc:
-        raise _SolveFailed(str(exc)) from exc
-    return x_at(mu)
+    n = A.shape[1]
+    root = math.sqrt(nu)
+    E = np.vstack([root * A, np.eye(n)])
+    f = np.concatenate([root * y, np.zeros(n)])
+    x, _ = solve(E, f)
+    miss = np.abs(x - np.maximum(0.0, nu * (A.T @ (y - A @ x)))).max()
+    if miss > _KKT_SLACK * nu * _roundoff(A, y, x):
+        x = solve.bvls(E, f)
+    return x
 
 
 def _piece_root(A_S, y, delta, lo, hi):
@@ -431,62 +430,84 @@ def _piece_root(A_S, y, delta, lo, hi):
     return nu, V @ e
 
 
-def _l2_ball(A, y, delta, x_ls, dist, solve) -> np.ndarray:
-    """Least-norm ``x >= 0`` with ``||A x - y|| <= delta``, for unit-norm
-    counts, ``dist < delta < 1``, and ``x_ls`` the NNLS point at distance
-    ``dist``.
-
-    The optimum is the ridge point ``argmin ½||x||² + (nu/2)||A x - y||²``
-    (``x >= 0``) at the multiplier ``nu`` where its residual is ``delta``.
-    On a fixed support that multiplier is a secular-equation root
-    (:func:`_piece_root`).  The KKT conditions ``x = max(0, nu A'r)`` with
-    ``r = y - A x`` and ``||r|| = delta`` certify a root: entries of
-    ``A'r`` positive on the support and nonpositive off it.  A piece that
-    fails the certificate hands its multiplier to one NNLS ridge solve,
-    whose support seeds the next piece and whose residual narrows the
-    bracket on ``nu``.  A piece without a root in the bracket, or a support
-    met before, gives way to a bisection step (on a log scale): two pieces
-    whose roots lie at each other's ends of the bracket would otherwise
-    trade places for ever.  The search starts from the support of ``x_ls``.
+def _l2_piece(A, y, delta, support, lo, hi):
+    """``(nu, x)``: the root of :func:`_piece_root` on ``support`` and, if the
+    KKT conditions ``x = max(0, nu A'r)``, ``r = y - A x`` certify it, its
+    point, else None.  ``(None, None)`` without a root in the bracket.
     """
-    # Bracket on the optimal multiplier.  x* = nu A'r* with ||r*|| = delta
-    # and ||A x*|| >= 1 - delta bound it below (halved, as the bound can be
-    # tight and a root at lo is rejected); comparing the ridge objective at
-    # x_ls bounds the residual at nu by ||x_ls||²/nu + dist², which reaches
-    # delta at the upper end.
-    lo = 0.5 * (1.0 - delta) / (delta * float(np.sum(A * A)))
-    hi = float(x_ls @ x_ls) / (delta * delta - dist * dist)
-    support = x_ls > 0
+    A_S = A[:, support]
+    piece = _piece_root(A_S, y, delta, lo, hi)
+    if piece is None:
+        return None, None
+    nu, r = piece
+    grad = A.T @ r
+    slack = _KKT_SLACK * float(np.abs(grad).max())
+    if not (grad[support].min() >= -slack
+            and grad[~support].max(initial=-math.inf) <= slack):
+        return nu, None
+    # x from the normal equations, not nu A_S'r: the spectral r leaves up to
+    # cond(I + nu K) times more in x - nu A'r, blurring small entries.
+    x = np.zeros(A.shape[1])
+    x[support] = np.maximum(np.linalg.solve(
+        np.eye(A_S.shape[1]) + nu * (A_S.T @ A_S), nu * (A_S.T @ y)
+    ), 0.0)
+    return nu, x
+
+
+def _l1_piece(A, y, lam, delta, support, *_):
+    """``(nu, x)`` as :func:`_l2_piece`, for the lasso path; every root is
+    certified, wherever it lies, so the bracket goes unused.
+
+    On columns ``A_S = U diag(s) W'`` of full rank the point ``x_S =
+    G^{-1}(A_S'y - lam_S/nu)``, ``G = A_S'A_S``, leaves ``r = r0 + w/nu``:
+    ``r0`` is the part of ``y`` outside the range of ``A_S`` and
+    ``w = A_S G^{-1} lam_S`` lies in it, so ``||r|| = delta`` at
+    ``nu = ||w|| / sqrt(delta² - ||r0||²)``.  ``x_S >= 0`` and
+    ``nu A'r <= lam`` (equal on the support) certify it, up to roundoff.
+    """
+    U, s, Wt = np.linalg.svd(A[:, support], full_matrices=False)
+    if s.size < max(support.sum(), 1) or s[-1] <= s[0] * y.size * np.finfo(float).eps:
+        return None, None
+    c = U.T @ y
+    r0 = y - U @ c
+    t = (Wt @ lam[support]) / s  # w = U t
+    gap = delta * delta - float(r0 @ r0)
+    if gap <= 0.0:
+        return None, None
+    nu = math.sqrt(float(t @ t) / gap)
+    x = np.zeros(A.shape[1])
+    x[support] = Wt.T @ ((c - t / nu) / s)
+    slack = _KKT_SLACK * _roundoff(A, y, x)
+    if (x.min() < -_KKT_SLACK * x.max()
+            or np.max(A.T @ (y - A @ x) - lam / nu) > slack):
+        return nu, None
+    return nu, np.maximum(x, 0.0)
+
+
+def _ball_search(A, y, delta, lo, hi, support, piece, penalized) -> np.ndarray:
+    """The point where a penalized path meets the sphere ``||A x - y|| =
+    delta`` (unit-norm counts), its multiplier bracketed by ``[lo, hi]``.
+
+    ``piece(support, lo, hi)`` gives a support piece's root (or None) and,
+    if the KKT conditions certify it, its point.  A failed root in the
+    bracket hands over to one NNLS solve ``penalized(nu)``, whose support
+    seeds the next piece and whose residual, falling as ``nu`` grows,
+    narrows the bracket.  Other pieces, and supports met before, give way
+    to a log-scale bisection step: two pieces whose roots lie at each
+    other's ends of the bracket would otherwise trade places for ever.
+    """
     tried = set()
     for _ in range(_MAX_BALL_SOLVES):
-        A_S = A[:, support]
         key = support.tobytes()
-        piece = None if key in tried else _piece_root(A_S, y, delta, lo, hi)
+        root, x = (None, None) if key in tried else piece(support, lo, hi)
         tried.add(key)
-        if piece is None:
-            nu = math.sqrt(lo * hi)
-        else:
-            nu, r = piece
-            grad = A.T @ r
-            slack = _KKT_SLACK * float(np.abs(grad).max())
-            if (grad[support].min() >= -slack
-                    and grad[~support].max(initial=-math.inf) <= slack):
-                # The point from the piece's normal equations rather than
-                # nu A_S'r: both are accurate, but the spectral r leaves up
-                # to cond(I + nu K) times more in x - nu A'(y - A x), which
-                # blurs the multiplier read from small entries.
-                x = np.zeros(A.shape[1])
-                x[support] = np.maximum(np.linalg.solve(
-                    np.eye(A_S.shape[1]) + nu * (A_S.T @ A_S), nu * (A_S.T @ y)
-                ), 0.0)
-                return x
-        x = _ridge(A, y, nu, solve)
-        if np.linalg.norm(A @ x - y) > delta:
-            lo = nu
-        else:
-            hi = nu
+        if x is not None:
+            return x
+        nu = root if root is not None and lo <= root <= hi else math.sqrt(lo * hi)
+        x = penalized(nu)
+        lo, hi = (nu, hi) if np.linalg.norm(A @ x - y) > delta else (lo, nu)
         support = x > 0
-    raise _SolveFailed("the l2 multiplier search did not settle")
+    raise _SolveFailed("the ball multiplier search did not settle")
 
 
 def _min_norm_point(A, x_feasible, solve) -> np.ndarray:
@@ -536,23 +557,20 @@ def solve_cone(p: ConeProblem) -> Solution:
       to the nonnegative image of ``A``.  Above ``delta`` it certifies an
       infeasible ball; at ``delta = 0`` counts within ``_TOL_FEAS``
       (relative to ``||y||``) of the image are accepted.
-    * l2 objective, ``delta = 0`` or a ball that meets the image in the
-      one point ``A x_ls`` (NNLS residual equal to ``delta``): the
-      least-norm point of that feasible set, a least-distance program.
-    * l2 objective, ``delta > 0``: the optimum lies on the sphere, on the
-      path of ``min ½||x||² + (nu/2)||A x - y||²``.  On each support piece
-      of that path the multiplier solves a secular equation, by Newton's
-      method on the piece's spectrum; a KKT check certifies the root, and
-      a root that fails it hands over to one NNLS solve of the penalized
-      program, whose support gives the next piece (:func:`_l2_ball`).
-    * l1 objective, ``delta > 0``: the optimum lies on the sphere, on the
-      path of the nonnegative lasso ``min ½||A x - y||² + mu·lam'x``, each
-      point solved exactly by NNLS, with the NNLS point at ``mu = 0``.
-      Brent's method on ``mu`` brings the residual to ``delta``.
+    * ``delta = 0`` or a ball that meets the image in the one point
+      ``A x_ls`` (NNLS residual equal to ``delta``): for l2 the least-norm
+      point of that feasible set, a least-distance program; for l1 ``x_ls``.
+    * Otherwise the optimum lies on the sphere, on the path of
+      ``min f(x) + (nu/2)||A x - y||²``.  On each support piece of that
+      path the multiplier is a root: of a secular equation for l2, by
+      Newton's method on the piece's spectrum, and in closed form for l1.
+      A KKT check certifies the root, and a root that fails it hands over
+      to one NNLS solve of the penalized program, whose support gives the
+      next piece (:func:`_ball_search`).
 
-    ``iterations`` counts NNLS solves (simplex pivots on the LP branch).
-    When an NNLS solve or the multiplier search gives up, the status is
-    iteration-limit.
+    ``iterations`` counts NNLS solves, BVLS re-solves included (simplex
+    pivots on the LP branch).  When a solve or the multiplier search gives
+    up, the status is iteration-limit.
     """
     A, y, lam = _cone_arrays(p)
     n = A.shape[1]
@@ -589,21 +607,26 @@ def solve_cone(p: ConeProblem) -> Solution:
                 residual_cone=(dist - delta_unit) * scale,
                 iterations=solve.calls,
             )
-        if not quad:
-            def x_at(mu):
-                # At mu = 0 the lasso is the NNLS program, already solved;
-                # its dual there is a degenerate least-distance program.
-                return x_ls if mu == 0.0 else _lasso(A, y_unit, lam, mu, solve)
-
-            # x = 0 for mu >= mu_max; mu = 0 gives the NNLS residual.
-            mu_max = float(np.max(A.T @ y_unit / lam))
-            x = _on_ball(x_at, A, y_unit, delta_unit, 0.0, mu_max)
-        elif dist >= delta_unit:
+        if dist >= delta_unit:
             # The ball meets the nonnegative image in the one point A x_ls
             # (always so at delta = 0).
-            x = _min_norm_point(A, x_ls, solve)
+            x = _min_norm_point(A, x_ls, solve) if quad else x_ls
         else:
-            x = _l2_ball(A, y_unit, delta_unit, x_ls, dist, solve)
+            # Ridge: x* = nu A'r*, ||r*|| = delta and ||A x*|| >= 1 - delta
+            # bound nu below (halved, as a root at lo is rejected).  Lasso:
+            # x = 0 up to lo.  Both: f(x) + (nu/2)||r||² at x_ls bounds
+            # ||r||² by 2 f(x_ls)/nu + dist², which reaches delta at hi.
+            if quad:
+                lo = 0.5 * (1.0 - delta_unit) / (delta_unit * float(np.sum(A * A)))
+                piece = partial(_l2_piece, A, y_unit, delta_unit)
+                penalized = partial(_ridge, A, y_unit, solve=solve)
+            else:
+                lo = 1.0 / float(np.max(A.T @ y_unit / lam))
+                piece = partial(_l1_piece, A, y_unit, lam, delta_unit)
+                penalized = partial(_lasso, A, y_unit, lam, solve=solve)
+            hi = (float(x_ls @ x_ls) if quad else 2.0 * float(lam @ x_ls)) / (
+                delta_unit * delta_unit - dist * dist)
+            x = _ball_search(A, y_unit, delta_unit, lo, hi, x_ls > 0, piece, penalized)
     except _SolveFailed:
         return Solution(
             x=np.zeros(n),

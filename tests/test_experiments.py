@@ -309,8 +309,9 @@ class TestNoisyCdf:
 
     def test_l1_root_find_ends_at_roundoff_gap(self):
         # trial 454 of run_noisy_cdf on (4, 8, 12), nu = 0.1, seed 101: the
-        # l1 ball gap reaches zero to roundoff while the multiplier is still
-        # far from Brent's relative tolerance
+        # lasso path is flat, its residual at the NNLS distance, for every
+        # multiplier nu above about 3e3, where the bracket on nu starts; two
+        # support pieces fail their certificates before the optimum's
         bundle = get_fixture("fig2")
         pt, net = bundle.table, bundle.network
         rng = substream(101, 454)

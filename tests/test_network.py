@@ -359,6 +359,16 @@ class TestDecodeAllocation:
             if decoded.od_flows[k] > 0:
                 assert sum(decoded.splits[n] for n in group) == pytest.approx(1.0)
 
+    def test_od_flows_match_per_path_loop(self, nguyen):
+        # reference: the per-path loop, summing in path order
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = np.where(rng.random(66) < 0.5, rng.uniform(0.0, 100.0, 66), 0.0)
+            want = [0.0] * nguyen.table.n_od_pairs
+            for n, k in enumerate(nguyen.table.od_of_path):
+                want[k] += float(x[n])
+            assert decode_allocation(x, nguyen.table).od_flows == tuple(want)
+
     @given(st.lists(st.floats(0.0, 1e6), min_size=7, max_size=7))
     @settings(max_examples=60, deadline=None)
     def test_decode_reencode_roundtrip(self, values):

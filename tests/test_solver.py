@@ -5,6 +5,7 @@ from scipy.optimize import nnls
 from odflow import (
     IterationLimitError,
     add_noise,
+    build_dynamic_system,
     build_static_incidence,
     estimate_l1,
     get_fixture,
@@ -18,6 +19,7 @@ from odflow.solver import (
     _REFACTOR_EVERY,
     ConeProblem,
     StandardLP,
+    _l1_piece,
     _piece_root,
     lp_phase1,
     lp_phase2,
@@ -572,3 +574,135 @@ class TestL2Ball:
         ))
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([1.0, 1.0], rel=1e-9)
+
+
+def assert_l1_kkt(A, y, delta, sol):
+    """The optimality conditions ``TestConeCertificates`` checks for the
+    unweighted l1 ball: the residual on the sphere and ``A'r <= mu``, with
+    equality on the support, for one multiplier ``mu > 0``."""
+    assert sol.status == "optimal"
+    x = sol.x
+    assert x.min() >= 0.0
+    r = y - A @ x
+    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
+    ratio = A.T @ r
+    support = on_support(x)
+    assert support.any()
+    mu = float(np.median(ratio[support]))
+    assert mu > 0.0
+    assert ratio[support] == pytest.approx(np.full(support.sum(), mu), rel=1e-7)
+    assert np.all(ratio <= mu * (1.0 + 1e-7))
+
+
+def assert_l2_kkt(A, y, delta, sol):
+    """The optimality conditions ``TestConeCertificates`` checks for the
+    l2 ball: the residual on the sphere and ``x = max(0, nu A'r)`` for one
+    multiplier ``nu > 0``."""
+    assert sol.status == "optimal"
+    x = sol.x
+    r = y - A @ x
+    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
+    grad = A.T @ r
+    support = on_support(x)
+    assert support.any()
+    nu = float(np.median(x[support] / grad[support]))
+    assert nu > 0.0
+    assert x == pytest.approx(
+        np.maximum(0.0, nu * grad), rel=1e-7, abs=1e-9 * float(x.max())
+    )
+
+
+class TestL1Ball:
+    """The exact l1 ball solve: closed-form roots on support pieces of the
+    lasso path, certified by the KKT conditions, with NNLS solves as the
+    fallback."""
+
+    def test_kkt_conditions(self, fig2_noisy):
+        instances = fig2_noisy + noisy_cdf_instances(
+            "nguyen", (0, 10, 20, 30, 40, 50, 60), 1.0, 22, 17, 30
+        )
+        checked = 0
+        for A, y, delta in instances:
+            sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l1"))
+            if nnls(A, y)[1] > delta:
+                assert sol.status == "infeasible"
+                continue
+            assert_l1_kkt(A, y, delta, sol)
+            checked += 1
+        assert checked >= 200
+
+    def test_few_nnls_solves(self, fig2_noisy):
+        # iterations counts the feasibility NNLS plus the fallback solves
+        counts = [
+            solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l1")).iterations
+            for A, y, delta in fig2_noisy
+        ]
+        assert np.median(counts) <= 3
+
+    @pytest.mark.parametrize("support,noise_sd,trial", [
+        # the optimum's root sits on a breakpoint of the path: the piece
+        # before it has the same root and fails its certificate
+        ((4, 8, 12), 0.1, 415),
+        # as above, and roundoff puts the optimum's root just beyond the
+        # upper end of the bracket, so every root must be certified
+        ((1, 7, 10, 13), 0.02, 4),
+        # the optimum's own piece certifies only with a slack scaled by the
+        # roundoff in A'r; scaled by the multiplier, it fails
+        ((4, 8, 12), 0.1, 84),
+    ])
+    def test_regression_trials(self, support, noise_sd, trial):
+        A, y, delta = noisy_cdf_instances(
+            "fig2", support, noise_sd, 10, 5, trial + 1
+        )[trial]
+        sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l1"))
+        assert_l1_kkt(A, y, delta, sol)
+
+    def test_piece_root(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        y = np.array([0.6, 0.8])  # 0.8 of it lies outside the range of A[:, 0]
+        lam = np.ones(2)
+        first = np.array([True, False])
+        assert _l1_piece(A, y, lam, 0.5, first) == (None, None)
+        # on the first column x = 0.6 - mu leaves the residual (mu, 0.8),
+        # so ||r|| = 0.9 at mu = sqrt(0.81 - 0.64), nu = 1/mu
+        mu = np.sqrt(0.81 - 0.64)
+        nu, x = _l1_piece(A[:, :1], y, lam[:1], 0.9, np.array([True]))
+        assert nu == pytest.approx(1.0 / mu, rel=1e-12)
+        assert x == pytest.approx([0.6 - mu], rel=1e-12)
+        # with the second column present A'r = 0.8 > mu there: no certificate
+        nu, x = _l1_piece(A, y, lam, 0.9, first)
+        assert nu == pytest.approx(1.0 / mu, rel=1e-12)
+        assert x is None
+        # two equal columns have no lasso point of their own
+        assert _l1_piece(np.array([[1.0, 1.0], [0.0, 0.0]]), y, lam, 0.9,
+                         np.array([True, True])) == (None, None)
+
+
+def nguyen_dynamic_instance(nguyen, seed):
+    """Noiseless counts on a time-expanded nguyen system, 25 of 38 links
+    measured at times 3 and 4 (50 x 297), from four random columns."""
+    rng = np.random.default_rng(seed)
+    ids = list(nguyen.network.link_ids)
+    links = sorted(rng.choice(ids, 25, replace=False), key=ids.index)
+    A = build_dynamic_system(nguyen.table, nguyen.network, links, (3, 4)).matrix
+    x = np.zeros(A.shape[1])
+    x[rng.choice(A.shape[1], 4, replace=False)] = rng.uniform(1.0, 50.0, 4)
+    return A, A @ x
+
+
+class TestDynamicBall:
+    """Ridge points on large rank-deficient stacks, where scipy's NNLS can
+    return a point that misses its KKT conditions; a multiplier search on
+    such points does not settle."""
+
+    @pytest.mark.parametrize("seed", [2, 14, 38])
+    def test_l2_optimal(self, nguyen, seed):
+        A, y = nguyen_dynamic_instance(nguyen, seed)
+        sol = solve_cone(ConeProblem(A=A, y=y, delta=0.7, objective="l2"))
+        assert_l2_kkt(A, y, 0.7, sol)
+
+    @pytest.mark.parametrize("seed", [2, 14, 38])
+    def test_l1_optimal(self, nguyen, seed):
+        A, y = nguyen_dynamic_instance(nguyen, seed)
+        sol = solve_cone(ConeProblem(A=A, y=y, delta=0.7, objective="l1"))
+        assert_l1_kkt(A, y, 0.7, sol)
