@@ -14,6 +14,7 @@ from .network import (
     canonical_order,
     decode_allocation,
     enumerate_paths,
+    path_lengths,
     path_prefix_delay,
     validate_network,
     validate_path,
@@ -72,7 +73,7 @@ __all__ = [
     "DecodedAllocation", "Link", "MeasurementSystem", "Network", "Path",
     "PathTable", "build_dynamic_system", "build_static_incidence",
     "canonical_order", "decode_allocation", "enumerate_paths",
-    "path_prefix_delay", "validate_network", "validate_path",
+    "path_lengths", "path_prefix_delay", "validate_network", "validate_path",
     # solver
     "ConeProblem", "FeasibleBasis", "Solution", "StandardLP",
     "lp_phase1", "lp_phase2", "solve_cone", "solve_lp",

@@ -50,6 +50,7 @@ from .network import (
     build_dynamic_system,
     build_static_incidence,
     enumerate_paths,
+    path_lengths,
     split_column_labels,
 )
 
@@ -241,11 +242,7 @@ def _cmd_vmt(args) -> int:
             raise fileio.FileFormatError(f"cannot read lengths file: {exc}") from exc
     elif args.link_lengths:
         paths, _ = split_column_labels(ms.col_labels)
-        per_path = [
-            sum(net.link_by_id[lid].length for lid in table.paths[n].links)
-            for n in paths
-        ]
-        lengths = np.asarray(per_path)
+        lengths = path_lengths(net, table)[paths]
     else:
         raise UsageError("one of --lengths FILE, --unit or --link-lengths is required")
     bounds = vmt_bounds(ms, y, lengths)

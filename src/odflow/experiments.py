@@ -9,16 +9,17 @@ The harness answers three families of questions on the bundled fixtures:
 * how tight the travel-distance bounds are when exact recovery fails
   (``run_vmt_sweep``).
 
-Reproducibility: every trial draws from its own Philox4x64-10 substream.
-The generator is keyed by the 64-bit experiment seed and jumped once per
-(grid point, trial) pair (stream ``p * trials + t`` for point ``p`` and
-trial ``t``), so results are independent of execution order and identical
-across runs and machines.
+Reproducibility: trial ``t`` of grid point ``p`` draws from its own
+Philox4x64-10 stream, keyed by the 64-bit experiment seed with counter
+``[0, 0, p * trials + t, 0]``, the state that ``Philox(key=seed)
+.jumped(p * trials + t)`` reaches.  Results are independent of execution
+order and identical across runs and machines.
 
 Within one trial the support, the allocation, and a single permutation of
-the links are drawn in that order; the measured set for every M on the
-grid is a prefix of that permutation, making the measurement sets nested
-across the grid.
+the links are drawn in that order (then the noise, if any); the measured
+set for every M on the grid is a prefix of that permutation, making the
+measurement sets nested across the grid.  Each trial's system is a row
+slice of one all-links incidence, built once per sweep call.
 
 The grid-path counters back the sparsity motivation: on an N-link square
 grid the number of monotone corner-to-corner paths is binomial(N, N/2),
@@ -45,7 +46,11 @@ from .estimators import (
     vmt_bounds,
 )
 from .fixtures import get_fixture
-from .network import LinkId, PathTable, build_static_incidence
+from .network import LinkId, PathTable, build_static_incidence, path_lengths
+
+
+# Range of the uniform flow drawn for each OD pair a trial routes.
+_FLOW_RANGE = (1.0, 100.0)
 
 
 class SparsityRangeError(ValueError):
@@ -65,8 +70,9 @@ class AlphaRangeError(ValueError):
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent Philox substream ``index`` of the experiment ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """Independent Philox substream ``index`` of the experiment ``seed``:
+    the state ``Philox(key=seed).jumped(index)`` reaches, set directly."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,6 @@ class TrialConfig:
     noise_sd: float = 0.0
     trials: int = 500
     seed: int = 0
-    flow_range: tuple[float, float] = (1.0, 100.0)
     tol: float = 1e-6
 
 
@@ -100,7 +105,7 @@ def sample_allocation(
     pt: PathTable,
     support: Sequence[int],
     rng: np.random.Generator,
-    flow_range: tuple[float, float] = (1.0, 100.0),
+    flow_range: tuple[float, float] = _FLOW_RANGE,
 ) -> np.ndarray:
     """Random allocation on the support honoring the split-sum rule.
 
@@ -116,28 +121,34 @@ def sample_allocation(
     for n in support:
         if not 0 <= n < pt.n_paths:
             raise SparsityRangeError(f"path position {n} outside 0..{pt.n_paths - 1}")
-    lo, hi = flow_range
     x = np.zeros(pt.n_paths)
     in_support = set(support)
-    for k, group in enumerate(pt.paths_by_od):
+    for group in pt.paths_by_od:
         touched = [n for n in group if n in in_support]
-        if not touched:
-            continue
-        flow = rng.uniform(lo, hi)
-        splits = rng.dirichlet(np.ones(len(touched)))
-        for n, w in zip(touched, splits):
-            x[n] = flow * w
+        if touched:
+            flow = rng.uniform(*flow_range)
+            x[touched] = flow * rng.dirichlet(np.ones(len(touched)))
     return x
+
+
+def _check_m(m: int, n_links: int) -> None:
+    if not 1 <= m <= n_links:
+        raise MeasurementCountError(f"m {m} outside 1..{n_links}")
+
+
+def _prefix(all_links: Sequence[LinkId], perm, m: int) -> tuple[LinkId, ...]:
+    """The links at the first ``m`` positions of ``perm``, in canonical order."""
+    return tuple(all_links[i] for i in sorted(perm[:m]))
 
 
 def sample_measurements(
     all_links: Sequence[LinkId], m: int, rng: np.random.Generator
 ) -> tuple[LinkId, ...]:
-    """Uniform size-``m`` subset of the links, in their canonical order."""
-    if not 1 <= m <= len(all_links):
-        raise MeasurementCountError(f"m {m} outside 1..{len(all_links)}")
-    perm = rng.permutation(len(all_links))
-    return tuple(all_links[i] for i in sorted(perm[:m]))
+    """Uniform size-``m`` subset of the links, in their canonical order: a
+    prefix of one random permutation, so that prefixes of the same
+    permutation for growing ``m`` are nested."""
+    _check_m(m, len(all_links))
+    return _prefix(all_links, rng.permutation(len(all_links)), m)
 
 
 def add_noise(y, nu: float, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +176,6 @@ class RecoveryFlags:
     path_alloc: bool
     od_flow: bool
     total_flow: bool
-    rel_error: float
 
 
 def check_recovery(
@@ -198,9 +208,17 @@ def check_recovery(
 
     od_ok = od_ok or path_ok
     total_ok = total_ok or od_ok
-    return RecoveryFlags(
-        path_alloc=path_ok, od_flow=od_ok, total_flow=total_ok, rel_error=rel
-    )
+    return RecoveryFlags(path_alloc=path_ok, od_flow=od_ok, total_flow=total_ok)
+
+
+def _sweep_system(cfg: TrialConfig, m_grid: Sequence[int]):
+    """``(fixture bundle, all-links incidence)`` of a sweep, after checking
+    every M of ``m_grid``; each trial's system is a row slice of it."""
+    bundle = get_fixture(cfg.fixture)
+    net = bundle.network
+    for m in m_grid:
+        _check_m(m, len(net.links))
+    return bundle, build_static_incidence(bundle.table, net.link_ids, net)
 
 
 def _stderr(p: float, n: int) -> float:
@@ -252,8 +270,8 @@ class RecoveryReport:
 
 def run_recovery_sweep(
     cfg: TrialConfig,
-    m_grid: Sequence[int] | None = None,
-    supports: Sequence[tuple[int, ...] | int] | None = None,
+    m_grid: Sequence[int],
+    supports: Sequence[tuple[int, ...] | int],
 ) -> RecoveryReport:
     """Noiseless l1 recovery rates over a (support, M) grid.
 
@@ -264,37 +282,24 @@ def run_recovery_sweep(
     iteration limits count as failures.  Measured subsets are nested
     across the M grid within a trial.
     """
-    bundle = get_fixture(cfg.fixture)
-    pt, net = bundle.table, bundle.network
-    link_ids = list(net.link_ids)
-    if m_grid is None:
-        m_grid = [cfg.m]
-    if supports is None:
-        supports = [cfg.support]
     m_grid = [int(m) for m in m_grid]
-    for m in m_grid:
-        if not 1 <= m <= len(link_ids):
-            raise MeasurementCountError(f"m {m} outside 1..{len(link_ids)}")
+    bundle, full = _sweep_system(cfg, m_grid)
+    pt, link_ids = bundle.table, full.row_labels
 
     points: list[SweepPoint] = []
     for p_idx, sup in enumerate(supports):
         per_m: dict[int, list[RecoveryFlags]] = {m: [] for m in m_grid}
         for t in range(cfg.trials):
             rng = substream(cfg.seed, p_idx * cfg.trials + t)
-            if isinstance(sup, int):
-                support = sample_support(pt, sup, rng)
-            else:
-                support = tuple(sup)
-            x_true = sample_allocation(pt, support, rng, cfg.flow_range)
+            support = sample_support(pt, sup, rng) if isinstance(sup, int) else sup
+            x_true = sample_allocation(pt, support, rng)
             perm = rng.permutation(len(link_ids))
             for m in m_grid:
-                measured = tuple(link_ids[i] for i in sorted(perm[:m]))
-                ms = build_static_incidence(pt, measured, net)
-                y = ms.matrix @ x_true
+                ms = full.subsystem(_prefix(link_ids, perm, m))
                 try:
-                    res = estimate_l1(ms, y)
+                    res = estimate_l1(ms, ms.matrix @ x_true)
                 except EstimationError:
-                    per_m[m].append(RecoveryFlags(False, False, False, math.inf))
+                    per_m[m].append(RecoveryFlags(False, False, False))
                     continue
                 per_m[m].append(
                     check_recovery(res.allocation.x, x_true, pt, cfg.tol)
@@ -358,9 +363,8 @@ def run_noisy_cdf(
         raise ValueError("run_noisy_cdf needs a positive noise_sd")
     if isinstance(cfg.support, int):
         raise ValueError("run_noisy_cdf needs an explicit support")
-    bundle = get_fixture(cfg.fixture)
-    pt, net = bundle.table, bundle.network
-    link_ids = list(net.link_ids)
+    bundle, full = _sweep_system(cfg, [cfg.m])
+    pt, link_ids = bundle.table, full.row_labels
     if delta is None:
         delta = cfg.noise_sd * math.sqrt(cfg.m)
 
@@ -369,9 +373,8 @@ def run_noisy_cdf(
     infeasible = 0
     for t in range(cfg.trials):
         rng = substream(cfg.seed, t)
-        x_true = sample_allocation(pt, cfg.support, rng, cfg.flow_range)
-        measured = sample_measurements(link_ids, cfg.m, rng)
-        ms = build_static_incidence(pt, measured, net)
+        x_true = sample_allocation(pt, cfg.support, rng)
+        ms = full.subsystem(sample_measurements(link_ids, cfg.m, rng))
         y = add_noise(ms.matrix @ x_true, cfg.noise_sd, rng)
         nrm = float(np.linalg.norm(x_true))
         try:
@@ -437,17 +440,12 @@ def run_vmt_sweep(
     unbounded (some path crosses no measured link) count as failures with
     their ratio excluded and are tallied separately.
     """
-    bundle = get_fixture(cfg.fixture)
-    pt, net = bundle.table, bundle.network
-    link_ids = list(net.link_ids)
-    lengths = np.array([
-        sum(net.link_by_id[lid].length for lid in p.links) for p in pt.paths
-    ])
+    bundle, full = _sweep_system(cfg, m_grid)
+    pt, link_ids = bundle.table, full.row_labels
+    lengths = path_lengths(bundle.network, pt)
 
     points: list[VmtSweepPoint] = []
     for p_idx, m in enumerate(m_grid):
-        if not 1 <= m <= len(link_ids):
-            raise MeasurementCountError(f"m {m} outside 1..{len(link_ids)}")
         rec_min = rec_max = unbounded = violations = 0
         ratios_min: list[float] = []
         ratios_max: list[float] = []
@@ -456,9 +454,8 @@ def run_vmt_sweep(
             x_true = np.zeros(pt.n_paths)
             for group in pt.paths_by_od:
                 n = group[rng.integers(len(group))]
-                x_true[n] = rng.uniform(*cfg.flow_range)
-            measured = sample_measurements(link_ids, m, rng)
-            ms = build_static_incidence(pt, measured, net)
+                x_true[n] = rng.uniform(*_FLOW_RANGE)
+            ms = full.subsystem(sample_measurements(link_ids, m, rng))
             y = ms.matrix @ x_true
             true_value = float(lengths @ x_true)
             try:

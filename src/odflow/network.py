@@ -442,11 +442,7 @@ def enumerate_paths(
     return tuple(sorted(found, key=canonical_sort_key))
 
 
-def _check_measured(
-    pt: PathTable,
-    measured_links: Sequence[LinkId],
-    net: Network | None,
-) -> None:
+def _check_measured(measured_links: Sequence[LinkId], net: Network | None) -> None:
     if not measured_links:
         raise NetworkError("measured_links must be nonempty")
     if net is not None:
@@ -465,7 +461,7 @@ def build_static_incidence(
     Row order follows ``measured_links``; column order follows the table.
     A measured link crossed by no catalogued path is rejected.
     """
-    _check_measured(pt, measured_links, net)
+    _check_measured(measured_links, net)
     on_path = [frozenset(p.links) for p in pt.paths]
     mat = np.zeros((len(measured_links), pt.n_paths))
     for i, lid in enumerate(measured_links):
@@ -481,6 +477,12 @@ def build_static_incidence(
         mode="static",
         table=pt,
     )
+
+
+def path_lengths(net: Network, pt: PathTable) -> np.ndarray:
+    """Length of each catalogued path, the sum of its link lengths, in
+    table order."""
+    return np.array([sum(net.link_by_id[lid].length for lid in p.links) for p in pt.paths])
 
 
 def path_prefix_delay(p: Path, link_id: LinkId, net: Network) -> int:
@@ -513,7 +515,7 @@ def build_dynamic_system(
     as unknowns rather than assumed zero.  Columns are sorted by
     (path index, departure time).
     """
-    _check_measured(pt, measured_links, net)
+    _check_measured(measured_links, net)
     count_times = tuple(count_times)
     if not count_times:
         raise EmptyWindowError("count_times must be nonempty")

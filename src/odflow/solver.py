@@ -307,8 +307,9 @@ def solve_lp(p: StandardLP) -> Solution:
 
 
 class _SolveFailed(Exception):
-    """An NNLS or BVLS solve or the multiplier search hit its iteration cap,
-    or a least-distance program broke down."""
+    """An NNLS or BVLS solve, the multiplier search or a simplex phase hit
+    its iteration cap, or a least-distance program or the touching-ball
+    linear program broke down."""
 
 
 class _CountedNnls:
@@ -558,8 +559,10 @@ def solve_cone(p: ConeProblem) -> Solution:
       infeasible ball; at ``delta = 0`` counts within ``_TOL_FEAS``
       (relative to ``||y||``) of the image are accepted.
     * ``delta = 0`` or a ball that meets the image in the one point
-      ``A x_ls`` (NNLS residual equal to ``delta``): for l2 the least-norm
-      point of that feasible set, a least-distance program; for l1 ``x_ls``.
+      ``A x_ls`` (NNLS residual equal to ``delta``): the feasible set is
+      ``{x >= 0 : A x = A x_ls}``.  For l2 its least-norm point, a
+      least-distance program; for l1 the optimum of that linear program,
+      by :func:`solve_lp`.
     * Otherwise the optimum lies on the sphere, on the path of
       ``min f(x) + (nu/2)||A x - y||²``.  On each support piece of that
       path the multiplier is a root: of a secular equation for l2, by
@@ -568,8 +571,8 @@ def solve_cone(p: ConeProblem) -> Solution:
       to one NNLS solve of the penalized program, whose support gives the
       next piece (:func:`_ball_search`).
 
-    ``iterations`` counts NNLS solves, BVLS re-solves included (simplex
-    pivots on the LP branch).  When a solve or the multiplier search gives
+    ``iterations`` counts NNLS solves, BVLS re-solves included, plus the
+    simplex pivots of any linear program.  When a solve or the multiplier search gives
     up, the status is iteration-limit.
     """
     A, y, lam = _cone_arrays(p)
@@ -597,6 +600,7 @@ def solve_cone(p: ConeProblem) -> Solution:
     # Counts scaled to unit norm; the solution scales back linearly.
     y_unit, delta_unit = y / scale, delta / scale
     solve = _CountedNnls()
+    pivots = 0
     try:
         x_ls, dist = solve(A, y_unit)
         if dist > (delta_unit if delta > 0 else _TOL_FEAS):
@@ -610,7 +614,14 @@ def solve_cone(p: ConeProblem) -> Solution:
         if dist >= delta_unit:
             # The ball meets the nonnegative image in the one point A x_ls
             # (always so at delta = 0).
-            x = _min_norm_point(A, x_ls, solve) if quad else x_ls
+            if quad:
+                x = _min_norm_point(A, x_ls, solve)
+            else:
+                lp = solve_lp(StandardLP(c=lam, A=A, b=A @ x_ls))
+                pivots = lp.iterations
+                if lp.status != STATUS_OPTIMAL:
+                    raise _SolveFailed(f"the touching-ball program ended {lp.status}")
+                x = lp.x
         else:
             # Ridge: x* = nu A'r*, ||r*|| = delta and ||A x*|| >= 1 - delta
             # bound nu below (halved, as a root at lo is rejected).  Lasso:
@@ -632,6 +643,6 @@ def solve_cone(p: ConeProblem) -> Solution:
             x=np.zeros(n),
             status=STATUS_ITERATION_LIMIT,
             objective=math.nan,
-            iterations=solve.calls,
+            iterations=solve.calls + pivots,
         )
-    return optimal(x * scale, solve.calls)
+    return optimal(x * scale, solve.calls + pivots)

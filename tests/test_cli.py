@@ -340,11 +340,17 @@ class TestSweepCommands:
          "aade58792edc729004f6574f95ecb86e463dfae41719423dad6794cf215ec943"),
         (["vmt-sweep", "--fixture", "nguyen"],
          "dda7ec90f87dba6cc12d80db8f171f1d0951744800eda0f73b245da8658cde3d"),
+        (["sweep", "--fixture", "fig2", "--sparsity", "3,4,5", "--m-grid", "5:10"],
+         "f1731c410c668a9dfa76ac5c8ff805134291e5b64c3d039b00dc57e1fbfd571d"),
+        (["noisy-cdf", "--fixture", "fig2", "--support", "4,8,12", "--nu", "0.1"],
+         "8d69fa88767f59c3cb7e7cd24615dfb03e342c04cd15901ef14a933cf5566c4e"),
     ])
     def test_csv_digest_pinned(self, tmp_path, argv, digest):
-        # The digests come from the simplex that factored the basis afresh
-        # at every pivot and ran a separate phase 1 per program; seeded
-        # sweeps must not move when the LP layer is reworked.
+        # The first two digests come from the simplex that factored the
+        # basis afresh at every pivot and ran a separate phase 1 per program,
+        # the other two from the sweeps that built an incidence per trial and
+        # jumped a fresh Philox per substream; seeded sweeps must not move
+        # when the LP layer or the trial scheme is reworked.
         out = tmp_path / "out.csv"
         rc = main(argv + ["--trials", "20", "--seed", "3", "--output", str(out)])
         assert rc == 0

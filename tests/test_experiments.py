@@ -23,6 +23,7 @@ from odflow import (
     sample_support,
     substream,
 )
+from odflow import experiments
 from odflow.experiments import (
     AlphaRangeError,
     GridSizeError,
@@ -91,6 +92,27 @@ class TestSampling:
         x = sample_allocation(fig2.table, (0,), rng)
         flows = x[0]
         assert x[0] / flows == 1.0
+
+    def test_allocation_matches_per_path_loop(self, fig2, nguyen):
+        # the per-path loop sample_allocation used before one vector
+        # assignment per OD pair; the draws and products are the same
+        def per_path(pt, support, rng):
+            x = np.zeros(pt.n_paths)
+            for group in pt.paths_by_od:
+                touched = [n for n in group if n in set(support)]
+                if touched:
+                    flow = rng.uniform(1.0, 100.0)
+                    for n, w in zip(touched, rng.dirichlet(np.ones(len(touched)))):
+                        x[n] = flow * w
+            return x
+
+        for bundle in (fig2, nguyen):
+            pt = bundle.table
+            for t in range(30):
+                support = sample_support(pt, 2 + t % 9, substream(13, t))
+                got = sample_allocation(pt, support, substream(14, t))
+                want = per_path(pt, support, substream(14, t))
+                assert np.array_equal(got, want)
 
     def test_flow_range_respected(self, fig2):
         for t in range(20):
@@ -367,6 +389,39 @@ class TestVmtSweep:
         assert a.csv_rows() == b.csv_rows()
 
 
+class TestSweepSystems:
+    """Each sweep call builds one all-links incidence, whose row slices are
+    the trials' systems, and checks every M before its first trial."""
+
+    def test_one_incidence_per_call(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return build_static_incidence(*args)
+
+        monkeypatch.setattr(experiments, "build_static_incidence", counting)
+        run_recovery_sweep(TrialConfig(trials=3, seed=1), m_grid=[5, 8],
+                           supports=[3, SUPPORT_3SPARSE])
+        run_noisy_cdf(TrialConfig(noise_sd=0.1, trials=3, seed=1))
+        run_vmt_sweep(TrialConfig(fixture="nguyen", trials=3, seed=1), m_grid=[22, 38])
+        assert len(built) == 3
+
+    def test_m_checked_before_trials(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "estimate_l1", no_trial)
+        monkeypatch.setattr(experiments, "estimate_l1_noisy", no_trial)
+        monkeypatch.setattr(experiments, "vmt_bounds", no_trial)
+        with pytest.raises(MeasurementCountError):
+            run_recovery_sweep(TrialConfig(trials=2), m_grid=[5, 11], supports=[3])
+        with pytest.raises(MeasurementCountError):
+            run_noisy_cdf(TrialConfig(m=11, noise_sd=0.1, trials=2))
+        with pytest.raises(MeasurementCountError):
+            run_vmt_sweep(TrialConfig(fixture="nguyen", trials=2), m_grid=[22, 39])
+
+
 class TestGridCombinatorics:
     def test_known_counts(self):
         assert grid_path_count(2) == 2
@@ -429,3 +484,11 @@ class TestSubstream:
 
     def test_streams_reproducible(self):
         assert np.array_equal(substream(9, 3).random(8), substream(9, 3).random(8))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
+    @pytest.mark.parametrize("index", [0, 1, 7, 1000, 2**40 + 3])
+    def test_counter_is_jumped_state(self, seed, index):
+        want = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        got = substream(seed, index)
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))

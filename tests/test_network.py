@@ -12,6 +12,7 @@ from odflow import (
     canonical_order,
     decode_allocation,
     enumerate_paths,
+    path_lengths,
     path_prefix_delay,
     validate_network,
     validate_path,
@@ -251,6 +252,21 @@ class TestPrefixDelay:
         p = Path((3, 2), ("l3-1", "l1-2"))
         with pytest.raises(LinkNotOnPathError):
             path_prefix_delay(p, "l2-3", fig1.network)
+
+
+class TestPathLengths:
+    def test_sums_link_lengths(self):
+        net = validate_network(Network(
+            nodes=(1, 2, 3),
+            links=(Link("a", 1, 2, length=0.5), Link("b", 2, 3, length=2.25),
+                   Link("c", 1, 3, length=4.0)),
+        ))
+        table = PathTable.from_paths([Path((1, 3), ("a", "b")), Path((1, 3), ("c",))])
+        assert path_lengths(net, table).tolist() == [2.75, 4.0]
+
+    def test_unit_lengths_count_links(self, nguyen):
+        lengths = path_lengths(nguyen.network, nguyen.table)
+        assert lengths.tolist() == [len(p.links) for p in nguyen.table.paths]
 
 
 class TestDynamicSystem:

@@ -366,6 +366,18 @@ class TestSolveCone:
         assert sol.x.min() >= 0.0
         assert sol.objective < x0.sum()
 
+    def test_l1_ball_touching_image(self):
+        # the ball meets the image {A x : x >= 0} in the one point (2, 0), so
+        # the feasible set is {x >= 0 : x1 + x2 = 2}, on which the weights
+        # favour the second column
+        sol = solve_cone(ConeProblem(
+            A=np.array([[1.0, 1.0], [0.0, 0.0]]), y=np.array([2.0, 1.0]),
+            delta=1.0, weights=np.array([2.0, 1.0]), objective="l1",
+        ))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([0.0, 2.0], abs=1e-12)
+        assert sol.objective == pytest.approx(2.0, rel=1e-12)
+
     def test_weighted_objective(self):
         # weight strongly against the first column; mass should move away
         A = np.array([[1.0, 1.0]])
@@ -423,6 +435,41 @@ def on_support(x):
     return x > 1e-9 * max(1.0, float(x.max()))
 
 
+def assert_l1_kkt(A, y, delta, sol, lam=1.0):
+    """The optimality conditions of the l1 ball with weights ``lam`` (all
+    one by default): the residual on the sphere and ``A'r/lam <= mu``, with
+    equality on the support, for one multiplier ``mu > 0``."""
+    assert sol.status == "optimal"
+    x = sol.x
+    assert x.min() >= 0.0
+    r = y - A @ x
+    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
+    ratio = (A.T @ r) / lam
+    support = on_support(x)
+    assert support.any()
+    mu = float(np.median(ratio[support]))
+    assert mu > 0.0
+    assert ratio[support] == pytest.approx(np.full(support.sum(), mu), rel=1e-7)
+    assert np.all(ratio <= mu * (1.0 + 1e-7))
+
+
+def assert_l2_kkt(A, y, delta, sol):
+    """The optimality conditions of the l2 ball: the residual on the sphere
+    and ``x = max(0, nu A'r)`` for one multiplier ``nu > 0``."""
+    assert sol.status == "optimal"
+    x = sol.x
+    r = y - A @ x
+    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
+    grad = A.T @ r
+    support = on_support(x)
+    assert support.any()
+    nu = float(np.median(x[support] / grad[support]))
+    assert nu > 0.0
+    assert x == pytest.approx(
+        np.maximum(0.0, nu * grad), rel=1e-7, abs=1e-9 * float(x.max())
+    )
+
+
 class TestConeCertificates:
     """Optimality and infeasibility certificates of the cone solver,
     checked from first principles on random small instances."""
@@ -435,39 +482,15 @@ class TestConeCertificates:
             sol = solve_cone(ConeProblem(
                 A=A, y=y, delta=delta, weights=lam, objective="l1"
             ))
-            assert sol.status == "optimal"
-            x = sol.x
-            assert x.min() >= 0.0
-            r = y - A @ x
-            assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
-            # c = A'(y - Ax) <= mu*lam everywhere, with equality on the support
-            ratio = (A.T @ r) / lam
-            support = on_support(x)
-            assert support.any()
-            mu = float(np.median(ratio[support]))
-            assert mu > 0.0
-            assert ratio[support] == pytest.approx(np.full(support.sum(), mu), rel=1e-7)
-            assert np.all(ratio <= mu * (1.0 + 1e-7))
-            assert sol.objective == pytest.approx(float(lam @ x), rel=1e-12)
+            assert_l1_kkt(A, y, delta, sol, lam)
+            assert sol.objective == pytest.approx(float(lam @ sol.x), rel=1e-12)
 
     def test_l2_noisy_kkt(self):
         rng = np.random.default_rng(606)
         for _ in range(40):
             A, y, delta = noisy_instance(rng)
             sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l2"))
-            assert sol.status == "optimal"
-            x = sol.x
-            r = y - A @ x
-            assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
-            # x = max(0, nu * A'(y - Ax)) for one multiplier nu > 0
-            grad = A.T @ r
-            support = on_support(x)
-            assert support.any()
-            nu = float(np.median(x[support] / grad[support]))
-            assert nu > 0.0
-            assert x == pytest.approx(
-                np.maximum(0.0, nu * grad), rel=1e-7, abs=1e-9 * float(x.max())
-            )
+            assert_l2_kkt(A, y, delta, sol)
 
     def test_infeasible_only_with_nnls_certificate(self):
         rng = np.random.default_rng(707)
@@ -574,42 +597,6 @@ class TestL2Ball:
         ))
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([1.0, 1.0], rel=1e-9)
-
-
-def assert_l1_kkt(A, y, delta, sol):
-    """The optimality conditions ``TestConeCertificates`` checks for the
-    unweighted l1 ball: the residual on the sphere and ``A'r <= mu``, with
-    equality on the support, for one multiplier ``mu > 0``."""
-    assert sol.status == "optimal"
-    x = sol.x
-    assert x.min() >= 0.0
-    r = y - A @ x
-    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
-    ratio = A.T @ r
-    support = on_support(x)
-    assert support.any()
-    mu = float(np.median(ratio[support]))
-    assert mu > 0.0
-    assert ratio[support] == pytest.approx(np.full(support.sum(), mu), rel=1e-7)
-    assert np.all(ratio <= mu * (1.0 + 1e-7))
-
-
-def assert_l2_kkt(A, y, delta, sol):
-    """The optimality conditions ``TestConeCertificates`` checks for the
-    l2 ball: the residual on the sphere and ``x = max(0, nu A'r)`` for one
-    multiplier ``nu > 0``."""
-    assert sol.status == "optimal"
-    x = sol.x
-    r = y - A @ x
-    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
-    grad = A.T @ r
-    support = on_support(x)
-    assert support.any()
-    nu = float(np.median(x[support] / grad[support]))
-    assert nu > 0.0
-    assert x == pytest.approx(
-        np.maximum(0.0, nu * grad), rel=1e-7, abs=1e-9 * float(x.max())
-    )
 
 
 class TestL1Ball:
