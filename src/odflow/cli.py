@@ -88,17 +88,29 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
-    """Either 'lo:hi' (inclusive) or a comma-separated list."""
+    """Either 'lo:hi' (inclusive) or a comma-separated list, not empty."""
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
-            lo_i, hi_i = int(lo), int(hi)
+            grid = tuple(range(int(lo), int(hi) + 1))
         except ValueError as exc:
             raise UsageError(f"bad grid spec {text!r}") from exc
-        if hi_i < lo_i:
-            raise UsageError(f"empty grid {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
-    return _parse_int_list(text)
+    else:
+        grid = _parse_int_list(text)
+    if not grid:
+        raise UsageError(f"empty grid {text!r}")
+    return grid
+
+
+def _trial_count(text: str) -> int:
+    """argparse type of ``--trials``: an integer of at least one."""
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"{trials} is not a positive trial count")
+    return trials
 
 
 def _parse_supports(text: str) -> tuple[tuple[int, ...], ...]:
@@ -260,6 +272,8 @@ def _cmd_sweep(args) -> int:
         supports = _parse_supports(args.supports)
     else:
         supports = tuple(int(s) for s in _parse_int_list(args.sparsity))
+        if not supports:
+            raise UsageError(f"empty sparsity list {args.sparsity!r}")
     m_grid = _parse_grid(args.m_grid)
     cfg = TrialConfig(fixture=args.fixture, trials=args.trials, seed=args.seed)
     report = run_recovery_sweep(cfg, m_grid=m_grid, supports=list(supports))
@@ -416,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", default=None,
                    help="random-support sparsity levels, e.g. '3,4,5'")
     p.add_argument("--m-grid", default="4:10", help="'lo:hi' or list")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_trial_count, default=500)
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=_cmd_sweep)
@@ -426,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", required=True, help="e.g. '4,8,12' (0-based)")
     p.add_argument("--nu", type=float, required=True, help="noise standard deviation")
     p.add_argument("--m", type=int, default=10, help="measured links per trial")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trial_count, default=1000)
     p.add_argument("--delta", type=float, default=None,
                    help="ball radius (default nu*sqrt(m))")
     _add_seed(p)
@@ -436,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vmt-sweep", help="travel-bound recovery sweep")
     p.add_argument("--fixture", default="nguyen", choices=FIXTURE_NAMES)
     p.add_argument("--m-grid", default="14,18,22,26,30,34,38")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_trial_count, default=500)
     p.add_argument("--recovery-tol", type=float, default=0.001)
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")

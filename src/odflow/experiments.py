@@ -92,6 +92,11 @@ class TrialConfig:
     seed: int = 0
     tol: float = 1e-6
 
+    def __post_init__(self):
+        # A rate over no trials has no value: sweeps divide by ``trials``.
+        if self.trials < 1:
+            raise ValueError(f"trials {self.trials} must be at least 1")
+
 
 def sample_support(pt: PathTable, s: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniformly random size-``s`` subset of path positions, sorted."""

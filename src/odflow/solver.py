@@ -2,16 +2,20 @@
 
 Two engines:
 
-* :func:`solve_lp`: two-phase revised simplex for
+* :func:`solve_lp`: two-phase tableau simplex for
   ``min/max c'x  s.t.  A x = b, x >= 0``.  Every pivot follows Bland's
   rule (Bland 1977), so the solver terminates and returns the same basic
   optimum for the same input, every time; it has no options.  The two
   phases are separate steps: :func:`lp_phase1` finds a feasible basis of
   ``A x = b`` once, and :func:`lp_phase2` optimizes any number of
-  objectives from it.  Pivots update an explicit basis inverse by one
-  rank-1 (product-form) step each (Dantzig & Orchard-Hays 1954), with a
-  fresh factorization every ``_REFACTOR_EVERY`` pivots and for every
-  returned point; a phase gives up after ``_MAX_PIVOTS`` pivots.
+  objectives from it.  A phase pivots a dense tableau, ``[B^-1 A | B^-1 b]``
+  over the reduced costs, by one rank-1 update per pivot, and Bland's
+  rule reads its rows as Python lists, which beats numpy calls at these
+  sizes.  Phase 1 starts from the identity basis of its artificials, whose
+  tableau needs no factorization; the tableau is factored afresh at the
+  start of phase 2 and every ``_REFACTOR_EVERY`` pivots, and every
+  returned point is a fresh solve with its basis.  A phase gives up after
+  ``_MAX_PIVOTS`` pivots.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -38,7 +42,7 @@ from scipy.optimize import lsq_linear, nnls
 _PIVOT_TOL = 1e-10
 _RATIO_TIE_TOL = 1e-12
 # Pivots between fresh factorizations of the simplex basis; in between,
-# each pivot updates the basis inverse by one rank-1 step, whose roundoff
+# each pivot updates the tableau by one rank-1 step, whose roundoff
 # accumulates.
 _REFACTOR_EVERY = 32
 # Feasibility and optimality tolerance: what phase 1 may leave in its
@@ -142,52 +146,69 @@ class FeasibleBasis:
     b_kept: np.ndarray | None = None
 
 
-def _exchange(inv: np.ndarray, d: np.ndarray, r: int) -> None:
-    """Update the basis inverse in place when basis position ``r`` takes
-    the column whose representation in the current basis is ``d``.
+def _tableau(A, b, c, basis):
+    """The simplex tableau of ``basis`` from a fresh factorization.
 
-    The new inverse is ``E @ inv`` for the eta matrix ``E`` that maps ``d``
-    to the ``r``-th unit vector: a rank-1 change of ``inv``.
+    ``T`` is ``(m+1) x (n+1)``: ``[B^-1 A | B^-1 b]`` over the row
+    ``[c - c_B' B^-1 A | -c_B' B^-1 b]``, the reduced costs (zero on basic
+    columns) and minus the objective.
     """
-    pivot_row = inv[r] / d[r]
-    inv -= d[:, None] * pivot_row
-    inv[r] = pivot_row
+    m, n = A.shape
+    inv = np.linalg.inv(A[:, basis])
+    y = c[basis] @ inv
+    T = np.empty((m + 1, n + 1))
+    T[:m, :n] = inv @ A
+    T[:m, n] = inv @ b
+    T[m, :n] = c - y @ A
+    T[m, basis] = 0.0
+    T[m, n] = -(y @ b)
+    return T
 
 
-def _pivot_loop(A, b, c, basis):
-    """Run simplex pivots in place on ``basis`` (an integer array).
+def _pivot(T, r, j):
+    """Pivot the tableau in place on row ``r`` and column ``j``: one rank-1
+    update.  ``prow[j]`` is exactly one, so basic columns stay exact unit
+    vectors and their reduced costs exactly zero."""
+    prow = T[r] / T[r, j]
+    T -= np.multiply.outer(T[:, j], prow)
+    T[r] = prow
 
-    Returns ``(status, iterations, unbounded_entering_index, inverse)``,
-    where ``inverse`` is the basis inverse at exit.  ``A`` must have full
-    row rank with ``basis`` indexing a nonsingular column set.  Bland's
-    rule picks both the entering and the leaving variable.  The inverse is
-    factored afresh every ``_REFACTOR_EVERY`` pivots, starting with the
-    first.
+
+def _pivot_loop(A, b, c, basis, T):
+    """Run simplex pivots from ``basis`` (a list of column indices, updated
+    in place) and its tableau ``T`` (see :func:`_tableau`).
+
+    Returns ``(status, iterations, unbounded_entering_index, tableau)``
+    with the tableau at exit.  ``A`` must have full row rank with
+    ``basis`` indexing a nonsingular column set.  Bland's rule picks both
+    the entering and the leaving variable from the reduced-cost row, the
+    entering column and ``B^-1 b``, each read as a Python list.  Each pivot
+    is one rank-1 update of the tableau, whose roundoff accumulates, so the
+    tableau is factored afresh every ``_REFACTOR_EVERY`` pivots.
     """
+    m, n = A.shape
     for it in range(_MAX_PIVOTS):
-        if it % _REFACTOR_EVERY == 0:
-            inv = np.linalg.inv(A[:, basis])
-        reduced = c - (c[basis] @ inv) @ A
-        reduced[basis] = 0.0
+        if it and it % _REFACTOR_EVERY == 0:
+            T = _tableau(A, b, c, basis)
 
         # Enter the improving column of smallest index.
-        improving = reduced < -_TOL_FEAS
-        j = int(improving.argmax())
-        if not improving[j]:
-            return STATUS_OPTIMAL, it, None, inv
+        j = next((k for k, r in enumerate(T[m, :n].tolist()) if r < -_TOL_FEAS), None)
+        if j is None:
+            return STATUS_OPTIMAL, it, None, T
 
-        d = inv @ A[:, j]
-        rows = (d > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return STATUS_UNBOUNDED, it + 1, j, inv
-
-        x_b = inv @ b
-        ratios = np.maximum(x_b[rows], 0.0) / d[rows]
-        rmin = ratios.min()
-        ties = rows[ratios <= rmin + _RATIO_TIE_TOL * (1.0 + rmin)]
+        x_b = T[:m, n].tolist()
+        ratios = {
+            i: max(x_b[i], 0.0) / d
+            for i, d in enumerate(T[:m, j].tolist())
+            if d > _PIVOT_TOL
+        }
+        if not ratios:
+            return STATUS_UNBOUNDED, it + 1, j, T
+        rmin = min(ratios.values())
+        cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
         # Leave the tied row whose basic variable has the smallest index.
-        leave = int(ties[basis[ties].argmin()])
-        _exchange(inv, d, leave)
+        leave = min((i for i, q in ratios.items() if q <= cut), key=basis.__getitem__)
+        _pivot(T, leave, j)
         basis[leave] = j
     return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None, None
 
@@ -216,17 +237,25 @@ def lp_phase1(A, b) -> FeasibleBasis:
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
 
+    # The artificials' basis is the identity, so the first tableau needs no
+    # factorization: [A_work | I | b_work], each row signed to make its
+    # count nonnegative, over the phase-1 reduced costs, which are minus
+    # the column sums on A_work and b_work and zero on the artificials.
     sign = np.where(b < 0, -1.0, 1.0)
-    A_work = A * sign[:, None]
-    b_work = b * sign
-    A1 = np.hstack([A_work, np.eye(m)])
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[:m, -1] = b * sign
+    T[m] = -T[:m].sum(axis=0)
+    T[:m, n:-1] = np.eye(m)
+    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    status, iters, _, inv = _pivot_loop(A1, b_work, c1, basis)
+    basis = list(range(n, n + m))
+    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
     if status == STATUS_ITERATION_LIMIT:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
-    artificial = basis >= n
-    left = float(np.sum((inv @ b_work)[artificial]))
+    artificial = [pos for pos, k in enumerate(basis) if k >= n]
+    x_b = T[:m, -1].tolist()
+    left = sum(x_b[pos] for pos in artificial)
     if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
         return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
@@ -234,26 +263,24 @@ def lp_phase1(A, b) -> FeasibleBasis:
     # original column can replace one, the artificial's own constraint row
     # is implied by the others (its multiplier row annihilates the original
     # columns), so that row is dropped together with the artificial.
-    redundant = np.zeros(m, dtype=bool)
-    for pos in np.flatnonzero(artificial):
-        row_vals = inv[pos] @ A_work
-        row_vals[basis[basis < n]] = 0.0
-        candidates = np.flatnonzero(np.abs(row_vals) > 1e-9)
-        if candidates.size:
-            j = int(candidates[0])
-            _exchange(inv, inv @ A_work[:, j], pos)
-            basis[pos] = j
+    redundant = set()
+    for pos in artificial:
+        j = next((k for k, v in enumerate(T[pos, :n].tolist())
+                  if abs(v) > 1e-9 and k not in basis), None)
+        if j is None:
+            redundant.add(basis[pos] - n)
         else:
-            redundant[basis[pos] - n] = True
-    rows = np.flatnonzero(~redundant)
+            _pivot(T, pos, j)
+            basis[pos] = j
+    rows = [i for i in range(m) if i not in redundant]
     return FeasibleBasis(
         A=A,
         b=b,
         status=STATUS_OPTIMAL,
         iterations=iters,
-        rows=tuple(rows.tolist()),
-        basis=tuple(basis[basis < n].tolist()),
-        A_kept=A_work[rows],
+        rows=tuple(rows),
+        basis=tuple(k for k in basis if k < n),
+        A_kept=A1[rows, :n],
         b_kept=b_work[rows],
     )
 
@@ -277,15 +304,16 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
                         iterations=start.iterations)
 
     minimize = sense == "min"
-    basis = np.array(start.basis, dtype=np.intp)
+    A, b, cost = start.A_kept, start.b_kept, c if minimize else -c
+    basis = list(start.basis)
     status, iters, unbounded_j, _ = _pivot_loop(
-        start.A_kept, start.b_kept, c if minimize else -c, basis
+        A, b, cost, basis, _tableau(A, b, cost, basis)
     )
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
         return Solution(x=np.zeros(n), status=status, objective=math.nan,
                         iterations=total_iters)
-    x = _basic_point(start.A_kept, start.b_kept, basis, n)
+    x = _basic_point(A, b, basis, n)
     if status == STATUS_UNBOUNDED:
         objective = -math.inf if minimize else math.inf
     else:
@@ -296,13 +324,13 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
         objective=objective,
         residual_eq=float(np.max(np.abs(start.A @ x - start.b))),
         iterations=total_iters,
-        basis=tuple(basis.tolist()),
+        basis=tuple(basis),
         unbounded_index=unbounded_j,
     )
 
 
 def solve_lp(p: StandardLP) -> Solution:
-    """Two-phase revised simplex over the equality-constrained orthant."""
+    """Two-phase tableau simplex over the equality-constrained orthant."""
     return lp_phase2(lp_phase1(p.A, p.b), p.c, p.sense)
 
 

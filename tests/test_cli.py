@@ -369,6 +369,35 @@ class TestSweepCommands:
         ])
         assert rc == 2
 
+    SWEEPS = [
+        ["sweep", "--sparsity", "3"],
+        ["noisy-cdf", "--support", "4,8,12", "--nu", "0.1"],
+        ["vmt-sweep"],
+    ]
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("argv", SWEEPS)
+    def test_trial_count_must_be_positive(self, tmp_path, capsys, argv, trials):
+        # no trials used to divide by zero or index an empty sample, and
+        # negative counts wrote rates of -0
+        out = tmp_path / "out.csv"
+        rc = main(argv + ["--trials", trials, "--output", str(out)])
+        assert rc == 2
+        assert "argument --trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empty", ["", ","])
+    @pytest.mark.parametrize("argv", [
+        SWEEPS[0] + ["--m-grid"], SWEEPS[2] + ["--m-grid"], ["sweep", "--sparsity"],
+    ])
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys, argv, empty):
+        # these wrote a header-only CSV and exited 0
+        out = tmp_path / "out.csv"
+        rc = main(argv + [empty, "--trials", "2", "--output", str(out)])
+        assert rc == 2
+        assert "usage error: empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noisy_cdf_csv(self, tmp_path):
         out = tmp_path / "cdf.csv"
         rc = main([

@@ -389,6 +389,18 @@ class TestVmtSweep:
         assert a.csv_rows() == b.csv_rows()
 
 
+class TestTrialConfig:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            TrialConfig(trials=trials)
+
+    def test_one_trial_allowed(self):
+        report = run_recovery_sweep(TrialConfig(trials=1, seed=2), m_grid=[10],
+                                    supports=[SUPPORT_3SPARSE])
+        assert report.points[0].rate_path == 1.0
+
+
 class TestSweepSystems:
     """Each sweep call builds one all-links incidence, whose row slices are
     the trials' systems, and checks every M before its first trial."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -9,6 +11,7 @@ from odflow import (
     build_static_incidence,
     estimate_l1,
     get_fixture,
+    path_lengths,
     sample_allocation,
     sample_measurements,
     substream,
@@ -92,6 +95,18 @@ class TestSolveLp:
             assert got.status == want.status
             if got.status == "optimal":
                 assert got.objective == pytest.approx(want.objective, abs=1e-9)
+        # Dense Gaussian systems, where roundoff may change the pivot path
+        # but not the status or the optimum.
+        for _ in range(100):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(m + 1, 13))
+            A = rng.standard_normal((m, n))
+            x0 = np.where(rng.random(n) < 0.6, rng.uniform(0.0, 5.0, n), 0.0)
+            lp = StandardLP(c=rng.uniform(0.1, 2.0, n), A=A, b=A @ x0)
+            got = solve_lp(lp)
+            want = lp_oracle(lp)
+            assert got.status == want.status == "optimal"
+            assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
 
     def test_objective_dominates_feasible_point(self):
         rng = np.random.default_rng(77)
@@ -228,6 +243,11 @@ class TestLpPhases:
             x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
         start = lp_phase1(ms.matrix, ms.matrix @ x)
         assert start.iterations > _REFACTOR_EVERY
+        # the incidence has rank 24: phase 1 drops 14 of its 38 rows
+        assert start.rows == (
+            0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 14, 15, 16, 19, 20, 21, 22, 24,
+            25, 27, 30, 33, 36,
+        )
         sol = lp_phase2(start, np.ones(ms.n_cols))
         assert sol.status == "optimal"
         assert sol.iterations == 62
@@ -236,6 +256,50 @@ class TestLpPhases:
             47, 40, 36, 19, 32, 13, 44,
         )
         assert sol.objective == pytest.approx(320.02626652010343, rel=1e-12)
+
+
+    # sha256 of repr(records): one (status, basis, iterations,
+    # unbounded_index) record per fig2 system, and the min and max records
+    # per nguyen system.
+    PINNED_PATH = "44d94774f056ffab12cb896070a8884b7726d6285c59bbb1cf8e14f2324ffbbc"
+
+    def test_pivot_path_pinned(self, fig2, nguyen):
+        # Every basis, pivot count and unbounded certificate of 140 sweep
+        # systems, so that a change to the pivot arithmetic that changes a
+        # single pivot shows.
+        def record(sol):
+            return (sol.status, sol.basis, sol.iterations, sol.unbounded_index)
+
+        def incidence(bundle):
+            net = bundle.network
+            return build_static_incidence(bundle.table, net.link_ids, net)
+
+        records = []
+        full = incidence(fig2)
+        links = full.row_labels
+        for t in range(100):
+            rng = substream(11, t)
+            support = (4, 8, 12) if t % 2 == 0 else (1, 7, 10, 13)
+            x = sample_allocation(fig2.table, support, rng)
+            ms = full.subsystem(sample_measurements(links, 4 + t % 7, rng))
+            lp = StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=ms.matrix @ x)
+            records.append(record(solve_lp(lp)))
+
+        full = incidence(nguyen)
+        links = full.row_labels
+        lengths = path_lengths(nguyen.network, nguyen.table)
+        for t in range(40):
+            rng = substream(12, t)
+            x = np.zeros(nguyen.table.n_paths)
+            for group in nguyen.table.paths_by_od:
+                x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
+            ms = full.subsystem(sample_measurements(links, (18, 26, 38)[t % 3], rng))
+            start = lp_phase1(ms.matrix, ms.matrix @ x)
+            records.append(tuple(
+                record(lp_phase2(start, lengths, sense)) for sense in ("min", "max")
+            ))
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == self.PINNED_PATH
 
 
 class TestPivotCap:
