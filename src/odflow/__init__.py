@@ -28,6 +28,7 @@ from .solver import (
     lp_phase2,
     solve_cone,
     solve_lp,
+    solve_lp_stack,
 )
 from .estimators import (
     Allocation,
@@ -39,6 +40,7 @@ from .estimators import (
     WeightMatrix,
     estimate_l1,
     estimate_l1_noisy,
+    estimate_l1_stack,
     estimate_l2,
     estimate_l2_noisy,
     estimate_weighted_l1,
@@ -76,11 +78,12 @@ __all__ = [
     "path_lengths", "path_prefix_delay", "validate_network", "validate_path",
     # solver
     "ConeProblem", "FeasibleBasis", "Solution", "StandardLP",
-    "lp_phase1", "lp_phase2", "solve_cone", "solve_lp",
+    "lp_phase1", "lp_phase2", "solve_cone", "solve_lp", "solve_lp_stack",
     # estimators
     "Allocation", "EstimationResult", "InfeasibleError",
     "IterationLimitError", "UnboundedError", "VmtBounds", "WeightMatrix",
-    "estimate_l1", "estimate_l1_noisy", "estimate_l2", "estimate_l2_noisy",
+    "estimate_l1", "estimate_l1_noisy", "estimate_l1_stack", "estimate_l2",
+    "estimate_l2_noisy",
     "estimate_weighted_l1", "reweighted_l1", "vmt_bounds",
     # experiments
     "NoisyCdfReport", "RecoveryFlags", "RecoveryReport", "TrialConfig",

@@ -5,6 +5,7 @@ count vector and returns an :class:`EstimationResult` whose allocation is
 already decoded into OD flows and path splits.  The programs:
 
 * ``estimate_l1``          min sum(x)        s.t. A x = y, x >= 0
+  (``estimate_l1_stack``: the same on many systems at once)
 * ``estimate_l2``          min ||x||_2       s.t. A x = y, x >= 0
 * ``estimate_l1_noisy``    min sum(x)        s.t. ||y - A x||_2 <= delta, x >= 0
 * ``estimate_l2_noisy``    min ||x||_2       s.t. ||y - A x||_2 <= delta, x >= 0
@@ -19,6 +20,7 @@ linear programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .solver import (
     lp_phase2,
     solve_cone,
     solve_lp,
+    solve_lp_stack,
 )
 
 # Entries below this (relative) floor are treated as structural zeros when
@@ -180,11 +183,36 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
     )
 
 
+def _l1_program(ms: MeasurementSystem, y) -> StandardLP:
+    y = _check_counts(ms, y, nonnegative=True)
+    return StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
+
+
 def estimate_l1(ms: MeasurementSystem, y) -> EstimationResult:
     """Sparsest-looking allocation: minimize total flow subject to the counts."""
-    y = _check_counts(ms, y, nonnegative=True)
-    lp = StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
-    return _finish(ms, solve_lp(lp), "l1")
+    return _finish(ms, solve_lp(_l1_program(ms, y)), "l1")
+
+
+def estimate_l1_stack(
+    problems: Sequence[tuple[MeasurementSystem, np.ndarray]],
+) -> list[EstimationResult | EstimationError]:
+    """:func:`estimate_l1` on many ``(system, counts)`` pairs of one column
+    count, solved together by :func:`~odflow.solver.solve_lp_stack`.
+
+    Entry ``i`` is what ``estimate_l1(*problems[i])`` returns, or the
+    :class:`EstimationError` it raises; invalid counts raise ``ValueError``
+    for the whole call.
+    """
+    if not problems:
+        return []
+    sols = solve_lp_stack([_l1_program(ms, y) for ms, y in problems])
+    out: list[EstimationResult | EstimationError] = []
+    for (ms, _), sol in zip(problems, sols):
+        try:
+            out.append(_finish(ms, sol, "l1"))
+        except EstimationError as exc:
+            out.append(exc)
+    return out
 
 
 def estimate_weighted_l1(ms: MeasurementSystem, y,

@@ -40,8 +40,8 @@ from .estimators import (
     EstimationError,
     InfeasibleError,
     UnboundedError,
-    estimate_l1,
     estimate_l1_noisy,
+    estimate_l1_stack,
     estimate_l2_noisy,
     vmt_bounds,
 )
@@ -51,6 +51,11 @@ from .network import LinkId, PathTable, build_static_incidence, path_lengths
 
 # Range of the uniform flow drawn for each OD pair a trial routes.
 _FLOW_RANGE = (1.0, 100.0)
+# Trials of one support spec whose l1 programs, one per M of the grid,
+# a recovery sweep solves as one stack: enough to spread the fixed cost of
+# the stacked simplex's numpy calls, few enough that the stack's memory
+# (trials x grid points x one padded tableau) does not grow with --trials.
+_STACK_TRIALS = 32
 
 
 class SparsityRangeError(ValueError):
@@ -283,9 +288,11 @@ def run_recovery_sweep(
     Each trial samples an allocation (on the fixed support, or on a fresh
     random support when the spec is an integer sparsity), forms exact
     counts on a random measured subset, re-estimates with the l1 program,
-    and grades the result under the three criteria.  Infeasible solves and
-    iteration limits count as failures.  Measured subsets are nested
-    across the M grid within a trial.
+    and grades the result under the three criteria.  Infeasible solves,
+    iteration limits and rejected outputs count as failures.  Measured
+    subsets are nested across the M grid within a trial.  The l1 programs
+    of up to ``_STACK_TRIALS`` trials of a spec, every M of each, are
+    solved as one stack (:func:`~odflow.estimators.estimate_l1_stack`).
     """
     m_grid = [int(m) for m in m_grid]
     bundle, full = _sweep_system(cfg, m_grid)
@@ -294,20 +301,22 @@ def run_recovery_sweep(
     points: list[SweepPoint] = []
     for p_idx, sup in enumerate(supports):
         per_m: dict[int, list[RecoveryFlags]] = {m: [] for m in m_grid}
-        for t in range(cfg.trials):
-            rng = substream(cfg.seed, p_idx * cfg.trials + t)
-            support = sample_support(pt, sup, rng) if isinstance(sup, int) else sup
-            x_true = sample_allocation(pt, support, rng)
-            perm = rng.permutation(len(link_ids))
-            for m in m_grid:
-                ms = full.subsystem(_prefix(link_ids, perm, m))
-                try:
-                    res = estimate_l1(ms, ms.matrix @ x_true)
-                except EstimationError:
-                    per_m[m].append(RecoveryFlags(False, False, False))
-                    continue
+        for first in range(0, cfg.trials, _STACK_TRIALS):
+            problems, truths = [], []
+            for t in range(first, min(first + _STACK_TRIALS, cfg.trials)):
+                rng = substream(cfg.seed, p_idx * cfg.trials + t)
+                support = sample_support(pt, sup, rng) if isinstance(sup, int) else sup
+                x_true = sample_allocation(pt, support, rng)
+                perm = rng.permutation(len(link_ids))
+                for m in m_grid:
+                    ms = full.subsystem(_prefix(link_ids, perm, m))
+                    problems.append((ms, ms.matrix @ x_true))
+                    truths.append((m, x_true))
+            for (m, x_true), res in zip(truths, estimate_l1_stack(problems)):
                 per_m[m].append(
-                    check_recovery(res.allocation.x, x_true, pt, cfg.tol)
+                    RecoveryFlags(False, False, False)
+                    if isinstance(res, EstimationError)
+                    else check_recovery(res.allocation.x, x_true, pt, cfg.tol)
                 )
         label = f"S={sup}" if isinstance(sup, int) else "fixed" + str(tuple(sup))
         sparsity = sup if isinstance(sup, int) else len(sup)

@@ -12,15 +12,22 @@ Two engines:
   over the reduced costs, by one rank-1 update per pivot, and Bland's
   rule reads its rows as Python lists, which beats numpy calls at these
   sizes.  Phase 1 starts from the identity basis of its artificials, whose
-  tableau needs no factorization; the tableau is factored afresh at the
-  start of phase 2 and every ``_REFACTOR_EVERY`` pivots, and every
-  returned point is a fresh solve with its basis.  A phase gives up after
-  ``_MAX_PIVOTS`` pivots.
+  tableau needs no factorization, and phase 2 starts from phase 1's final
+  tableau, so the tableau is factored afresh only every
+  ``_REFACTOR_EVERY`` pivots; every returned point is a fresh solve with
+  its basis.  A phase gives up after ``_MAX_PIVOTS`` pivots.
+  :func:`solve_lp_stack` runs the same simplex on many programs of one
+  column count at once, for the Monte Carlo sweeps that solve thousands
+  of them: their tableaus, padded with zero rows, form one array, and
+  each pivot step applies Bland's rule to every program by numpy calls
+  over the whole stack.  Each program takes the pivots, and returns the
+  point, that :func:`solve_lp` gives it.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
   on Lawson-Hanson nonnegative least squares (``scipy.optimize.nnls``):
-  one NNLS solve certifies feasibility.  The ball's multiplier is a root
+  one NNLS solve decides feasibility, and an infeasible verdict needs its
+  residual as a certificate.  The ball's multiplier is a root
   on each support piece of the penalized path: of a secular equation for
   the Euclidean norm (the trust-region equation of Moré & Sorensen 1983),
   in closed form for the weighted sum.  A KKT check certifies the piece,
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
@@ -131,9 +139,11 @@ class FeasibleBasis:
     or iteration-limit.  ``rows`` are the constraint rows kept after
     redundant ones were dropped, and ``A_kept``/``b_kept`` those rows, each
     multiplied by the sign that makes its count nonnegative.  ``basis``
-    indexes columns of ``A_kept`` and is feasible for it; ``iterations``
-    counts phase-1 pivots.  ``A`` and ``b`` are the system as given, for
-    residuals.  One instance serves any number of :func:`lp_phase2` calls.
+    indexes columns of ``A_kept`` and is feasible for it, and ``tableau``
+    is phase 1's final ``[B^-1 A_kept | B^-1 b_kept]``, one row per entry
+    of ``basis``, from which phase 2 starts.  ``iterations`` counts phase-1
+    pivots.  ``A`` and ``b`` are the system as given, for residuals.  One
+    instance serves any number of :func:`lp_phase2` calls.
     """
 
     A: np.ndarray
@@ -144,10 +154,12 @@ class FeasibleBasis:
     basis: tuple[int, ...] = ()
     A_kept: np.ndarray | None = None
     b_kept: np.ndarray | None = None
+    tableau: np.ndarray | None = None
 
 
 def _tableau(A, b, c, basis):
-    """The simplex tableau of ``basis`` from a fresh factorization.
+    """The simplex tableau of ``basis`` from a fresh factorization, for the
+    refactor every ``_REFACTOR_EVERY`` pivots.
 
     ``T`` is ``(m+1) x (n+1)``: ``[B^-1 A | B^-1 b]`` over the row
     ``[c - c_B' B^-1 A | -c_B' B^-1 b]``, the reduced costs (zero on basic
@@ -213,6 +225,81 @@ def _pivot_loop(A, b, c, basis, T):
     return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None, None
 
 
+def _place(T, U):
+    """Write the unpadded tableau ``U`` of one system into its slot ``T``
+    of a stack, whose cost row and right-hand side come last."""
+    m, n = U.shape[0] - 1, U.shape[1] - 1
+    T[:m, :n] = U[:m, :n]
+    T[:m, -1] = U[:m, n]
+    T[-1, :n] = U[m, :n]
+    T[-1, -1] = U[m, n]
+
+
+def _pivot_stack(T, basis, refactor):
+    """:func:`_pivot_loop` on a stack of systems at once.
+
+    ``T`` is ``K x (R+1) x (N+1)``, one tableau per system padded to ``R``
+    rows and ``N`` columns, its cost row last and its right-hand side in
+    the last column; ``basis`` is the ``K x R`` integer array of their
+    bases.  A padding row is zero in every column that can enter, so it
+    never wins a ratio test, and a padding column keeps a zero reduced
+    cost, so it never enters.  Each step applies Bland's rule, with the
+    same expressions and tolerances as :func:`_pivot_loop`, to every
+    system still active by numpy calls over the stack, so each system
+    takes the pivots and the arithmetic it would take alone.  A system
+    leaves the stack once it is optimal or unbounded, and every
+    ``_REFACTOR_EVERY`` pivots each active system ``k`` is replaced by its
+    unpadded tableau ``refactor(k, basis_k)`` (see :func:`_tableau`).
+
+    Updates ``T`` and ``basis`` to each system's exit and returns the lists
+    of statuses, pivot counts and unbounded entering indices.
+    """
+    K, R, N = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
+    status = [STATUS_ITERATION_LIMIT] * K
+    iters = [_MAX_PIVOTS] * K
+    unbounded = [None] * K
+    ids, Tc, Bc = np.arange(K), T, basis  # the active systems
+    for it in range(_MAX_PIVOTS):
+        if it and it % _REFACTOR_EVERY == 0:
+            for pos, k in enumerate(ids.tolist()):
+                _place(Tc[pos], refactor(k, Bc[pos].tolist()))
+
+        at = np.arange(ids.size)
+        improving = Tc[:, R, :N] < -_TOL_FEAS
+        j = improving.argmax(axis=1)
+        col = Tc[at, :, j]  # the entering columns, cost row last
+        ok = col[:, :R] > _PIVOT_TOL
+        optimal = ~improving[at, j]
+        done = optimal | ~ok.any(axis=1)
+        if done.any():
+            for pos in np.flatnonzero(done).tolist():
+                k = int(ids[pos])
+                if optimal[pos]:
+                    status[k], iters[k] = STATUS_OPTIMAL, it
+                else:
+                    status[k], iters[k], unbounded[k] = STATUS_UNBOUNDED, it + 1, int(j[pos])
+            T[ids[done]] = Tc[done]
+            basis[ids[done]] = Bc[done]
+            stay = ~done
+            if not stay.any():
+                break
+            ids, Tc, Bc, j, col, ok = ids[stay], Tc[stay], Bc[stay], j[stay], col[stay], ok[stay]
+            at = np.arange(ids.size)
+
+        ratio = np.divide(np.maximum(Tc[:, :R, N], 0.0), col[:, :R],
+                          out=np.full(ok.shape, np.inf), where=ok)
+        rmin = ratio.min(axis=1)
+        cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
+        # Leave the tied row whose basic variable has the smallest index.
+        leave = np.where(ratio <= cut[:, None], Bc, np.iinfo(Bc.dtype).max).argmin(axis=1)
+        prow = Tc[at, leave]
+        prow /= col[at, leave][:, None]
+        Tc -= col[:, :, None] * prow[:, None, :]
+        Tc[at, leave] = prow
+        Bc[at, leave] = j
+    return status, iters, unbounded
+
+
 def _basic_point(A, b, basis, n):
     """The basic solution of ``basis`` from a fresh factorization, so that
     no roundoff of the rank-1 updates reaches a returned point."""
@@ -221,43 +308,45 @@ def _basic_point(A, b, basis, n):
     return x
 
 
-def lp_phase1(A, b) -> FeasibleBasis:
-    """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
-
-    Minimizes the sum of one artificial variable per row.  The system is
-    infeasible when more than ``_TOL_FEAS * max(1, ||b||_1)`` is left
-    in them, a bound that scales with the counts so that counts rounded to
-    a fixed number of significant digits are not rejected.
-    """
+def _lp_system(A, b):
+    """Validated ``(A, b)`` of ``A x = b, x >= 0``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
-    m, n = A.shape
-    if b.shape != (m,):
+    if b.shape != (A.shape[0],):
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
+    return A, b
 
-    # The artificials' basis is the identity, so the first tableau needs no
-    # factorization: [A_work | I | b_work], each row signed to make its
-    # count nonnegative, over the phase-1 reduced costs, which are minus
-    # the column sums on A_work and b_work and zero on the artificials.
-    sign = np.where(b < 0, -1.0, 1.0)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A * sign[:, None]
-    T[:m, -1] = b * sign
-    T[m] = -T[:m].sum(axis=0)
-    T[:m, n:-1] = np.eye(m)
-    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
+
+def _lp_cost(c, n, sense):
+    """Validated objective vector of a program with ``n`` columns."""
+    c = np.asarray(c, dtype=float).ravel()
+    if c.shape != (n,):
+        raise ValueError("inconsistent LP dimensions")
+    if not np.isfinite(c).all():
+        raise ValueError("c must be finite")
+    if sense not in ("min", "max"):
+        raise ValueError(f"unknown sense {sense!r}")
+    return c
+
+
+def _phase1_outcome(A, b, A_work, b_work, T, basis, status, iters) -> FeasibleBasis:
+    """The :class:`FeasibleBasis` of a finished phase-1 loop.
+
+    ``A_work``/``b_work`` are the signed rows; ``T`` and ``basis`` start
+    with the system's own rows, ``T`` ends with its cost row and its
+    right-hand side column, and may carry the padding of a stack between.
+    """
+    m, n = A.shape
     if status == STATUS_ITERATION_LIMIT:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
     artificial = [pos for pos, k in enumerate(basis) if k >= n]
-    x_b = T[:m, -1].tolist()
-    left = sum(x_b[pos] for pos in artificial)
-    if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
-        return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
+    if artificial:
+        x_b = T[:m, -1].tolist()
+        left = sum(x_b[pos] for pos in artificial)
+        if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
+            return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
     # Pivot leftover artificial variables out of the basis.  When no
     # original column can replace one, the artificial's own constraint row
@@ -273,49 +362,117 @@ def lp_phase1(A, b) -> FeasibleBasis:
             _pivot(T, pos, j)
             basis[pos] = j
     rows = [i for i in range(m) if i not in redundant]
+    kept = [pos for pos, k in enumerate(basis) if k < n]
+    tableau = T[kept, :n + 1]  # the original columns, then the right-hand side
+    tableau[:, n] = T[kept, -1]
     return FeasibleBasis(
         A=A,
         b=b,
         status=STATUS_OPTIMAL,
         iterations=iters,
         rows=tuple(rows),
-        basis=tuple(k for k in basis if k < n),
-        A_kept=A1[rows, :n],
+        basis=tuple(basis[pos] for pos in kept),
+        A_kept=A_work[rows],
         b_kept=b_work[rows],
+        tableau=tableau,
     )
 
 
-def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
-    """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis.
+def lp_phase1(A, b) -> FeasibleBasis:
+    """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
 
-    ``iterations`` counts the phase-1 pivots and this call's own, as one
-    :func:`solve_lp` call would.
+    Minimizes the sum of one artificial variable per row.  The system is
+    infeasible when more than ``_TOL_FEAS * max(1, ||b||_1)`` is left
+    in them, a bound that scales with the counts so that counts rounded to
+    a fixed number of significant digits are not rejected.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    n = start.A.shape[1]
-    if c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-    if not np.isfinite(c).all():
-        raise ValueError("c must be finite")
-    if sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {sense!r}")
-    if start.status != STATUS_OPTIMAL:
-        return Solution(x=np.zeros(n), status=start.status, objective=math.nan,
-                        iterations=start.iterations)
+    A, b = _lp_system(A, b)
+    m, n = A.shape
 
-    minimize = sense == "min"
-    A, b, cost = start.A_kept, start.b_kept, c if minimize else -c
-    basis = list(start.basis)
-    status, iters, unbounded_j, _ = _pivot_loop(
-        A, b, cost, basis, _tableau(A, b, cost, basis)
-    )
+    # The artificials' basis is the identity, so the first tableau needs no
+    # factorization: [A_work | I | b_work], each row signed to make its
+    # count nonnegative, over the phase-1 reduced costs, which are minus
+    # the column sums on A_work and b_work and zero on the artificials.
+    sign = np.where(b < 0, -1.0, 1.0)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[:m, -1] = b * sign
+    T[m] = -T[:m].sum(axis=0)
+    T[:m, n:-1] = np.eye(m)
+    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = list(range(n, n + m))
+    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
+    return _phase1_outcome(A, b, A1[:, :n], b_work, T, basis, status, iters)
+
+
+def _phase1_stack(systems) -> list[FeasibleBasis]:
+    """:func:`lp_phase1` on validated systems ``(A, b)`` of one column
+    count, as one stack.  Each system's first tableau is padded with zero
+    rows, whose artificials stay basic at zero, up to the largest row
+    count; the artificial of row ``i`` is column ``n + i`` in every system.
+    """
+    n = systems[0][0].shape[1]
+    R = max(A.shape[0] for A, _ in systems)
+    T = np.zeros((len(systems), R + 1, n + R + 1))
+    for k, (A, b) in enumerate(systems):
+        T[k, :A.shape[0], :n] = A
+        T[k, :A.shape[0], -1] = b
+    sign = np.where(T[:, :R, -1] < 0, -1.0, 1.0)
+    T[:, :R, :n] *= sign[:, :, None]
+    T[:, :R, -1] *= sign
+    T[:, R] = -T[:, :R].sum(axis=1)
+    T[:, :R, n:-1] = np.eye(R)
+    work = T[:, :R].copy()  # [A_work | I | b_work] of each system
+    basis = np.tile(np.arange(n, n + R), (len(systems), 1))
+
+    def refactor(k, basis_k):
+        # contiguous copies, as lp_phase1 passes, so the products round alike
+        m = systems[k][0].shape[0]
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        return _tableau(np.ascontiguousarray(work[k, :m, :n + m]),
+                        np.ascontiguousarray(work[k, :m, -1]), c1, basis_k[:m])
+
+    status, iters, _ = _pivot_stack(T, basis, refactor)
+    out = []
+    for k, (A, b) in enumerate(systems):
+        m = A.shape[0]
+        out.append(_phase1_outcome(A, b, work[k, :m, :n], work[k, :m, -1], T[k],
+                                   basis[k, :m].tolist(), status[k], iters[k]))
+    return out
+
+
+def _phase1_failure(start: FeasibleBasis) -> Solution:
+    """The outcome of every objective over a system phase 1 rejected."""
+    return Solution(x=np.zeros(start.A.shape[1]), status=start.status,
+                    objective=math.nan, iterations=start.iterations)
+
+
+def _phase2_tableau(start: FeasibleBasis, cost, basis):
+    """Phase 2's first tableau, without a factorization: phase 1's final
+    rows over the reduced costs of ``cost`` (zero on basic columns) and
+    minus the objective."""
+    tab = start.tableau
+    k = tab.shape[0]
+    y = cost[basis]
+    T = np.empty((k + 1, tab.shape[1]))
+    T[:k] = tab
+    T[k, :-1] = cost - y @ tab[:, :-1]
+    T[k, basis] = 0.0
+    T[k, -1] = -(y @ tab[:, -1])
+    return T
+
+
+def _phase2_solution(start, c, sense, status, iters, unbounded_j, basis) -> Solution:
+    """The :class:`Solution` of a finished phase-2 loop from ``start``."""
+    n = start.A.shape[1]
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
         return Solution(x=np.zeros(n), status=status, objective=math.nan,
                         iterations=total_iters)
-    x = _basic_point(A, b, basis, n)
+    x = _basic_point(start.A_kept, start.b_kept, basis, n)
     if status == STATUS_UNBOUNDED:
-        objective = -math.inf if minimize else math.inf
+        objective = -math.inf if sense == "min" else math.inf
     else:
         objective = float(c @ x)
     return Solution(
@@ -329,9 +486,83 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
     )
 
 
+def _phase2_stack(starts, costs, senses) -> list[Solution]:
+    """:func:`lp_phase2` on each start with its own validated objective,
+    the feasible ones as one stack padded with zero rows to the largest
+    basis; the padding rows' basis entries are never read."""
+    out = [None if start.status == STATUS_OPTIMAL else _phase1_failure(start)
+           for start in starts]
+    live = [k for k, sol in enumerate(out) if sol is None]
+    if not live:
+        return out
+    signed = [costs[k] if senses[k] == "min" else -costs[k] for k in live]
+    R = max(len(starts[k].basis) for k in live)
+    T = np.zeros((len(live), R + 1, starts[live[0]].A.shape[1] + 1))
+    basis = np.zeros((len(live), R), dtype=np.intp)
+    for pos, k in enumerate(live):
+        basis_k = list(starts[k].basis)
+        _place(T[pos], _phase2_tableau(starts[k], signed[pos], basis_k))
+        basis[pos, :len(basis_k)] = basis_k
+
+    def refactor(pos, basis_k):
+        start = starts[live[pos]]
+        return _tableau(start.A_kept, start.b_kept, signed[pos],
+                        basis_k[:len(start.basis)])
+
+    status, iters, unbounded = _pivot_stack(T, basis, refactor)
+    for pos, k in enumerate(live):
+        out[k] = _phase2_solution(
+            starts[k], costs[k], senses[k], status[pos], iters[pos],
+            unbounded[pos], basis[pos, :len(starts[k].basis)].tolist(),
+        )
+    return out
+
+
+def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
+    """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis,
+    starting from phase 1's final tableau.
+
+    ``iterations`` counts the phase-1 pivots and this call's own, as one
+    :func:`solve_lp` call would.
+    """
+    c = _lp_cost(c, start.A.shape[1], sense)
+    if start.status != STATUS_OPTIMAL:
+        return _phase1_failure(start)
+    cost = c if sense == "min" else -c
+    basis = list(start.basis)
+    status, iters, unbounded_j, _ = _pivot_loop(
+        start.A_kept, start.b_kept, cost, basis, _phase2_tableau(start, cost, basis)
+    )
+    return _phase2_solution(start, c, sense, status, iters, unbounded_j, basis)
+
+
 def solve_lp(p: StandardLP) -> Solution:
     """Two-phase tableau simplex over the equality-constrained orthant."""
     return lp_phase2(lp_phase1(p.A, p.b), p.c, p.sense)
+
+
+def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
+    """:func:`solve_lp` on many programs of one column count at once.
+
+    Entry ``i`` has the status, basis, pivot count, unbounded index and
+    bytes of ``x`` of ``solve_lp(problems[i])``.  Each phase runs on one
+    padded stack of tableaus (:func:`_pivot_stack`), which spreads the
+    fixed cost of each numpy call over the stack: it pays for tens of
+    small programs, while one program alone is faster with
+    :func:`solve_lp`.  Inputs are checked as :func:`solve_lp` checks them,
+    all before the first pivot.
+    """
+    if not problems:
+        raise ValueError("empty LP stack")
+    systems, costs = [], []
+    for p in problems:
+        A, b = _lp_system(p.A, p.b)
+        costs.append(_lp_cost(p.c, A.shape[1], p.sense))
+        systems.append((A, b))
+    if len({A.shape[1] for A, _ in systems}) > 1:
+        raise ValueError("stacked programs must have one column count")
+
+    return _phase2_stack(_phase1_stack(systems), costs, [p.sense for p in problems])
 
 
 class _SolveFailed(Exception):
@@ -368,6 +599,21 @@ def _roundoff(A, y, x) -> float:
     """The scale of the roundoff in ``A'(y - A x)``:
     ``max |A|'(|y| + |A||x|)``."""
     return float(((np.abs(y) + np.abs(A) @ np.abs(x)) @ np.abs(A)).max())
+
+
+def _separates(A, y, x, delta) -> bool:
+    """Whether the residual ``r = y - A x`` certifies that no ``z >= 0``
+    has ``||y - A z|| <= delta``.
+
+    With ``u = r/||r||``, ``A'u <= 0`` and ``u'y > delta`` give
+    ``||y - A z|| >= u'(y - A z) >= u'y > delta`` for every ``z >= 0``;
+    ``A'r`` may be positive by ``_KKT_SLACK`` times its roundoff.
+    """
+    r = y - A @ x
+    norm = float(np.linalg.norm(r))
+    return (norm > 0.0
+            and float((A.T @ r).max()) <= _KKT_SLACK * _roundoff(A, y, x)
+            and float(r @ y) > delta * norm)
 
 
 def _ldp(G: np.ndarray, h: np.ndarray, solve: _CountedNnls):
@@ -583,9 +829,12 @@ def solve_cone(p: ConeProblem) -> Solution:
     * ``||y|| <= delta``: zero is feasible, hence optimal.
     * l1 objective, ``delta = 0``: the linear program, by :func:`solve_lp`.
     * Otherwise the residual of ``nnls(A, y)`` is the distance from ``y``
-      to the nonnegative image of ``A``.  Above ``delta`` it certifies an
-      infeasible ball; at ``delta = 0`` counts within ``_TOL_FEAS``
-      (relative to ``||y||``) of the image are accepted.
+      to the nonnegative image of ``A``.  Above ``delta`` the ball is
+      infeasible if the residual certifies it (:func:`_separates`); an
+      answer that does not is solved again by BVLS, and one that still
+      does not ends the solve at the iteration limit.  At ``delta = 0``
+      counts within ``_TOL_FEAS`` (relative to ``||y||``) of the image are
+      accepted.
     * ``delta = 0`` or a ball that meets the image in the one point
       ``A x_ls`` (NNLS residual equal to ``delta``): the feasible set is
       ``{x >= 0 : A x = A x_ls}``.  For l2 its least-norm point, a
@@ -631,7 +880,15 @@ def solve_cone(p: ConeProblem) -> Solution:
     pivots = 0
     try:
         x_ls, dist = solve(A, y_unit)
-        if dist > (delta_unit if delta > 0 else _TOL_FEAS):
+        limit = delta_unit if delta > 0 else _TOL_FEAS
+        if dist > limit and not _separates(A, y_unit, x_ls, limit):
+            # NNLS stopped short of the image's nearest point: BVLS finishes
+            # the solve, and its answer must certify itself in turn.
+            x_ls = solve.bvls(A, y_unit)
+            dist = float(np.linalg.norm(A @ x_ls - y_unit))
+            if dist > limit and not _separates(A, y_unit, x_ls, limit):
+                raise _SolveFailed("no certificate for an infeasible ball")
+        if dist > limit:
             return Solution(
                 x=np.zeros(n),
                 status=STATUS_INFEASIBLE,

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from odflow import PathTable, build_static_incidence, fileio
+from odflow import PathTable, build_static_incidence, experiments, fileio
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
 
@@ -355,6 +355,19 @@ class TestSweepCommands:
         rc = main(argv + ["--trials", "20", "--seed", "3", "--output", str(out)])
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_multi_stack_sweep_digest_pinned(self, tmp_path):
+        # more trials than one stack of the stacked simplex holds, so each
+        # spec's programs are solved in several stacks; the digest comes
+        # from the sweep that solved one program at a time
+        assert experiments._STACK_TRIALS < 100
+        out = tmp_path / "out.csv"
+        rc = main(["sweep", "--fixture", "fig2", "--sparsity", "2,3,4,5,6",
+                   "--m-grid", "3:10", "--trials", "100", "--seed", "12",
+                   "--output", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a9789b6f056873836910011f2b4edb4f44b8732911a0490d730f745ef39cc696")
 
     def test_sweep_requires_exactly_one_mode(self, tmp_path):
         rc = main([

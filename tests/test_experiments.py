@@ -23,7 +23,7 @@ from odflow import (
     sample_support,
     substream,
 )
-from odflow import experiments
+from odflow import experiments, solver
 from odflow.experiments import (
     AlphaRangeError,
     GridSizeError,
@@ -271,6 +271,18 @@ class TestRecoverySweep:
         b = run_recovery_sweep(cfg, m_grid=[7, 9], supports=[SUPPORT_3SPARSE])
         assert a.csv_rows() == b.csv_rows()
 
+    def test_solver_failures_count_as_failures(self, monkeypatch):
+        # with no pivots allowed every program ends at the iteration limit
+        monkeypatch.setattr(solver, "_MAX_PIVOTS", 0)
+        cfg = TrialConfig(fixture="fig2", trials=3, seed=5)
+        report = run_recovery_sweep(cfg, m_grid=[8, 10], supports=[SUPPORT_3SPARSE, 4])
+        assert len(report.points) == 4
+        assert all(p.rate_total == 0.0 for p in report.points)
+
+    def test_empty_grid_gives_no_points(self):
+        cfg = TrialConfig(fixture="fig2", trials=3, seed=5)
+        assert run_recovery_sweep(cfg, m_grid=[], supports=[3]).points == ()
+
     def test_random_support_mode(self):
         cfg = TrialConfig(fixture="fig2", trials=40, seed=31)
         report = run_recovery_sweep(cfg, m_grid=[8, 10], supports=[3])
@@ -423,7 +435,7 @@ class TestSweepSystems:
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiments, "estimate_l1", no_trial)
+        monkeypatch.setattr(experiments, "estimate_l1_stack", no_trial)
         monkeypatch.setattr(experiments, "estimate_l1_noisy", no_trial)
         monkeypatch.setattr(experiments, "vmt_bounds", no_trial)
         with pytest.raises(MeasurementCountError):

@@ -28,6 +28,7 @@ from odflow.solver import (
     lp_phase2,
     solve_cone,
     solve_lp,
+    solve_lp_stack,
 )
 from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle
 
@@ -302,6 +303,99 @@ class TestLpPhases:
         assert digest == self.PINNED_PATH
 
 
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    assert got.basis == want.basis
+    assert got.iterations == want.iterations
+    assert got.unbounded_index == want.unbounded_index
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+def nguyen_counts(nguyen, rng):
+    """One random path per OD pair with a uniform flow, as the vmt sweep
+    draws them."""
+    x = np.zeros(nguyen.table.n_paths)
+    for group in nguyen.table.paths_by_od:
+        x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
+    return x
+
+
+class TestSolveLpStack:
+    """The stacked simplex against one solve_lp per program."""
+
+    def test_matches_single_solves(self, nguyen):
+        net = nguyen.network
+        full = build_static_incidence(nguyen.table, net.link_ids, net)
+        links = full.row_labels
+        lengths = path_lengths(net, nguyen.table)
+        ones = np.ones(full.n_cols)
+        # the long solve of test_basis_past_refactor_interval
+        x = nguyen_counts(nguyen, np.random.default_rng(2024))
+        problems = [StandardLP(c=ones, A=full.matrix, b=full.matrix @ x)]
+        rng = substream(13, 0)
+        for m in (18, 26):
+            ms = full.subsystem(sample_measurements(links, m, rng))
+            A, b = ms.matrix, ms.matrix @ nguyen_counts(nguyen, rng)
+            problems += [StandardLP(c=lengths, A=A, b=b, sense=s) for s in ("min", "max")]
+        # a duplicated row, and a negative count no flow can meet
+        problems.append(StandardLP(c=ones, A=np.vstack([A, A[:1]]), b=np.append(b, b[0])))
+        problems.append(StandardLP(c=ones, A=A, b=np.where(np.arange(b.size) == 3, -1.0, b)))
+
+        want = [solve_lp(p) for p in problems]
+        assert want[0].iterations > _REFACTOR_EVERY
+        assert {"optimal", "infeasible", "unbounded"} == {w.status for w in want}
+        assert len(want[5].basis) == len(want[3].basis)  # the copy is dropped
+        got = solve_lp_stack(problems)
+        assert len(got) == len(problems)
+        for g, w in zip(got, want):
+            assert_same_solution(g, w)
+            assert g.objective == w.objective or np.isnan(w.objective)
+        # phase 1 ends on the same tableau, refactors and cleanup included
+        starts = solver._phase1_stack([solver._lp_system(p.A, p.b) for p in problems])
+        for got_start, p in zip(starts, problems):
+            want_start = lp_phase1(p.A, p.b)
+            assert got_start.rows == want_start.rows
+            assert got_start.iterations == want_start.iterations
+            if want_start.tableau is not None:
+                assert got_start.tableau.tobytes() == want_start.tableau.tobytes()
+
+    def test_matches_single_solves_on_sweep_systems(self, fig2):
+        # every M of a recovery sweep's trials in one stack of 4 to 10 rows
+        net = fig2.network
+        full = build_static_incidence(fig2.table, net.link_ids, net)
+        links = full.row_labels
+        problems = []
+        for t in range(20):
+            rng = substream(11, t)
+            x = sample_allocation(fig2.table, (4, 8, 12) if t % 2 else (1, 7, 10, 13), rng)
+            perm = rng.permutation(len(links))
+            for m in range(4, 11):
+                ms = full.subsystem(tuple(links[i] for i in sorted(perm[:m])))
+                problems.append(StandardLP(c=np.ones(ms.n_cols), A=ms.matrix,
+                                           b=ms.matrix @ x))
+        for g, p in zip(solve_lp_stack(problems), problems):
+            assert_same_solution(g, solve_lp(p))
+
+    @pytest.mark.parametrize("case,message", [
+        ("column counts", "one column count"), ("count length", "dimensions"),
+        ("A", "finite"), ("b", "finite"), ("c", "finite"), ("sense", "sense"),
+        ("empty", "empty"),
+    ])
+    def test_input_checks(self, case, message):
+        good = StandardLP(c=[1.0, 1.0], A=np.eye(2), b=[1.0, 1.0])
+        bad = {
+            "column counts": StandardLP(c=[1.0], A=[[1.0]], b=[1.0]),
+            "count length": StandardLP(c=[1.0, 1.0], A=np.eye(2), b=[1.0]),
+            "A": StandardLP(c=[1.0, 1.0], A=[[1.0, np.nan], [0.0, 1.0]], b=[1.0, 1.0]),
+            "b": StandardLP(c=[1.0, 1.0], A=np.eye(2), b=[1.0, np.inf]),
+            "c": StandardLP(c=[1.0, -np.inf], A=np.eye(2), b=[1.0, 1.0]),
+            "sense": StandardLP(c=[1.0, 1.0], A=np.eye(2), b=[1.0, 1.0], sense="best"),
+        }
+        problems = [] if case == "empty" else [good, bad[case]]
+        with pytest.raises(ValueError, match=message):
+            solve_lp_stack(problems)
+
+
 class TestPivotCap:
     """The simplex gives up after ``_MAX_PIVOTS`` pivots in a phase; the
     all-links fig2 l1 program needs 15 in phase 1."""
@@ -322,6 +416,15 @@ class TestPivotCap:
         sol = solve_lp(StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y))
         assert sol.status == "iteration-limit"
         assert sol.iterations == self.CAP
+
+    def test_stack_reports_iteration_limit(self, capped):
+        ms, _, y = capped
+        problems = [StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y),
+                    StandardLP(c=np.ones(ms.n_cols), A=ms.matrix[:1], b=y[:1])]
+        got = solve_lp_stack(problems)
+        assert [sol.status for sol in got] == ["iteration-limit", "optimal"]
+        for g, p in zip(got, problems):
+            assert_same_solution(g, solve_lp(p))
 
     def test_estimate_l1_raises(self, capped):
         ms, _, y = capped
@@ -575,6 +678,50 @@ class TestConeCertificates:
                 assert (sol.status == "infeasible") == (dist > delta)
                 verdicts[sol.status] += 1
         assert min(verdicts.values()) > 0
+
+
+class TestInfeasibleCertificate:
+    """A ball is reported infeasible only with a certificate: the NNLS
+    residual ``r`` with ``A'r <= 0`` and ``r'y > delta ||r||``."""
+
+    # y = A (3, 4, 0) lies in the nonnegative image: every ball about it is feasible
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    y = np.array([3.0, 4.0])
+
+    @pytest.fixture()
+    def short_nnls(self, monkeypatch):
+        # the first NNLS solve stops at x = 0, as if out of iterations
+        calls = []
+
+        def stub(E, f):
+            calls.append(1)
+            if len(calls) > 1:
+                return nnls(E, f)
+            return np.zeros(E.shape[1]), float(np.linalg.norm(f))
+
+        monkeypatch.setattr(solver, "nnls", stub)
+
+    @pytest.mark.parametrize("objective", ["l1", "l2"])
+    def test_stopped_short_nnls_finished_by_bvls(self, short_nnls, objective):
+        sol = solve_cone(ConeProblem(A=self.A, y=self.y, delta=1.0, objective=objective))
+        check = assert_l1_kkt if objective == "l1" else assert_l2_kkt
+        check(self.A, self.y, 1.0, sol)
+
+    def test_uncertified_verdict_is_iteration_limit(self, short_nnls, monkeypatch):
+        class StoppedShort:  # BVLS stops at x = 0 too
+            status, message, x = 1, "", np.zeros(3)
+
+        monkeypatch.setattr(solver, "lsq_linear", lambda *args, **kwargs: StoppedShort)
+        sol = solve_cone(ConeProblem(A=self.A, y=self.y, delta=1.0, objective="l1"))
+        assert sol.status == "iteration-limit"
+        assert sol.iterations == 2
+
+    def test_certified_verdict_kept(self, short_nnls):
+        # x = 0 is the NNLS point of -y: r = -y, and A'r < 0 certifies
+        y = -self.y
+        sol = solve_cone(ConeProblem(A=self.A, y=y, delta=1.0, objective="l1"))
+        assert sol.status == "infeasible"
+        assert sol.iterations == 1
 
 
 def noisy_cdf_instances(fixture, support, noise_sd, m, seed, trials):
