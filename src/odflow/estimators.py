@@ -5,7 +5,6 @@ count vector and returns an :class:`EstimationResult` whose allocation is
 already decoded into OD flows and path splits.  The programs:
 
 * ``estimate_l1``          min sum(x)        s.t. A x = y, x >= 0
-  (``estimate_l1_stack``: the same on many systems at once)
 * ``estimate_l2``          min ||x||_2       s.t. A x = y, x >= 0
 * ``estimate_l1_noisy``    min sum(x)        s.t. ||y - A x||_2 <= delta, x >= 0
 * ``estimate_l2_noisy``    min ||x||_2       s.t. ||y - A x||_2 <= delta, x >= 0
@@ -20,7 +19,6 @@ linear programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +34,12 @@ from .solver import (
     StandardLP,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
+    STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     lp_phase1,
     lp_phase2,
     solve_cone,
     solve_lp,
-    solve_lp_stack,
 )
 
 # Entries below this (relative) floor are treated as structural zeros when
@@ -157,16 +155,30 @@ def _raise_for_status(sol: Solution, method: str) -> None:
         raise UnboundedError(f"{method}: unbounded program", sol)
 
 
+def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
+    """``(ok, x)``: whether an estimator accepts each solver point, and the
+    points clipped at zero.
+
+    A point is accepted when its status is optimal and no entry lies below
+    ``-_NEG_CLIP_TOL``; the solver's roundoff dust above that bound is
+    clipped.  ``status`` holds one status per row of ``x``, or one status
+    for a single point.
+    """
+    x = np.asarray(x, dtype=float)
+    low = x.min(axis=-1, initial=np.inf)
+    ok = (np.asarray(status) == STATUS_OPTIMAL) & ~(low < -_NEG_CLIP_TOL)
+    return ok, np.clip(x, 0.0, None)
+
+
 def _finish(ms: MeasurementSystem, sol: Solution, method: str,
             trace: tuple[float, ...] = ()) -> EstimationResult:
-    _raise_for_status(sol, method)
-    x = np.asarray(sol.x, dtype=float).copy()
-    if x.size and x.min() < -_NEG_CLIP_TOL:
+    ok, x = accept_points(sol.status, sol.x)
+    if not ok:
+        _raise_for_status(sol, method)
         raise EstimationError(
             f"{method}: solver returned a significantly negative entry "
-            f"({x.min():.3e})", sol
+            f"({np.min(sol.x):.3e})", sol
         )
-    np.clip(x, 0.0, None, out=x)
     alloc = Allocation(x=x, table=ms.table, labels=ms.col_labels)
     decoded = decode_allocation(alloc.per_path_totals(), ms.table)
     return EstimationResult(
@@ -183,36 +195,11 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
     )
 
 
-def _l1_program(ms: MeasurementSystem, y) -> StandardLP:
-    y = _check_counts(ms, y, nonnegative=True)
-    return StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
-
-
 def estimate_l1(ms: MeasurementSystem, y) -> EstimationResult:
     """Sparsest-looking allocation: minimize total flow subject to the counts."""
-    return _finish(ms, solve_lp(_l1_program(ms, y)), "l1")
-
-
-def estimate_l1_stack(
-    problems: Sequence[tuple[MeasurementSystem, np.ndarray]],
-) -> list[EstimationResult | EstimationError]:
-    """:func:`estimate_l1` on many ``(system, counts)`` pairs of one column
-    count, solved together by :func:`~odflow.solver.solve_lp_stack`.
-
-    Entry ``i`` is what ``estimate_l1(*problems[i])`` returns, or the
-    :class:`EstimationError` it raises; invalid counts raise ``ValueError``
-    for the whole call.
-    """
-    if not problems:
-        return []
-    sols = solve_lp_stack([_l1_program(ms, y) for ms, y in problems])
-    out: list[EstimationResult | EstimationError] = []
-    for (ms, _), sol in zip(problems, sols):
-        try:
-            out.append(_finish(ms, sol, "l1"))
-        except EstimationError as exc:
-            out.append(exc)
-    return out
+    y = _check_counts(ms, y, nonnegative=True)
+    lp = StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
+    return _finish(ms, solve_lp(lp), "l1")
 
 
 def estimate_weighted_l1(ms: MeasurementSystem, y,

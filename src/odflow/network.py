@@ -202,6 +202,11 @@ class PathTable:
             groups[k].append(n)
         return tuple(tuple(g) for g in groups)
 
+    @cached_property
+    def path_groups(self) -> tuple[np.ndarray, ...]:
+        """:attr:`paths_by_od` as integer index arrays."""
+        return tuple(np.array(g, dtype=np.intp) for g in self.paths_by_od)
+
 
 @dataclass(frozen=True)
 class MeasurementSystem:

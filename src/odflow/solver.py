@@ -16,12 +16,17 @@ Two engines:
   tableau, so the tableau is factored afresh only every
   ``_REFACTOR_EVERY`` pivots; every returned point is a fresh solve with
   its basis.  A phase gives up after ``_MAX_PIVOTS`` pivots.
-  :func:`solve_lp_stack` runs the same simplex on many programs of one
+  :func:`solve_lp_padded` runs the same simplex on many programs of one
   column count at once, for the Monte Carlo sweeps that solve thousands
   of them: their tableaus, padded with zero rows, form one array, and
   each pivot step applies Bland's rule to every program by numpy calls
-  over the whole stack.  Each program takes the pivots, and returns the
-  point, that :func:`solve_lp` gives it.
+  over the whole stack.  Phase 1's verdict and cleanup, phase 2's first
+  tableau and the basic points are numpy calls over the stack as well,
+  batched per row count or basis size where a product must round as a
+  single solve's does, so no per-program Python runs between the
+  phases.  Each program takes the pivots, and returns the answer, that
+  :func:`solve_lp` gives it; :func:`solve_lp_stack` takes and returns
+  them as lists of :class:`StandardLP` and :class:`Solution`.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -235,6 +240,16 @@ def _place(T, U):
     T[-1, -1] = U[m, n]
 
 
+def _pivot_each(T, r, j, col):
+    """:func:`_pivot` on every tableau of a stack, tableau ``i`` on row
+    ``r[i]`` and column ``j[i]``; ``col`` holds those columns, ``T[i, :,
+    j[i]]``, as they were before the pivot."""
+    at = np.arange(len(T))
+    prow = T[at, r] / col[at, r][:, None]
+    T -= col[:, :, None] * prow[:, None, :]
+    T[at, r] = prow
+
+
 def _pivot_stack(T, basis, refactor):
     """:func:`_pivot_loop` on a stack of systems at once.
 
@@ -251,14 +266,16 @@ def _pivot_stack(T, basis, refactor):
     ``_REFACTOR_EVERY`` pivots each active system ``k`` is replaced by its
     unpadded tableau ``refactor(k, basis_k)`` (see :func:`_tableau`).
 
-    Updates ``T`` and ``basis`` to each system's exit and returns the lists
-    of statuses, pivot counts and unbounded entering indices.
+    Updates ``T`` and ``basis`` to each system's exit and returns the
+    arrays of statuses, pivot counts and unbounded entering indices (-1
+    for none).
     """
     K, R, N = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
-    status = [STATUS_ITERATION_LIMIT] * K
-    iters = [_MAX_PIVOTS] * K
-    unbounded = [None] * K
+    status = np.full(K, STATUS_ITERATION_LIMIT, dtype=object)
+    iters = np.full(K, _MAX_PIVOTS)
+    unbounded = np.full(K, -1)
     ids, Tc, Bc = np.arange(K), T, basis  # the active systems
+    never = np.iinfo(basis.dtype).max  # a basis entry no tied row has
     for it in range(_MAX_PIVOTS):
         if it and it % _REFACTOR_EVERY == 0:
             for pos, k in enumerate(ids.tolist()):
@@ -272,31 +289,26 @@ def _pivot_stack(T, basis, refactor):
         optimal = ~improving[at, j]
         done = optimal | ~ok.any(axis=1)
         if done.any():
-            for pos in np.flatnonzero(done).tolist():
-                k = int(ids[pos])
-                if optimal[pos]:
-                    status[k], iters[k] = STATUS_OPTIMAL, it
-                else:
-                    status[k], iters[k], unbounded[k] = STATUS_UNBOUNDED, it + 1, int(j[pos])
-            T[ids[done]] = Tc[done]
-            basis[ids[done]] = Bc[done]
+            won, stuck = done & optimal, done & ~optimal
+            status[ids[won]], iters[ids[won]] = STATUS_OPTIMAL, it
+            status[ids[stuck]], iters[ids[stuck]] = STATUS_UNBOUNDED, it + 1
+            unbounded[ids[stuck]] = j[stuck]
+            out = ids[done]
+            T[out] = Tc[done]
+            basis[out] = Bc[done]
             stay = ~done
             if not stay.any():
                 break
             ids, Tc, Bc, j, col, ok = ids[stay], Tc[stay], Bc[stay], j[stay], col[stay], ok[stay]
-            at = np.arange(ids.size)
 
         ratio = np.divide(np.maximum(Tc[:, :R, N], 0.0), col[:, :R],
                           out=np.full(ok.shape, np.inf), where=ok)
         rmin = ratio.min(axis=1)
         cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
         # Leave the tied row whose basic variable has the smallest index.
-        leave = np.where(ratio <= cut[:, None], Bc, np.iinfo(Bc.dtype).max).argmin(axis=1)
-        prow = Tc[at, leave]
-        prow /= col[at, leave][:, None]
-        Tc -= col[:, :, None] * prow[:, None, :]
-        Tc[at, leave] = prow
-        Bc[at, leave] = j
+        leave = np.where(ratio <= cut[:, None], Bc, never).argmin(axis=1)
+        _pivot_each(Tc, leave, j, col)
+        Bc[np.arange(ids.size), leave] = j
     return status, iters, unbounded
 
 
@@ -331,14 +343,31 @@ def _lp_cost(c, n, sense):
     return c
 
 
-def _phase1_outcome(A, b, A_work, b_work, T, basis, status, iters) -> FeasibleBasis:
-    """The :class:`FeasibleBasis` of a finished phase-1 loop.
+def lp_phase1(A, b) -> FeasibleBasis:
+    """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
 
-    ``A_work``/``b_work`` are the signed rows; ``T`` and ``basis`` start
-    with the system's own rows, ``T`` ends with its cost row and its
-    right-hand side column, and may carry the padding of a stack between.
+    Minimizes the sum of one artificial variable per row.  The system is
+    infeasible when more than ``_TOL_FEAS * max(1, ||b||_1)`` is left
+    in them, a bound that scales with the counts so that counts rounded to
+    a fixed number of significant digits are not rejected.
     """
+    A, b = _lp_system(A, b)
     m, n = A.shape
+
+    # The artificials' basis is the identity, so the first tableau needs no
+    # factorization: [A_work | I | b_work], each row signed to make its
+    # count nonnegative, over the phase-1 reduced costs, which are minus
+    # the column sums on A_work and b_work and zero on the artificials.
+    sign = np.where(b < 0, -1.0, 1.0)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[:m, -1] = b * sign
+    T[m] = -T[:m].sum(axis=0)
+    T[:m, n:-1] = np.eye(m)
+    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = list(range(n, n + m))
+    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
     if status == STATUS_ITERATION_LIMIT:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
     artificial = [pos for pos, k in enumerate(basis) if k >= n]
@@ -372,80 +401,10 @@ def _phase1_outcome(A, b, A_work, b_work, T, basis, status, iters) -> FeasibleBa
         iterations=iters,
         rows=tuple(rows),
         basis=tuple(basis[pos] for pos in kept),
-        A_kept=A_work[rows],
+        A_kept=A1[rows, :n],
         b_kept=b_work[rows],
         tableau=tableau,
     )
-
-
-def lp_phase1(A, b) -> FeasibleBasis:
-    """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
-
-    Minimizes the sum of one artificial variable per row.  The system is
-    infeasible when more than ``_TOL_FEAS * max(1, ||b||_1)`` is left
-    in them, a bound that scales with the counts so that counts rounded to
-    a fixed number of significant digits are not rejected.
-    """
-    A, b = _lp_system(A, b)
-    m, n = A.shape
-
-    # The artificials' basis is the identity, so the first tableau needs no
-    # factorization: [A_work | I | b_work], each row signed to make its
-    # count nonnegative, over the phase-1 reduced costs, which are minus
-    # the column sums on A_work and b_work and zero on the artificials.
-    sign = np.where(b < 0, -1.0, 1.0)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A * sign[:, None]
-    T[:m, -1] = b * sign
-    T[m] = -T[:m].sum(axis=0)
-    T[:m, n:-1] = np.eye(m)
-    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
-    return _phase1_outcome(A, b, A1[:, :n], b_work, T, basis, status, iters)
-
-
-def _phase1_stack(systems) -> list[FeasibleBasis]:
-    """:func:`lp_phase1` on validated systems ``(A, b)`` of one column
-    count, as one stack.  Each system's first tableau is padded with zero
-    rows, whose artificials stay basic at zero, up to the largest row
-    count; the artificial of row ``i`` is column ``n + i`` in every system.
-    """
-    n = systems[0][0].shape[1]
-    R = max(A.shape[0] for A, _ in systems)
-    T = np.zeros((len(systems), R + 1, n + R + 1))
-    for k, (A, b) in enumerate(systems):
-        T[k, :A.shape[0], :n] = A
-        T[k, :A.shape[0], -1] = b
-    sign = np.where(T[:, :R, -1] < 0, -1.0, 1.0)
-    T[:, :R, :n] *= sign[:, :, None]
-    T[:, :R, -1] *= sign
-    T[:, R] = -T[:, :R].sum(axis=1)
-    T[:, :R, n:-1] = np.eye(R)
-    work = T[:, :R].copy()  # [A_work | I | b_work] of each system
-    basis = np.tile(np.arange(n, n + R), (len(systems), 1))
-
-    def refactor(k, basis_k):
-        # contiguous copies, as lp_phase1 passes, so the products round alike
-        m = systems[k][0].shape[0]
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        return _tableau(np.ascontiguousarray(work[k, :m, :n + m]),
-                        np.ascontiguousarray(work[k, :m, -1]), c1, basis_k[:m])
-
-    status, iters, _ = _pivot_stack(T, basis, refactor)
-    out = []
-    for k, (A, b) in enumerate(systems):
-        m = A.shape[0]
-        out.append(_phase1_outcome(A, b, work[k, :m, :n], work[k, :m, -1], T[k],
-                                   basis[k, :m].tolist(), status[k], iters[k]))
-    return out
-
-
-def _phase1_failure(start: FeasibleBasis) -> Solution:
-    """The outcome of every objective over a system phase 1 rejected."""
-    return Solution(x=np.zeros(start.A.shape[1]), status=start.status,
-                    objective=math.nan, iterations=start.iterations)
 
 
 def _phase2_tableau(start: FeasibleBasis, cost, basis):
@@ -463,9 +422,23 @@ def _phase2_tableau(start: FeasibleBasis, cost, basis):
     return T
 
 
-def _phase2_solution(start, c, sense, status, iters, unbounded_j, basis) -> Solution:
-    """The :class:`Solution` of a finished phase-2 loop from ``start``."""
+def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
+    """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis,
+    starting from phase 1's final tableau.
+
+    ``iterations`` counts the phase-1 pivots and this call's own, as one
+    :func:`solve_lp` call would.
+    """
     n = start.A.shape[1]
+    c = _lp_cost(c, n, sense)
+    if start.status != STATUS_OPTIMAL:
+        return Solution(x=np.zeros(n), status=start.status, objective=math.nan,
+                        iterations=start.iterations)
+    cost = c if sense == "min" else -c
+    basis = list(start.basis)
+    status, iters, unbounded_j, _ = _pivot_loop(
+        start.A_kept, start.b_kept, cost, basis, _phase2_tableau(start, cost, basis)
+    )
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
         return Solution(x=np.zeros(n), status=status, objective=math.nan,
@@ -486,83 +459,255 @@ def _phase2_solution(start, c, sense, status, iters, unbounded_j, basis) -> Solu
     )
 
 
-def _phase2_stack(starts, costs, senses) -> list[Solution]:
-    """:func:`lp_phase2` on each start with its own validated objective,
-    the feasible ones as one stack padded with zero rows to the largest
-    basis; the padding rows' basis entries are never read."""
-    out = [None if start.status == STATUS_OPTIMAL else _phase1_failure(start)
-           for start in starts]
-    live = [k for k, sol in enumerate(out) if sol is None]
-    if not live:
-        return out
-    signed = [costs[k] if senses[k] == "min" else -costs[k] for k in live]
-    R = max(len(starts[k].basis) for k in live)
-    T = np.zeros((len(live), R + 1, starts[live[0]].A.shape[1] + 1))
-    basis = np.zeros((len(live), R), dtype=np.intp)
-    for pos, k in enumerate(live):
-        basis_k = list(starts[k].basis)
-        _place(T[pos], _phase2_tableau(starts[k], signed[pos], basis_k))
-        basis[pos, :len(basis_k)] = basis_k
-
-    def refactor(pos, basis_k):
-        start = starts[live[pos]]
-        return _tableau(start.A_kept, start.b_kept, signed[pos],
-                        basis_k[:len(start.basis)])
-
-    status, iters, unbounded = _pivot_stack(T, basis, refactor)
-    for pos, k in enumerate(live):
-        out[k] = _phase2_solution(
-            starts[k], costs[k], senses[k], status[pos], iters[pos],
-            unbounded[pos], basis[pos, :len(starts[k].basis)].tolist(),
-        )
-    return out
-
-
-def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
-    """Phase 2 of the simplex: optimize ``c'x`` from a phase-1 basis,
-    starting from phase 1's final tableau.
-
-    ``iterations`` counts the phase-1 pivots and this call's own, as one
-    :func:`solve_lp` call would.
-    """
-    c = _lp_cost(c, start.A.shape[1], sense)
-    if start.status != STATUS_OPTIMAL:
-        return _phase1_failure(start)
-    cost = c if sense == "min" else -c
-    basis = list(start.basis)
-    status, iters, unbounded_j, _ = _pivot_loop(
-        start.A_kept, start.b_kept, cost, basis, _phase2_tableau(start, cost, basis)
-    )
-    return _phase2_solution(start, c, sense, status, iters, unbounded_j, basis)
-
-
 def solve_lp(p: StandardLP) -> Solution:
     """Two-phase tableau simplex over the equality-constrained orthant."""
     return lp_phase2(lp_phase1(p.A, p.b), p.c, p.sense)
 
 
+@dataclass(frozen=True)
+class SolutionStack:
+    """The answers of :func:`solve_lp_padded`, one row per program, each
+    field as on :class:`Solution`.
+
+    ``basis[k, :basis_size[k]]`` is program ``k``'s final basis when its
+    status is optimal or unbounded; ``unbounded_index`` is -1 where no
+    entering column certified unboundedness.
+    """
+
+    x: np.ndarray
+    status: np.ndarray
+    objective: np.ndarray
+    residual_eq: np.ndarray
+    iterations: np.ndarray
+    basis: np.ndarray
+    basis_size: np.ndarray
+    unbounded_index: np.ndarray
+
+
+def _phase1_stack(A, b, rows):
+    """:func:`lp_phase1` on a stack of systems as arrays.
+
+    ``A`` is ``K x R x n`` and ``b`` is ``K x R``; system ``k`` is their
+    first ``rows[k]`` rows, and its first tableau is padded with zero rows,
+    whose artificials stay basic at zero; the artificial of row ``i`` is
+    column ``n + i`` in every system.  Returns ``(status, iterations,
+    start)``: ``start`` is None when no system is feasible, else the
+    feasible systems' indices, phase 1's final rows of their bases over
+    the original columns and the right-hand side, those bases, and their
+    kept rows of ``[A | b]``, each row signed as phase 1 signs it, all
+    packed to the top and padded with zeros.  The outcome is decided as
+    :func:`lp_phase1` decides it, by numpy calls over the stack: the
+    artificials' sum is added in row order and ``||b||_1`` is summed per
+    row count, so that both round alike, and leftover artificials are
+    pivoted out one position per system a step.
+    """
+    K, R, n = A.shape
+    real = np.arange(R) < rows[:, None]
+    sign = np.where(b < 0, -1.0, 1.0)
+    sign[~real] = 0.0  # padding rows become zero
+    Aw, bw = A * sign[:, :, None], b * sign
+    T = np.zeros((K, R + 1, n + R + 1))
+    T[:, :R, :n] = Aw
+    T[:, :R, -1] = bw
+    T[:, R] = -T[:, :R].sum(axis=1)
+    T[:, :R, n:-1] = np.eye(R)
+    basis = np.tile(np.arange(n, n + R), (K, 1))
+
+    def refactor(k, basis_k):
+        m = rows[k]
+        A1 = np.hstack([Aw[k, :m], np.eye(m)])
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        return _tableau(A1, bw[k, :m].copy(), c1, basis_k[:m])
+
+    status, iters, _ = _pivot_stack(T, basis, refactor)
+    art = (basis >= n) & real
+    left = np.cumsum(np.where(art, T[:, :R, -1], 0.0), axis=1)[:, -1] if R else np.zeros(K)
+    scale = np.zeros(K)
+    for m in np.unique(rows).tolist():
+        scale[rows == m] = np.abs(b[rows == m, :m]).sum(axis=1)
+    status[(status == STATUS_OPTIMAL) & (left > _TOL_FEAS * np.maximum(1.0, scale))] = (
+        STATUS_INFEASIBLE)
+    live = np.flatnonzero(status == STATUS_OPTIMAL)
+    if not live.size:
+        return status, iters, None
+
+    # Cleanup, as in lp_phase1: each step takes every system's first
+    # artificial position not yet visited, and pivots in the first original
+    # nonbasic column with an entry in that row, or drops the row.
+    T, basis, art, real = T[live], basis[live], art[live], real[live]
+    at = np.arange(live.size)[:, None]
+    in_basis = np.zeros((live.size, n + R), dtype=bool)
+    in_basis[at, basis] = True
+    redundant = np.zeros((live.size, R), dtype=bool)
+    while art.any():
+        k = np.flatnonzero(art.any(axis=1))
+        pos = art[k].argmax(axis=1)
+        art[k, pos] = False
+        cand = (np.abs(T[k, pos, :n]) > 1e-9) & ~in_basis[k, :n]
+        has = cand.any(axis=1)
+        redundant[k[~has], basis[k[~has], pos[~has]] - n] = True
+        k, pos, j = k[has], pos[has], cand[has].argmax(axis=1)
+        Tk = T[k]
+        _pivot_each(Tk, pos, j, Tk[np.arange(k.size), :, j])
+        T[k] = Tk
+        basis[k, pos] = j
+        in_basis[k, j] = True
+
+    kept = basis < n
+    size = kept.sum(axis=1)
+    R2 = int(size.max())
+    pad = np.arange(R2) >= size[:, None]
+    pos = np.argsort(~kept, axis=1, kind="stable")[:, :R2]
+    order = np.argsort(~(real & ~redundant), axis=1, kind="stable")[:, :R2]
+    tableau = np.zeros((live.size, R2, n + 1))
+    tableau[:, :, :n] = T[at, pos, :n]
+    tableau[:, :, n] = T[at, pos, -1]
+    tableau[pad] = 0.0
+    system = np.concatenate([Aw[live[:, None], order], bw[live[:, None], order, None]], axis=2)
+    system[pad] = 0.0
+    return status, iters, (live, tableau, np.where(pad, 0, basis[at, pos]), size, system)
+
+
+def _phase2_stack(cost, tableau, basis, size, system):
+    """:func:`lp_phase2` from the feasible systems of :func:`_phase1_stack`,
+    ``cost`` one row per system, as one stack of phase 1's kept rows.
+
+    Each system's first cost row, ``cost - c_B' T`` and minus the
+    objective, is formed by one batched product per basis size, so that it
+    rounds as :func:`_phase2_tableau`'s does.  Returns the statuses, pivot
+    counts, unbounded indices and final bases, and the basic points from
+    one batched ``np.linalg.solve`` per basis size (zero at an iteration
+    limit).
+    """
+    K, R, n = tableau.shape[0], tableau.shape[1], cost.shape[1]
+    T = np.zeros((K, R + 1, n + 1))
+    T[:, :R] = tableau
+    for s in np.unique(size).tolist():
+        g = np.flatnonzero(size == s)
+        tab, bas, at = tableau[g, :s], basis[g, :s], np.arange(g.size)[:, None]
+        y = cost[g[:, None], bas][:, None, :]
+        row = cost[g] - (y @ tab[:, :, :n])[:, 0]
+        row[at, bas] = 0.0
+        T[g, R, :n] = row
+        T[g, R, n] = -(y @ tab[:, :, n:])[:, 0, 0]
+
+    def refactor(k, basis_k):
+        s = size[k]
+        return _tableau(np.ascontiguousarray(system[k, :s, :n]), system[k, :s, n].copy(),
+                        cost[k], basis_k[:s])
+
+    status, iters, unbounded = _pivot_stack(T, basis, refactor)
+    x = np.zeros((K, n))
+    done = status != STATUS_ITERATION_LIMIT
+    for s in np.unique(size[done]).tolist():
+        g = np.flatnonzero(done & (size == s))
+        if s:
+            bas = basis[g, :s]
+            B = system[g[:, None, None], np.arange(s)[:, None], bas[:, None, :]]
+            x[g[:, None], bas] = np.linalg.solve(B, system[g, :s, n:])[..., 0]
+    return status, iters, unbounded, basis, x
+
+
+def solve_lp_padded(c, A, b, rows) -> SolutionStack:
+    """``min c_k'x  s.t.  A_k x = b_k, x >= 0`` for a stack of programs of
+    one column count, given as padded arrays.
+
+    ``A`` is ``K x R x n``, ``b`` is ``K x R`` and ``c`` is ``K x n`` or one
+    cost row for all; program ``k`` has the first ``rows[k]`` rows of
+    ``A[k]`` and ``b[k]``, and the rows past them are ignored.  Program
+    ``k`` gets the status, basis, pivot count, unbounded index, and the
+    bytes of ``x``, objective and equality residual, of :func:`solve_lp`
+    on it.  Each phase pivots one padded stack of tableaus
+    (:func:`_pivot_stack`), which spreads the fixed cost of each numpy call
+    over the stack, and the work between and after the phases runs by
+    numpy calls over the stack as well, batched per row count or basis
+    size where a product must round as the single solve's does.  It pays
+    for tens of small programs, while one program alone is faster with
+    :func:`solve_lp`.
+    """
+    A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
+    rows = np.asarray(rows, dtype=np.intp)
+    if A.ndim != 3:
+        raise ValueError("inconsistent LP dimensions")
+    K, R, n = A.shape
+    if b.shape != (K, R) or rows.shape != (K,) or c.shape not in ((n,), (K, n)):
+        raise ValueError("inconsistent LP dimensions")
+    if not K:
+        raise ValueError("empty LP stack")
+    if ((rows < 0) | (rows > R)).any():
+        raise ValueError("row counts must lie in 0..R")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
+    if not np.isfinite(c).all():
+        raise ValueError("c must be finite")
+    c = np.broadcast_to(c, (K, n))
+
+    status, iters, start = _phase1_stack(A, b, rows)
+    x = np.zeros((K, n))
+    objective = np.full(K, math.nan)
+    residual = np.zeros(K)
+    unbounded = np.full(K, -1)
+    basis, size = np.zeros((K, 0), dtype=np.intp), np.zeros(K, dtype=np.intp)
+    if start is not None:
+        live, tableau, basis2, size2, system = start
+        cost = c[live]
+        st2, it2, ub2, basis2, x2 = _phase2_stack(cost, tableau, basis2, size2, system)
+        status[live], iters[live], unbounded[live], x[live] = st2, iters[live] + it2, ub2, x2
+        basis = np.zeros((K, basis2.shape[1]), dtype=np.intp)
+        basis[live], size[live] = basis2, size2
+        objective[live] = np.where(
+            st2 == STATUS_OPTIMAL, (cost[:, None, :] @ x2[:, :, None])[:, 0, 0],
+            np.where(st2 == STATUS_UNBOUNDED, -math.inf, math.nan))
+        done = live[st2 != STATUS_ITERATION_LIMIT]
+        for m in np.unique(rows[done]).tolist():
+            g = done[rows[done] == m]
+            r = (A[g, :m] @ x[g, :, None])[..., 0] - b[g, :m]
+            residual[g] = np.abs(r).max(axis=1, initial=0.0)
+    return SolutionStack(x=x, status=status, objective=objective, residual_eq=residual,
+                         iterations=iters, basis=basis, basis_size=size,
+                         unbounded_index=unbounded)
+
+
 def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
     """:func:`solve_lp` on many programs of one column count at once.
 
-    Entry ``i`` has the status, basis, pivot count, unbounded index and
-    bytes of ``x`` of ``solve_lp(problems[i])``.  Each phase runs on one
-    padded stack of tableaus (:func:`_pivot_stack`), which spreads the
-    fixed cost of each numpy call over the stack: it pays for tens of
-    small programs, while one program alone is faster with
-    :func:`solve_lp`.  Inputs are checked as :func:`solve_lp` checks them,
-    all before the first pivot.
+    Entry ``i`` is ``solve_lp(problems[i])``, field for field and to the
+    byte: the programs are padded into one stack and solved by
+    :func:`solve_lp_padded`, a maximized objective as the minimum of its
+    negation.  Inputs are checked as :func:`solve_lp` checks them, all
+    before the first pivot.
     """
     if not problems:
         raise ValueError("empty LP stack")
     systems, costs = [], []
     for p in problems:
         A, b = _lp_system(p.A, p.b)
-        costs.append(_lp_cost(p.c, A.shape[1], p.sense))
+        c = _lp_cost(p.c, A.shape[1], p.sense)
+        costs.append(c if p.sense == "min" else -c)
         systems.append((A, b))
     if len({A.shape[1] for A, _ in systems}) > 1:
         raise ValueError("stacked programs must have one column count")
 
-    return _phase2_stack(_phase1_stack(systems), costs, [p.sense for p in problems])
+    rows = [A.shape[0] for A, _ in systems]
+    A_pad = np.zeros((len(systems), max(rows), systems[0][0].shape[1]))
+    b_pad = np.zeros(A_pad.shape[:2])
+    for k, (A, b) in enumerate(systems):
+        A_pad[k, :rows[k]], b_pad[k, :rows[k]] = A, b
+    sol = solve_lp_padded(np.array(costs), A_pad, b_pad, rows)
+    out = []
+    for k, p in enumerate(problems):
+        status, objective = sol.status[k], float(sol.objective[k])
+        has_basis = status in (STATUS_OPTIMAL, STATUS_UNBOUNDED)
+        out.append(Solution(
+            x=sol.x[k].copy(),
+            status=status,
+            objective=-objective if p.sense == "max" and has_basis else objective,
+            residual_eq=float(sol.residual_eq[k]),
+            iterations=int(sol.iterations[k]),
+            basis=tuple(sol.basis[k, :sol.basis_size[k]].tolist()) if has_basis else None,
+            unbounded_index=int(sol.unbounded_index[k]) if sol.unbounded_index[k] >= 0 else None,
+        ))
+    return out
 
 
 class _SolveFailed(Exception):
@@ -595,10 +740,10 @@ class _CountedNnls:
         return fit.x
 
 
-def _roundoff(A, y, x) -> float:
+def _roundoff(abs_A, abs_y, x) -> float:
     """The scale of the roundoff in ``A'(y - A x)``:
-    ``max |A|'(|y| + |A||x|)``."""
-    return float(((np.abs(y) + np.abs(A) @ np.abs(x)) @ np.abs(A)).max())
+    ``max |A|'(|y| + |A||x|)``, given ``|A|`` and ``|y|``."""
+    return float(((abs_y + abs_A @ np.abs(x)) @ abs_A).max())
 
 
 def _separates(A, y, x, delta) -> bool:
@@ -612,7 +757,7 @@ def _separates(A, y, x, delta) -> bool:
     r = y - A @ x
     norm = float(np.linalg.norm(r))
     return (norm > 0.0
-            and float((A.T @ r).max()) <= _KKT_SLACK * _roundoff(A, y, x)
+            and float((A.T @ r).max()) <= _KKT_SLACK * _roundoff(np.abs(A), np.abs(y), x)
             and float(r @ y) > delta * norm)
 
 
@@ -646,14 +791,15 @@ def _lasso(A, y, lam, nu, solve) -> np.ndarray:
     return _ldp(-A.T, A.T @ y - lam / nu, solve)[1]
 
 
-def _ridge(A, y, nu, solve) -> np.ndarray:
+def _ridge(A, y, abs_A, abs_y, nu, solve) -> np.ndarray:
     """``argmin_{x >= 0} ½||x||² + (nu/2)·||A x - y||²``: NNLS on
     ``[sqrt(nu) A; I]``.
 
     scipy's NNLS can stop short of this optimum on large rank-deficient
     stacks, so an answer that misses the KKT conditions
     ``x = max(0, nu A'(y - A x))`` by more than roundoff is solved again by
-    BVLS.
+    BVLS.  ``abs_A`` and ``abs_y`` are ``|A|`` and ``|y|``, fixed for the
+    whole ball search, for the roundoff bound.
     """
     n = A.shape[1]
     root = math.sqrt(nu)
@@ -661,7 +807,7 @@ def _ridge(A, y, nu, solve) -> np.ndarray:
     f = np.concatenate([root * y, np.zeros(n)])
     x, _ = solve(E, f)
     miss = np.abs(x - np.maximum(0.0, nu * (A.T @ (y - A @ x)))).max()
-    if miss > _KKT_SLACK * nu * _roundoff(A, y, x):
+    if miss > _KKT_SLACK * nu * _roundoff(abs_A, abs_y, x):
         x = solve.bvls(E, f)
     return x
 
@@ -752,7 +898,7 @@ def _l1_piece(A, y, lam, delta, support, *_):
     nu = math.sqrt(float(t @ t) / gap)
     x = np.zeros(A.shape[1])
     x[support] = Wt.T @ ((c - t / nu) / s)
-    slack = _KKT_SLACK * _roundoff(A, y, x)
+    slack = _KKT_SLACK * _roundoff(np.abs(A), np.abs(y), x)
     if (x.min() < -_KKT_SLACK * x.max()
             or np.max(A.T @ (y - A @ x) - lam / nu) > slack):
         return nu, None
@@ -915,7 +1061,8 @@ def solve_cone(p: ConeProblem) -> Solution:
             if quad:
                 lo = 0.5 * (1.0 - delta_unit) / (delta_unit * float(np.sum(A * A)))
                 piece = partial(_l2_piece, A, y_unit, delta_unit)
-                penalized = partial(_ridge, A, y_unit, solve=solve)
+                penalized = partial(_ridge, A, y_unit, np.abs(A), np.abs(y_unit),
+                                    solve=solve)
             else:
                 lo = 1.0 / float(np.max(A.T @ y_unit / lam))
                 piece = partial(_l1_piece, A, y_unit, lam, delta_unit)

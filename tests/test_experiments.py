@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from odflow import (
     build_static_incidence,
     check_recovery,
     estimate_l1_noisy,
+    grade_recovery,
     get_fixture,
     grid_path_count,
     grid_paths_max_turns,
@@ -21,9 +23,11 @@ from odflow import (
     sample_allocation,
     sample_measurements,
     sample_support,
+    solve_lp_padded,
     substream,
 )
 from odflow import experiments, solver
+from odflow.estimators import accept_points
 from odflow.experiments import (
     AlphaRangeError,
     GridSizeError,
@@ -43,8 +47,9 @@ class TestSampling:
         a = sample_support(fig2.table, 4, substream(123, 5))
         b = sample_support(fig2.table, 4, substream(123, 5))
         assert a == b
-        c = sample_support(fig2.table, 4, substream(123, 6))
-        assert a != c or True  # different stream may still collide; just run
+        # two substreams may draw one support, but ten in a row do not
+        others = {sample_support(fig2.table, 4, substream(123, t)) for t in range(5, 15)}
+        assert len(others) > 1
 
     def test_singleton_support_uniform(self, fig2):
         counts = np.zeros(14)
@@ -108,8 +113,10 @@ class TestSampling:
 
         for bundle in (fig2, nguyen):
             pt = bundle.table
-            for t in range(30):
-                support = sample_support(pt, 2 + t % 9, substream(13, t))
+            # the full support touches every path of a pair, up to 10 on nguyen
+            for t in range(40):
+                support = (sample_support(pt, 2 + t % 9, substream(13, t)) if t < 30
+                           else tuple(range(pt.n_paths)))
                 got = sample_allocation(pt, support, substream(14, t))
                 want = per_path(pt, support, substream(14, t))
                 assert np.array_equal(got, want)
@@ -229,6 +236,70 @@ class TestCheckRecovery:
             assert flags.total_flow >= flags.od_flow
 
 
+def reference_flags(x_hat, x_true, pt, tol=1e-6):
+    """The three flags as check_recovery graded one estimate alone,
+    before the stacked grader."""
+    nrm = float(np.linalg.norm(x_true))
+    rel = (float(np.linalg.norm(x_hat - x_true)) / nrm if nrm > 0
+           else float(np.linalg.norm(x_hat)))
+    path_ok = rel <= tol
+    od = np.asarray(pt.od_of_path, dtype=np.intp)
+    flows_hat = np.bincount(od, weights=x_hat, minlength=pt.n_od_pairs)
+    flows_true = np.bincount(od, weights=x_true, minlength=pt.n_od_pairs)
+    od_ok = bool(np.all(np.abs(flows_hat - flows_true)
+                        <= tol * np.maximum(flows_true, 1.0)))
+    tot_true, tot_hat = float(flows_true.sum()), float(flows_hat.sum())
+    total_ok = abs(tot_hat - tot_true) <= tol * max(tot_true, 1.0)
+    od_ok = od_ok or path_ok
+    return (path_ok, od_ok, total_ok or od_ok)
+
+
+class TestGradeRecovery:
+    def test_stack_matches_single_rows(self, fig2):
+        # the l1 answers to 20 chunks of sweep programs (fig2, sparsity
+        # 2..6, every M of 3..10), clipped as the sweep clips them
+        full = experiments._sweep_system(TrialConfig(), [])[1]
+        x_hat, x_true = [], []
+        for chunk in range(20):
+            X, perms = [], []
+            for t in range(32):
+                rng = substream(chunk, t)
+                support = sample_support(fig2.table, 2 + t % 5, rng)
+                X.append(sample_allocation(fig2.table, support, rng))
+                perms.append(rng.permutation(10))
+            X, perms = np.array(X), np.array(perms)
+            for m in range(3, 11):
+                A = full.matrix[np.sort(perms[:, :m], axis=1)]
+                sol = solve_lp_padded(np.ones(14), A, (A @ X[:, :, None])[..., 0], [m] * 32)
+                x_hat.append(accept_points(sol.status, sol.x)[1])
+                x_true.append(X)
+        # A zero truth; a path error within tol of a large truth that misses
+        # a small pair's flow (OD flag by the path flag); and three pair
+        # flows each within tol whose sum is not (total flag by OD flag).
+        edge_hat, edge_true = np.zeros((3, 14)), np.zeros((3, 14))
+        edge_hat[0] = 1.0
+        edge_hat[1, [0, 5]], edge_true[1, [0, 5]] = (1e6, 1.0), (1e6, 0.5)
+        edge_hat[2, [0, 5, 9]] = 0.9e-6
+        x_hat = np.concatenate(x_hat + [edge_hat])
+        x_true = np.concatenate(x_true + [edge_true])
+        assert len(x_hat) > 5000
+        got = grade_recovery(x_hat, x_true, fig2.table)
+        want = [reference_flags(h, t, fig2.table) for h, t in zip(x_hat, x_true)]
+        assert got.tolist() == [list(w) for w in want]
+        # every combination the nesting allows shows up
+        assert {tuple(row) for row in got.tolist()} == {
+            (True, True, True), (False, True, True), (False, False, True),
+            (False, False, False)}
+        for h, t, flags in zip(x_hat[::97], x_true[::97], got[::97]):
+            assert astuple(check_recovery(h, t, fig2.table)) == tuple(flags)
+
+    def test_shapes_checked(self, fig2):
+        with pytest.raises(ValueError, match="one length per path"):
+            grade_recovery(np.zeros((2, 14)), np.zeros((3, 14)), fig2.table)
+        with pytest.raises(ValueError, match="one length per path"):
+            check_recovery(np.zeros(13), np.zeros(13), fig2.table)
+
+
 @pytest.fixture(scope="module")
 def small_report():
     cfg = TrialConfig(fixture="fig2", trials=60, seed=2718)
@@ -270,6 +341,26 @@ class TestRecoverySweep:
         a = run_recovery_sweep(cfg, m_grid=[7, 9], supports=[SUPPORT_3SPARSE])
         b = run_recovery_sweep(cfg, m_grid=[7, 9], supports=[SUPPORT_3SPARSE])
         assert a.csv_rows() == b.csv_rows()
+
+    def test_rejected_points_fail_every_criterion(self, monkeypatch):
+        # every trial recovers at M = 10; the stub then reports trial 0 at
+        # the iteration limit and moves one zero entry of trial 1 below
+        # -1e-6 and of trial 2 just above it, keeping the recovered points
+        cfg = TrialConfig(fixture="fig2", trials=4, seed=5)
+        args = dict(m_grid=[10], supports=[SUPPORT_3SPARSE])
+        point = run_recovery_sweep(cfg, **args).points[0]
+        assert point.rate_path == point.rate_od == point.rate_total == 1.0
+
+        def stub(*args):
+            sol = solve_lp_padded(*args)
+            status, x = sol.status.copy(), sol.x.copy()
+            status[0] = "iteration-limit"
+            x[1, 0], x[2, 0] = -2e-6, -5e-7
+            return replace(sol, status=status, x=x)
+
+        monkeypatch.setattr(experiments, "solve_lp_padded", stub)
+        point = run_recovery_sweep(cfg, **args).points[0]
+        assert point.rate_path == point.rate_od == point.rate_total == 0.5
 
     def test_solver_failures_count_as_failures(self, monkeypatch):
         # with no pivots allowed every program ends at the iteration limit
@@ -435,7 +526,7 @@ class TestSweepSystems:
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiments, "estimate_l1_stack", no_trial)
+        monkeypatch.setattr(experiments, "solve_lp_padded", no_trial)
         monkeypatch.setattr(experiments, "estimate_l1_noisy", no_trial)
         monkeypatch.setattr(experiments, "vmt_bounds", no_trial)
         with pytest.raises(MeasurementCountError):

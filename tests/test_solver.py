@@ -14,6 +14,7 @@ from odflow import (
     path_lengths,
     sample_allocation,
     sample_measurements,
+    sample_support,
     substream,
 )
 from odflow import solver
@@ -28,8 +29,10 @@ from odflow.solver import (
     lp_phase2,
     solve_cone,
     solve_lp,
+    solve_lp_padded,
     solve_lp_stack,
 )
+from odflow.experiments import _STACK_TRIALS
 from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle
 
 
@@ -309,6 +312,9 @@ def assert_same_solution(got, want):
     assert got.iterations == want.iterations
     assert got.unbounded_index == want.unbounded_index
     assert got.x.tobytes() == want.x.tobytes()
+    for field in ("objective", "residual_eq", "residual_cone"):
+        assert np.float64(getattr(got, field)).tobytes() == (
+            np.float64(getattr(want, field)).tobytes()), field
 
 
 def nguyen_counts(nguyen, rng):
@@ -318,6 +324,29 @@ def nguyen_counts(nguyen, rng):
     for group in nguyen.table.paths_by_od:
         x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
     return x
+
+
+def cleanup_system(nguyen):
+    """``(A, b)`` of a nguyen system whose phase-1 cleanup pivots one
+    artificial out and drops another's row as redundant."""
+    net = nguyen.network
+    full = build_static_incidence(nguyen.table, net.link_ids, net)
+    rng = substream(21, 238)
+    x = nguyen_counts(nguyen, rng)
+    m = int(rng.integers(8, 39))
+    assert m == 13
+    ms = full.subsystem(sample_measurements(full.row_labels, m, rng))
+    return ms.matrix, ms.matrix @ x
+
+
+def padded(problems):
+    """``(A, b, rows)`` of the programs as zero-padded arrays."""
+    rows = [len(p.b) for p in problems]
+    A = np.zeros((len(problems), max(rows), len(problems[0].c)))
+    b = np.zeros(A.shape[:2])
+    for k, p in enumerate(problems):
+        A[k, :rows[k]], b[k, :rows[k]] = p.A, p.b
+    return A, b, np.array(rows)
 
 
 class TestSolveLpStack:
@@ -340,6 +369,8 @@ class TestSolveLpStack:
         # a duplicated row, and a negative count no flow can meet
         problems.append(StandardLP(c=ones, A=np.vstack([A, A[:1]]), b=np.append(b, b[0])))
         problems.append(StandardLP(c=ones, A=A, b=np.where(np.arange(b.size) == 3, -1.0, b)))
+        A, b = cleanup_system(nguyen)
+        problems += [StandardLP(c=lengths, A=A, b=b, sense=s) for s in ("min", "max")]
 
         want = [solve_lp(p) for p in problems]
         assert want[0].iterations > _REFACTOR_EVERY
@@ -349,15 +380,20 @@ class TestSolveLpStack:
         assert len(got) == len(problems)
         for g, w in zip(got, want):
             assert_same_solution(g, w)
-            assert g.objective == w.objective or np.isnan(w.objective)
-        # phase 1 ends on the same tableau, refactors and cleanup included
-        starts = solver._phase1_stack([solver._lp_system(p.A, p.b) for p in problems])
-        for got_start, p in zip(starts, problems):
-            want_start = lp_phase1(p.A, p.b)
-            assert got_start.rows == want_start.rows
-            assert got_start.iterations == want_start.iterations
-            if want_start.tableau is not None:
-                assert got_start.tableau.tobytes() == want_start.tableau.tobytes()
+        # phase 1 ends on the same tableau, basis and kept rows, refactors
+        # and cleanup included
+        status, iters, (live, tableau, basis, size, system) = solver._phase1_stack(
+            *padded(problems))
+        starts = [lp_phase1(p.A, p.b) for p in problems]
+        assert list(status) == [s.status for s in starts]
+        assert list(iters) == [s.iterations for s in starts]
+        assert list(live) == [k for k, s in enumerate(starts) if s.status == "optimal"]
+        for pos, k in enumerate(live):
+            want, s = starts[k], size[pos]
+            assert tuple(basis[pos, :s]) == want.basis
+            assert tableau[pos, :s].tobytes() == want.tableau.tobytes()
+            assert system[pos, :s, :-1].tobytes() == want.A_kept.tobytes()
+            assert system[pos, :s, -1].tobytes() == want.b_kept.tobytes()
 
     def test_matches_single_solves_on_sweep_systems(self, fig2):
         # every M of a recovery sweep's trials in one stack of 4 to 10 rows
@@ -375,6 +411,69 @@ class TestSolveLpStack:
                                            b=ms.matrix @ x))
         for g, p in zip(solve_lp_stack(problems), problems):
             assert_same_solution(g, solve_lp(p))
+
+    def test_cleanup_pivots_one_artificial_and_drops_one_row(self, nguyen, monkeypatch):
+        # phase 1 leaves two artificials in the basis of this system: the
+        # cleanup pivots one out and drops the other's row as redundant
+        A, b = cleanup_system(nguyen)
+        pivots = []
+        pivot = solver._pivot
+        monkeypatch.setattr(solver, "_pivot", lambda T, r, j: pivots.append(r) or pivot(T, r, j))
+        start = lp_phase1(A, b)
+        assert start.status == "optimal"
+        assert len(pivots) == start.iterations + 1  # the loop's pivots, then one cleanup
+        assert len(start.rows) == A.shape[0] - 1
+
+    def test_full_sweep_chunk(self, fig2):
+        # one chunk of a recovery sweep: _STACK_TRIALS trials of random
+        # support, each at every M of 3..10, every field of every answer
+        net = fig2.network
+        full = build_static_incidence(fig2.table, net.link_ids, net)
+        links = full.row_labels
+        problems = []
+        for t in range(_STACK_TRIALS):
+            rng = substream(17, t)
+            x = sample_allocation(fig2.table, sample_support(fig2.table, 2 + t % 5, rng), rng)
+            perm = rng.permutation(len(links))
+            for m in range(3, 11):
+                ms = full.subsystem(tuple(links[i] for i in sorted(perm[:m])))
+                problems.append(StandardLP(c=np.ones(ms.n_cols), A=ms.matrix,
+                                           b=ms.matrix @ x))
+        assert len(problems) == 256
+        for g, p in zip(solve_lp_stack(problems), problems):
+            assert_same_solution(g, solve_lp(p))
+
+    def test_infeasibility_relative_to_counts(self):
+        # the verdict scales with ||b||_1, as in TestSolveLp
+        A = [[1.0, 1.0], [1.0, 1.0]]
+        problems = [StandardLP(c=[1.0, 1.0], A=A, b=[1e6, 1e6 + 1.0]),
+                    StandardLP(c=[1.0, 1.0], A=A, b=[1e6, 1e6 * (1 + 1e-13)])]
+        got = solve_lp_stack(problems)
+        assert [sol.status for sol in got] == ["infeasible", "optimal"]
+        for g, p in zip(got, problems):
+            assert_same_solution(g, solve_lp(p))
+
+    def test_padding_rows_ignored(self, fig2):
+        # rows past each program's count may hold anything finite
+        net = fig2.network
+        full = build_static_incidence(fig2.table, net.link_ids, net)
+        x = sample_allocation(fig2.table, (1, 7, 10, 13), substream(3, 0))
+        A = np.stack([full.matrix[:6], full.matrix[2:8]])
+        b = A @ x
+        b[0, 4:] += 7.0  # program 0 has 4 rows, so its last two are padding
+        A_zero, b_zero = A.copy(), b.copy()
+        A_zero[0, 4:], b_zero[0, 4:] = 0.0, 0.0
+        clean = solve_lp_padded(np.ones(full.n_cols), A_zero, b_zero, [4, 6])
+        dirty = solve_lp_padded(np.ones(full.n_cols), A, b, [4, 6])
+        for field in ("x", "status", "objective", "residual_eq", "iterations", "basis"):
+            assert np.array_equal(getattr(clean, field), getattr(dirty, field)), field
+
+    @pytest.mark.parametrize("rows,message", [
+        ([3, 7], "row counts"), ([-1, 2], "row counts"), ([2], "dimensions"),
+    ])
+    def test_padded_input_checks(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lp_padded(np.ones(3), np.ones((2, 4, 3)), np.ones((2, 4)), rows)
 
     @pytest.mark.parametrize("case,message", [
         ("column counts", "one column count"), ("count length", "dimensions"),
