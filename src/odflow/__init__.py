@@ -30,7 +30,6 @@ from .solver import (
     solve_cone,
     solve_lp,
     solve_lp_padded,
-    solve_lp_stack,
 )
 from .estimators import (
     Allocation,
@@ -81,7 +80,6 @@ __all__ = [
     # solver
     "ConeProblem", "FeasibleBasis", "Solution", "SolutionStack", "StandardLP",
     "lp_phase1", "lp_phase2", "solve_cone", "solve_lp", "solve_lp_padded",
-    "solve_lp_stack",
     # estimators
     "Allocation", "EstimationResult", "InfeasibleError",
     "IterationLimitError", "UnboundedError", "VmtBounds", "WeightMatrix",

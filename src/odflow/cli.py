@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -37,7 +38,6 @@ from .experiments import (
     TrialConfig,
     grid_path_count,
     grid_paths_max_turns,
-    grid_turn_fraction,
     hoeffding_turn_bound,
     run_noisy_cdf,
     run_recovery_sweep,
@@ -114,10 +114,12 @@ def _trial_count(text: str) -> int:
 
 
 def _parse_supports(text: str) -> tuple[tuple[int, ...], ...]:
-    groups = [g for g in text.split(";") if g.strip()]
+    groups = tuple(_parse_int_list(g) for g in text.split(";") if g.strip())
     if not groups:
         raise UsageError("no supports given")
-    return tuple(tuple(int(tok) for tok in g.split(",") if tok) for g in groups)
+    if not all(groups):
+        raise UsageError(f"empty support group in {text!r}")
+    return groups
 
 
 def _write_manifest(args, out: FsPath, extra_outputs=()) -> None:
@@ -271,7 +273,7 @@ def _cmd_sweep(args) -> int:
     if args.supports is not None:
         supports = _parse_supports(args.supports)
     else:
-        supports = tuple(int(s) for s in _parse_int_list(args.sparsity))
+        supports = _parse_int_list(args.sparsity)
         if not supports:
             raise UsageError(f"empty sparsity list {args.sparsity!r}")
     m_grid = _parse_grid(args.m_grid)
@@ -288,6 +290,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_noisy_cdf(args) -> int:
+    if args.delta is not None and args.delta < 0:
+        raise UsageError("--delta must be nonnegative")
     support = _parse_int_list(args.support)
     cfg = TrialConfig(
         fixture=args.fixture,
@@ -327,8 +331,8 @@ def _cmd_grid(args) -> int:
     count = grid_path_count(args.n)
     turns = args.turns if args.turns is not None else int(args.alpha * args.n)
     few = grid_paths_max_turns(args.n, turns)
-    fraction = grid_turn_fraction(args.alpha, args.n)
     bound = hoeffding_turn_bound(args.alpha, args.n)
+    fraction = float(Fraction(few, count))
     print(f"paths={count}")
     print(f"paths_with_at_most_{turns}_turns={few}")
     print(f"exact_fraction={fraction:.12g}")

@@ -170,8 +170,8 @@ def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
     return ok, np.clip(x, 0.0, None)
 
 
-def _finish(ms: MeasurementSystem, sol: Solution, method: str,
-            trace: tuple[float, ...] = ()) -> EstimationResult:
+def _accepted(ms: MeasurementSystem, sol: Solution, method: str) -> Allocation:
+    """The allocation of an accepted solver point; raises for any other."""
     ok, x = accept_points(sol.status, sol.x)
     if not ok:
         _raise_for_status(sol, method)
@@ -179,7 +179,12 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
             f"{method}: solver returned a significantly negative entry "
             f"({np.min(sol.x):.3e})", sol
         )
-    alloc = Allocation(x=x, table=ms.table, labels=ms.col_labels)
+    return Allocation(x=x, table=ms.table, labels=ms.col_labels)
+
+
+def _finish(ms: MeasurementSystem, sol: Solution, method: str,
+            trace: tuple[float, ...] = ()) -> EstimationResult:
+    alloc = _accepted(ms, sol, method)
     decoded = decode_allocation(alloc.per_path_totals(), ms.table)
     return EstimationResult(
         allocation=alloc,
@@ -281,13 +286,33 @@ class VmtBounds:
     vmt_upper: float
 
 
+def uncovered_column(ms: MeasurementSystem, path_lengths) -> int | None:
+    """The first column with positive length that crosses no measured row,
+    or None.
+
+    Raising such a column's flow leaves the counts unchanged and adds to
+    the travel total, so a feasible maximizing program over it is
+    unbounded.  Conversely, when every column of positive length crosses a
+    measured row of a nonnegative incidence (all the incidences this
+    library builds), each such flow is capped by a count and the maximum is
+    finite.  It is the column on which the simplex would certify the
+    maximum unbounded: Bland's rule enters the first improving column, and
+    this one stays improving, with a zero tableau column, until it enters.
+    """
+    hit = (np.asarray(path_lengths) > 0) & ~ms.matrix.any(axis=0)
+    return int(hit.argmax()) if hit.any() else None
+
+
 def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
     """Bound total vehicle-distance (or vehicle count with unit lengths).
 
     Solves the minimizing and maximizing linear programs over the feasible
-    set, both from one phase 1.  The maximum is unbounded when some column
-    crosses no measured row; that is surfaced, not clipped, so callers can
-    treat it as a failed trial.
+    set, both from one phase 1, and accepts their points as the estimators
+    do (:func:`accept_points`).  The maximum is unbounded when a column of
+    positive length crosses no measured row (:func:`uncovered_column`);
+    once the minimum has shown the counts feasible, that is raised as an
+    :class:`UnboundedError` naming the column, without solving the
+    maximum, so callers can treat it as a failed trial.
     """
     y = _check_counts(ms, y, nonnegative=True)
     v = np.asarray(path_lengths, dtype=float).ravel()
@@ -298,28 +323,18 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
 
     start = lp_phase1(ms.matrix, y)
     lo = lp_phase2(start, v, "min")
-    _raise_for_status(lo, "vmt-min")
-    hi = lp_phase2(start, v, "max")
-    if hi.status == STATUS_UNBOUNDED:
-        label = (
-            ms.col_labels[hi.unbounded_index]
-            if hi.unbounded_index is not None
-            else None
-        )
+    x_min = _accepted(ms, lo, "vmt-min")
+    j = uncovered_column(ms, v)
+    if j is not None:
+        label = ms.col_labels[j]
         raise UnboundedError(
             f"vmt-max: unbounded; column {label!r} crosses no measured link",
-            hi,
             path_label=label,
         )
-    _raise_for_status(hi, "vmt-max")
-
-    def _alloc(sol: Solution) -> Allocation:
-        x = np.clip(np.asarray(sol.x, dtype=float), 0.0, None)
-        return Allocation(x=x, table=ms.table, labels=ms.col_labels)
-
+    hi = lp_phase2(start, v, "max")
     return VmtBounds(
-        x_min=_alloc(lo),
-        x_max=_alloc(hi),
+        x_min=x_min,
+        x_max=_accepted(ms, hi, "vmt-max"),
         vmt_lower=float(lo.objective),
         vmt_upper=float(hi.objective),
     )

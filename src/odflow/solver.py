@@ -25,8 +25,7 @@ Two engines:
   batched per row count or basis size where a product must round as a
   single solve's does, so no per-program Python runs between the
   phases.  Each program takes the pivots, and returns the answer, that
-  :func:`solve_lp` gives it; :func:`solve_lp_stack` takes and returns
-  them as lists of :class:`StandardLP` and :class:`Solution`.
+  :func:`solve_lp` gives it.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -47,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
@@ -666,48 +664,6 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
     return SolutionStack(x=x, status=status, objective=objective, residual_eq=residual,
                          iterations=iters, basis=basis, basis_size=size,
                          unbounded_index=unbounded)
-
-
-def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
-    """:func:`solve_lp` on many programs of one column count at once.
-
-    Entry ``i`` is ``solve_lp(problems[i])``, field for field and to the
-    byte: the programs are padded into one stack and solved by
-    :func:`solve_lp_padded`, a maximized objective as the minimum of its
-    negation.  Inputs are checked as :func:`solve_lp` checks them, all
-    before the first pivot.
-    """
-    if not problems:
-        raise ValueError("empty LP stack")
-    systems, costs = [], []
-    for p in problems:
-        A, b = _lp_system(p.A, p.b)
-        c = _lp_cost(p.c, A.shape[1], p.sense)
-        costs.append(c if p.sense == "min" else -c)
-        systems.append((A, b))
-    if len({A.shape[1] for A, _ in systems}) > 1:
-        raise ValueError("stacked programs must have one column count")
-
-    rows = [A.shape[0] for A, _ in systems]
-    A_pad = np.zeros((len(systems), max(rows), systems[0][0].shape[1]))
-    b_pad = np.zeros(A_pad.shape[:2])
-    for k, (A, b) in enumerate(systems):
-        A_pad[k, :rows[k]], b_pad[k, :rows[k]] = A, b
-    sol = solve_lp_padded(np.array(costs), A_pad, b_pad, rows)
-    out = []
-    for k, p in enumerate(problems):
-        status, objective = sol.status[k], float(sol.objective[k])
-        has_basis = status in (STATUS_OPTIMAL, STATUS_UNBOUNDED)
-        out.append(Solution(
-            x=sol.x[k].copy(),
-            status=status,
-            objective=-objective if p.sense == "max" and has_basis else objective,
-            residual_eq=float(sol.residual_eq[k]),
-            iterations=int(sol.iterations[k]),
-            basis=tuple(sol.basis[k, :sol.basis_size[k]].tolist()) if has_basis else None,
-            unbounded_index=int(sol.unbounded_index[k]) if sol.unbounded_index[k] >= 0 else None,
-        ))
-    return out
 
 
 class _SolveFailed(Exception):

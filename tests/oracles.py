@@ -3,13 +3,16 @@
 Everything here deliberately avoids the production matrix builders and
 solvers: counts come from walking vehicles over the network, and optima
 come from exhaustive enumeration or, for the l2 ball, from plain bisection
-over NNLS solves.
+over NNLS solves.  The one exception is :func:`solve_lp_stack`, which is
+no reference but the parity helper: it runs the stacked simplex on a list
+of programs, so that each answer can be compared with ``solve_lp``'s.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -17,8 +20,12 @@ from scipy.optimize import nnls
 from odflow.solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_UNBOUNDED,
     Solution,
     StandardLP,
+    _lp_cost,
+    _lp_system,
+    solve_lp_padded,
 )
 
 
@@ -73,6 +80,48 @@ def lp_oracle(p: StandardLP) -> Solution:
         objective=best_obj,
         residual_eq=float(np.max(np.abs(A @ best_x - b))),
     )
+
+
+def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
+    """:func:`solve_lp` on many programs of one column count at once.
+
+    Entry ``i`` is ``solve_lp(problems[i])``, field for field and to the
+    byte: the programs are padded into one stack and solved by
+    :func:`solve_lp_padded`, a maximized objective as the minimum of its
+    negation.  Inputs are checked as :func:`solve_lp` checks them, all
+    before the first pivot.
+    """
+    if not problems:
+        raise ValueError("empty LP stack")
+    systems, costs = [], []
+    for p in problems:
+        A, b = _lp_system(p.A, p.b)
+        c = _lp_cost(p.c, A.shape[1], p.sense)
+        costs.append(c if p.sense == "min" else -c)
+        systems.append((A, b))
+    if len({A.shape[1] for A, _ in systems}) > 1:
+        raise ValueError("stacked programs must have one column count")
+
+    rows = [A.shape[0] for A, _ in systems]
+    A_pad = np.zeros((len(systems), max(rows), systems[0][0].shape[1]))
+    b_pad = np.zeros(A_pad.shape[:2])
+    for k, (A, b) in enumerate(systems):
+        A_pad[k, :rows[k]], b_pad[k, :rows[k]] = A, b
+    sol = solve_lp_padded(np.array(costs), A_pad, b_pad, rows)
+    out = []
+    for k, p in enumerate(problems):
+        status, objective = sol.status[k], float(sol.objective[k])
+        has_basis = status in (STATUS_OPTIMAL, STATUS_UNBOUNDED)
+        out.append(Solution(
+            x=sol.x[k].copy(),
+            status=status,
+            objective=-objective if p.sense == "max" and has_basis else objective,
+            residual_eq=float(sol.residual_eq[k]),
+            iterations=int(sol.iterations[k]),
+            basis=tuple(sol.basis[k, :sol.basis_size[k]].tolist()) if has_basis else None,
+            unbounded_index=int(sol.unbounded_index[k]) if sol.unbounded_index[k] >= 0 else None,
+        ))
+    return out
 
 
 def l2_ball_oracle(A, y, delta) -> np.ndarray:

@@ -449,6 +449,33 @@ class TestSweepCommands:
         assert rc == 0
         assert out.read_text().startswith("n,alpha,turns,")
 
+    def test_grid_turns_override_sets_the_fraction(self, tmp_path, capsys):
+        # the fraction is the ratio of the two printed counts, for the
+        # --turns cap, not for floor(alpha * n)
+        out = tmp_path / "grid.csv"
+        rc = main(["grid", "--n", "10", "--alpha", "0.2", "--turns", "5",
+                   "--output", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "paths_with_at_most_5_turns=162" in printed
+        assert f"exact_fraction={162 / 252:.12g}" in printed
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[2:6] == ["5", "252", "162", f"{162 / 252:.12g}"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--supports", "4,x"], "integer list"),
+        (["sweep", "--supports", "4,8;,"], "empty support group"),
+        (["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--delta", "-1"],
+         "--delta must be nonnegative"),
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, message):
+        # these exited 3, with a raw int() message or after trials ran
+        out = tmp_path / "out.csv"
+        rc = main(argv + ["--trials", "2", "--output", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_without_command(self):
         assert main([]) == 2
 

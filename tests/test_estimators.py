@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from odflow import (
     solve_lp,
     vmt_bounds,
 )
+from odflow import estimators
+from odflow.estimators import EstimationError, uncovered_column
 from odflow.fixtures import (
     SIX_LINKS_A,
     SIX_LINKS_B,
@@ -401,16 +405,79 @@ class TestVmtBounds:
                 try:
                     bounds = vmt_bounds(ms, y, lengths)
                 except UnboundedError as exc:
-                    got = exc.solution
+                    # raised from coverage, before the max program is solved
                     assert hi.status == "unbounded"
-                    assert got.iterations == hi.iterations
-                    assert got.unbounded_index == hi.unbounded_index
-                    assert np.array_equal(got.x, hi.x)
+                    assert exc.path_label == ms.col_labels[hi.unbounded_index]
                     continue
                 assert bounds.vmt_lower == lo.objective
                 assert bounds.vmt_upper == hi.objective
                 assert np.array_equal(bounds.x_min.x, np.clip(lo.x, 0.0, None))
                 assert np.array_equal(bounds.x_max.x, np.clip(hi.x, 0.0, None))
+
+    def test_coverage_rule_matches_simplex_on_dynamic_systems(self, fig1, fig2, nguyen):
+        # Row subsets of time-expanded systems leave some (path, departure)
+        # columns unobserved; the max program is unbounded exactly when one
+        # of positive length is, and Bland's rule certifies on that column.
+        rng = np.random.default_rng(77)
+        seen = set()
+        for name, bundle in (("fig1", fig1), ("fig2", fig2), ("nguyen", nguyen)):
+            net = bundle.network
+            full = build_dynamic_system(bundle.table, net, list(net.link_ids), [2, 3, 4])
+            base = path_lengths(bundle)
+            for _ in range(20):
+                keep = np.sort(rng.permutation(full.n_rows)[:int(rng.integers(1, full.n_rows))])
+                ms = full.subsystem([full.row_labels[i] for i in keep])
+                paths = np.array([p for p, _ in ms.col_labels])
+                lengths = np.where(rng.random(ms.n_cols) < 0.2, 0.0, base[paths])
+                x = np.where(rng.random(ms.n_cols) < 0.3, rng.uniform(1.0, 100.0, ms.n_cols), 0.0)
+                y = ms.matrix @ x
+                hi = solve_lp(StandardLP(c=lengths, A=ms.matrix, b=y, sense="max"))
+                j = uncovered_column(ms, lengths)
+                assert (j is not None) == (hi.status == "unbounded")
+                if j is None:
+                    assert vmt_bounds(ms, y, lengths).vmt_upper == hi.objective
+                    continue
+                assert j == hi.unbounded_index
+                with pytest.raises(UnboundedError) as exc:
+                    vmt_bounds(ms, y, lengths)
+                assert exc.value.path_label == ms.col_labels[hi.unbounded_index]
+                seen.add(name)
+        assert seen == {"fig1", "fig2", "nguyen"}  # each had unbounded maxima
+
+    def test_infeasible_counts_raise_before_coverage(self, fig2):
+        # every path over l1-3 also crosses l3-2, so these counts are
+        # inconsistent; path 0 crosses neither link, so the max would be
+        # unbounded if the counts were feasible
+        ms = build_static_incidence(fig2.table, ["l1-3", "l3-2"], fig2.network)
+        assert uncovered_column(ms, np.ones(14)) == 0
+        with pytest.raises(InfeasibleError):
+            vmt_bounds(ms, [5.0, 0.0], np.ones(14))
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("entry,rejected", [(-1e-5, True), (-1e-9, False)])
+    def test_points_judged_as_estimators_judge_them(self, fig1, monkeypatch,
+                                                    sense, entry, rejected):
+        # an entry below -1e-6 is an error, not dust to clip
+        ms = build_static_incidence(fig1.table, list(fig1.network.link_ids), fig1.network)
+        x = np.zeros(7)
+        x[5] = 7.0
+        phase2 = estimators.lp_phase2
+
+        def stub(start, c, how="min"):
+            sol = phase2(start, c, how)
+            if how != sense:
+                return sol
+            return replace(sol, x=np.where(np.arange(sol.x.size) == 0, entry, sol.x))
+
+        monkeypatch.setattr(estimators, "lp_phase2", stub)
+        if rejected:
+            with pytest.raises(EstimationError, match="negative entry") as exc:
+                vmt_bounds(ms, ms.matrix @ x, np.ones(7))
+            assert type(exc.value) is EstimationError
+        else:
+            bounds = vmt_bounds(ms, ms.matrix @ x, np.ones(7))
+            point = bounds.x_min if sense == "min" else bounds.x_max
+            assert point.x[0] == 0.0
 
     def test_rounded_counts_give_finite_bounds(self, nguyen):
         # Counts rounded to 12 digits leave ~1e-10 in phase 1's artificials

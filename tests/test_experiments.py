@@ -26,7 +26,7 @@ from odflow import (
     solve_lp_padded,
     substream,
 )
-from odflow import experiments, solver
+from odflow import estimators, experiments, solver
 from odflow.estimators import accept_points
 from odflow.experiments import (
     AlphaRangeError,
@@ -484,6 +484,19 @@ class TestVmtSweep:
         cfg = TrialConfig(fixture="nguyen", trials=20, seed=7)
         report = run_vmt_sweep(cfg, m_grid=[38])
         assert report.points[0].unbounded_count == 0
+
+    def test_uncovered_trials_reach_no_phase1(self, monkeypatch):
+        # a trial whose max program is unbounded by coverage is tallied
+        # before any solve; only the others run phase 1
+        calls = []
+        phase1 = estimators.lp_phase1
+        monkeypatch.setattr(estimators, "lp_phase1",
+                            lambda A, b: calls.append(b.size) or phase1(A, b))
+        cfg = TrialConfig(fixture="nguyen", trials=20, seed=3)
+        report = run_vmt_sweep(cfg, m_grid=[14, 22])
+        unbounded = sum(p.unbounded_count for p in report.points)
+        assert 0 < unbounded < 40
+        assert len(calls) == 40 - unbounded
 
     def test_determinism(self):
         cfg = TrialConfig(fixture="nguyen", trials=15, seed=42)

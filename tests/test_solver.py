@@ -30,10 +30,9 @@ from odflow.solver import (
     solve_cone,
     solve_lp,
     solve_lp_padded,
-    solve_lp_stack,
 )
 from odflow.experiments import _STACK_TRIALS
-from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle
+from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle, solve_lp_stack
 
 
 def random_feasible_lp(rng, m=None, n=None, density=0.5, sense="min"):
