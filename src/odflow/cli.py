@@ -5,13 +5,18 @@ Every command that writes an output file also writes a manifest beside it
 ``odflow rerun <manifest>`` replays it byte-for-byte.
 
 Exit codes: 0 success, 2 usage, 3 parse/validation, 4 infeasible or
-unbounded program, 5 iteration limit.
+unbounded program, 5 iteration limit.  Exit 2 means a bad flag value or
+combination, reported before any input is read (``--dynamic`` on a static
+count file is found when that file is read).  A flag's own rule lives in its
+argparse type or group; a bound that depends on a fixture or input file,
+such as ``--m`` above the fixture's link count, is the library's (exit 3).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -64,7 +69,7 @@ SEED_ENV_VAR = "ODFLOW_SEED"
 
 
 class UsageError(ValueError):
-    """Bad flag combination detected after argparse."""
+    """A flag needed by another flag's value, or at odds with an input file."""
 
 
 def _resolve_network(spec: str):
@@ -80,76 +85,97 @@ def _resolve_paths(spec: str, net) -> PathTable:
     return PathTable.from_paths(paths)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok)
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _parse_grid(text: str) -> tuple[int, ...]:
-    """Either 'lo:hi' (inclusive) or a comma-separated list, not empty."""
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        try:
-            grid = tuple(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise UsageError(f"bad grid spec {text!r}") from exc
+def _number(convert, low, high=math.inf, *, strict=False, even=False):
+    """argparse type: a finite ``convert`` (int or float) value in
+    ``[low, high]``, or in ``(low, high)`` when ``strict``; even if ``even``."""
+    kind = "an even integer" if even else {int: "an integer", float: "a number"}[convert]
+    if high == math.inf:
+        span = f"above {low}" if strict else f"of at least {low}"
     else:
-        grid = _parse_int_list(text)
+        span = f"strictly between {low} and {high}" if strict else f"in {low}..{high}"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        inside = low < value < high if strict else low <= value <= high
+        if not (inside and abs(value) < math.inf and not (even and value % 2)):
+            raise argparse.ArgumentTypeError(f"must be {kind} {span}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: a nonempty comma-separated integer list."""
+    try:
+        values = tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return values
+
+
+def _grid(text: str) -> tuple[int, ...]:
+    """argparse type of ``--m-grid``: 'lo:hi' (inclusive) or an integer
+    list, not empty."""
+    if ":" not in text:
+        return _int_list(text)
+    lo, _, hi = text.partition(":")
+    try:
+        grid = tuple(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
     if not grid:
-        raise UsageError(f"empty grid {text!r}")
+        raise argparse.ArgumentTypeError(f"empty grid {text!r}")
     return grid
 
 
-def _trial_count(text: str) -> int:
-    """argparse type of ``--trials``: an integer of at least one."""
-    try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"{trials} is not a positive trial count")
-    return trials
-
-
-def _parse_supports(text: str) -> tuple[tuple[int, ...], ...]:
-    groups = tuple(_parse_int_list(g) for g in text.split(";") if g.strip())
+def _supports(text: str) -> tuple[tuple[int, ...], ...]:
+    """argparse type of ``--supports``: ';'-separated integer lists."""
+    groups = tuple(_int_list(g) for g in text.split(";") if g.strip())
     if not groups:
-        raise UsageError("no supports given")
-    if not all(groups):
-        raise UsageError(f"empty support group in {text!r}")
+        raise argparse.ArgumentTypeError(f"empty support list {text!r}")
     return groups
 
 
-def _write_manifest(args, out: FsPath, extra_outputs=()) -> None:
+def _od_pair(text: str) -> tuple:
+    """argparse type of ``--od``: 'origin,dest', node ids read as a network
+    file reads them."""
+    toks = text.split(",")
+    if len(toks) != 2:
+        raise argparse.ArgumentTypeError(f"expected 'origin,dest', got {text!r}")
+    return tuple(map(fileio._node_key, toks))
+
+
+_AT_LEAST_1 = _number(int, 1)
+_NONNEGATIVE = _number(float, 0)
+_POSITIVE = _number(float, 0, strict=True)
+
+
+def _write_manifest(args) -> None:
     fileio.write_manifest(
-        out,
+        args.output,
         command=args.command,
-        argv=args.resolved_argv,
+        argv=_resolved_argv(args),
         seed=getattr(args, "seed", None),
         inputs={
             key: getattr(args, key)
             for key in ("network", "paths", "measurements", "fixture")
             if getattr(args, key, None) is not None
         },
-        outputs=[str(out), *map(str, extra_outputs)],
+        outputs=[str(args.output)],
     )
 
 
 def _cmd_enumerate(args) -> int:
     net = _resolve_network(args.network)
-    od_specs = args.od or []
-    if not od_specs:
-        raise UsageError("at least one --od PAIR is required")
     all_paths = []
-    od_pairs = []
-    for spec in od_specs:
-        toks = spec.split(",")
-        if len(toks) != 2:
-            raise UsageError(f"--od expects 'origin,dest', got {spec!r}")
-        origin, dest = (int(t) if t.lstrip("-").isdigit() else t for t in toks)
-        od_pairs.append((origin, dest))
+    for origin, dest in args.od:
         found = enumerate_paths(
             net,
             (origin, dest),
@@ -162,8 +188,8 @@ def _cmd_enumerate(args) -> int:
                   file=sys.stderr)
         all_paths.extend(found)
     fileio.save_paths(all_paths, args.output)
-    print(f"od_pairs={len(od_pairs)} paths={len(all_paths)} -> {args.output}")
-    _write_manifest(args, FsPath(args.output))
+    print(f"od_pairs={len(args.od)} paths={len(all_paths)} -> {args.output}")
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -172,9 +198,7 @@ def _build_system(args, net, table):
     y = np.asarray(meas.counts, dtype=float)
     if meas.kind == "dynamic":
         links_in_order = []
-        times = sorted({t for (_, t) in meas.row_labels})
-        if args.times:
-            times = sorted(set(times) | set(_parse_int_list(args.times)))
+        times = sorted({t for (_, t) in meas.row_labels} | set(args.times or ()))
         for lid, _ in meas.row_labels:
             if lid not in links_in_order:
                 links_in_order.append(lid)
@@ -187,18 +211,14 @@ def _build_system(args, net, table):
 
 
 def _cmd_estimate(args) -> int:
+    method = args.method
+    if method in ("l1-noisy", "l2-noisy") and args.delta is None:
+        raise UsageError(f"--delta is required for method {method}")
+    if method == "weighted" and args.weights is None:
+        raise UsageError("--weights FILE is required for method weighted")
     net = _resolve_network(args.network)
     table = _resolve_paths(args.paths, net)
     ms, y = _build_system(args, net, table)
-
-    method = args.method
-    if method in ("l1-noisy", "l2-noisy"):
-        if args.delta is None:
-            raise UsageError(f"--delta is required for method {method}")
-        if args.delta < 0:
-            raise UsageError("--delta must be nonnegative")
-    if method == "weighted" and args.weights is None:
-        raise UsageError("--weights FILE is required for method weighted")
 
     if method == "l1":
         result = estimate_l1(ms, y)
@@ -214,10 +234,8 @@ def _cmd_estimate(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise fileio.FileFormatError(f"cannot read weights: {exc}") from exc
         result = estimate_weighted_l1(ms, y, WeightMatrix(np.asarray(lam, dtype=float)))
-    elif method == "reweighted":
+    else:
         result = reweighted_l1(ms, y, iters=args.iters, epsilon=args.epsilon)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {method!r}")
 
     payload = fileio.result_to_dict(result, table)
     if args.truth is not None:
@@ -239,7 +257,7 @@ def _cmd_estimate(args) -> int:
     fileio.dump_json(payload, args.output)
     print(f"{method}: status={result.status} objective={result.objective:.12g} "
           f"sparsity={payload['sparsity']} -> {args.output}")
-    _write_manifest(args, FsPath(args.output))
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -254,76 +272,47 @@ def _cmd_vmt(args) -> int:
             lengths = np.asarray(json.loads(FsPath(args.lengths).read_text()), dtype=float)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise fileio.FileFormatError(f"cannot read lengths file: {exc}") from exc
-    elif args.link_lengths:
+    else:
         paths, _ = split_column_labels(ms.col_labels)
         lengths = path_lengths(net, table)[paths]
-    else:
-        raise UsageError("one of --lengths FILE, --unit or --link-lengths is required")
     bounds = vmt_bounds(ms, y, lengths)
     fileio.dump_json(fileio.bounds_to_dict(bounds, table), args.output)
     print(f"vmt_lower={bounds.vmt_lower:.12g} vmt_upper={bounds.vmt_upper:.12g} "
           f"-> {args.output}")
-    _write_manifest(args, FsPath(args.output))
+    _write_manifest(args)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    if (args.supports is None) == (args.sparsity is None):
-        raise UsageError("exactly one of --supports or --sparsity is required")
-    if args.supports is not None:
-        supports = _parse_supports(args.supports)
-    else:
-        supports = _parse_int_list(args.sparsity)
-        if not supports:
-            raise UsageError(f"empty sparsity list {args.sparsity!r}")
-    m_grid = _parse_grid(args.m_grid)
     cfg = TrialConfig(fixture=args.fixture, trials=args.trials, seed=args.seed)
-    report = run_recovery_sweep(cfg, m_grid=m_grid, supports=list(supports))
-    fileio.write_csv(
-        args.output,
-        ("S", "M", "criterion", "rate", "stderr", "trials", "seed"),
-        report.csv_rows(),
-    )
+    report = run_recovery_sweep(cfg, m_grid=args.m_grid,
+                                supports=list(args.supports or args.sparsity))
+    fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(f"{len(report.points)} grid points -> {args.output}")
-    _write_manifest(args, FsPath(args.output))
+    _write_manifest(args)
     return EXIT_OK
 
 
 def _cmd_noisy_cdf(args) -> int:
-    if args.delta is not None and args.delta < 0:
-        raise UsageError("--delta must be nonnegative")
-    support = _parse_int_list(args.support)
-    cfg = TrialConfig(
-        fixture=args.fixture,
-        support=support,
-        m=args.m,
-        noise_sd=args.nu,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    cfg = TrialConfig(fixture=args.fixture, support=args.support, m=args.m,
+                      noise_sd=args.nu, trials=args.trials, seed=args.seed)
     report = run_noisy_cdf(cfg, delta=args.delta)
-    fileio.write_csv(args.output, ("method", "error", "cdf"), report.csv_rows())
+    fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(
         f"delta={report.delta:.12g} infeasible_trials={report.infeasible_trials} "
         f"median_l1={report.quantile('l1', 0.5):.6g} "
         f"median_l2={report.quantile('l2', 0.5):.6g} -> {args.output}"
     )
-    _write_manifest(args, FsPath(args.output))
+    _write_manifest(args)
     return EXIT_OK
 
 
 def _cmd_vmt_sweep(args) -> int:
-    m_grid = _parse_grid(args.m_grid)
     cfg = TrialConfig(fixture=args.fixture, trials=args.trials, seed=args.seed)
-    report = run_vmt_sweep(cfg, m_grid=m_grid, recovery_tol=args.recovery_tol)
-    fileio.write_csv(
-        args.output,
-        ("M", "rate_min", "rate_max", "mean_ratio_min", "mean_ratio_max",
-         "unbounded_count"),
-        report.csv_rows(),
-    )
+    report = run_vmt_sweep(cfg, m_grid=args.m_grid, recovery_tol=args.recovery_tol)
+    fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(f"{len(report.points)} M values -> {args.output}")
-    _write_manifest(args, FsPath(args.output))
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -344,7 +333,7 @@ def _cmd_grid(args) -> int:
              "exact_fraction", "tail_bound"),
             [(args.n, args.alpha, turns, count, few, fraction, bound)],
         )
-        _write_manifest(args, FsPath(args.output))
+        _write_manifest(args)
     return EXIT_OK
 
 
@@ -380,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate simple paths for OD pairs")
     p.add_argument("--network", required=True,
                    help=f"network file or fixture name ({', '.join(FIXTURE_NAMES)})")
-    p.add_argument("--od", action="append", metavar="O,D",
-                   help="OD pair, repeatable")
-    p.add_argument("--max-links", type=int, default=None)
-    p.add_argument("--max-turns", type=int, default=None)
-    p.add_argument("--max-length-ratio", type=float, default=None)
+    p.add_argument("--od", action="append", type=_od_pair, required=True,
+                   metavar="O,D", help="OD pair, repeatable")
+    p.add_argument("--max-links", type=_AT_LEAST_1, default=None)
+    p.add_argument("--max-turns", type=_number(int, 0), default=None)
+    p.add_argument("--max-length-ratio", type=_number(float, 1), default=None)
     p.add_argument("--output", required=True, help="path JSON to write")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -396,17 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=("l1", "l2", "l1-noisy", "l2-noisy", "weighted",
                             "reweighted"))
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_NONNEGATIVE, default=None,
                    help="ball radius for the noisy methods")
     p.add_argument("--weights", default=None,
                    help="JSON list of per-path weights (weighted method)")
-    p.add_argument("--iters", type=int, default=4,
+    p.add_argument("--iters", type=_AT_LEAST_1, default=4,
                    help="rounds for the reweighted method")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_POSITIVE, default=None,
                    help="reweighting damping term")
     p.add_argument("--dynamic", action="store_true",
                    help="expect a dynamic (link,time,count) measurement file")
-    p.add_argument("--times", default=None,
+    p.add_argument("--times", type=_int_list, default=None,
                    help="extra count times to model, comma separated")
     p.add_argument("--truth", default=None,
                    help="JSON list with the true allocation, for a recovery check")
@@ -417,35 +406,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--paths", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--lengths", default=None, help="JSON list of per-path lengths")
-    p.add_argument("--unit", action="store_true",
-                   help="unit lengths: bound the vehicle count")
-    p.add_argument("--link-lengths", action="store_true",
-                   help="derive path lengths from the network's link lengths")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lengths", default=None, help="JSON list of per-path lengths")
+    source.add_argument("--unit", action="store_true",
+                        help="unit lengths: bound the vehicle count")
+    source.add_argument("--link-lengths", action="store_true",
+                        help="derive path lengths from the network's link lengths")
     p.add_argument("--dynamic", action="store_true")
-    p.add_argument("--times", default=None)
+    p.add_argument("--times", type=_int_list, default=None)
     p.add_argument("--output", required=True, help="bounds JSON to write")
     p.set_defaults(func=_cmd_vmt)
 
     p = sub.add_parser("sweep", help="recovery-rate sweep over measured links")
     p.add_argument("--fixture", default="fig2", choices=FIXTURE_NAMES)
-    p.add_argument("--supports", default=None,
-                   help="fixed supports, e.g. '4,8,12;1,7,10,13' (0-based)")
-    p.add_argument("--sparsity", default=None,
-                   help="random-support sparsity levels, e.g. '3,4,5'")
-    p.add_argument("--m-grid", default="4:10", help="'lo:hi' or list")
-    p.add_argument("--trials", type=_trial_count, default=500)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--supports", type=_supports, default=None,
+                      help="fixed supports, e.g. '4,8,12;1,7,10,13' (0-based)")
+    mode.add_argument("--sparsity", type=_int_list, default=None,
+                      help="random-support sparsity levels, e.g. '3,4,5'")
+    p.add_argument("--m-grid", type=_grid, default="4:10", help="'lo:hi' or list")
+    p.add_argument("--trials", type=_AT_LEAST_1, default=500)
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("noisy-cdf", help="noise-aware l1 vs l2 error comparison")
     p.add_argument("--fixture", default="fig2", choices=FIXTURE_NAMES)
-    p.add_argument("--support", required=True, help="e.g. '4,8,12' (0-based)")
-    p.add_argument("--nu", type=float, required=True, help="noise standard deviation")
-    p.add_argument("--m", type=int, default=10, help="measured links per trial")
-    p.add_argument("--trials", type=_trial_count, default=1000)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--support", type=_int_list, required=True,
+                   help="e.g. '4,8,12' (0-based)")
+    p.add_argument("--nu", type=_POSITIVE, required=True, help="noise standard deviation")
+    p.add_argument("--m", type=_AT_LEAST_1, default=10, help="measured links per trial")
+    p.add_argument("--trials", type=_AT_LEAST_1, default=1000)
+    p.add_argument("--delta", type=_NONNEGATIVE, default=None,
                    help="ball radius (default nu*sqrt(m))")
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")
@@ -453,18 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vmt-sweep", help="travel-bound recovery sweep")
     p.add_argument("--fixture", default="nguyen", choices=FIXTURE_NAMES)
-    p.add_argument("--m-grid", default="14,18,22,26,30,34,38")
-    p.add_argument("--trials", type=_trial_count, default=500)
-    p.add_argument("--recovery-tol", type=float, default=0.001)
+    p.add_argument("--m-grid", type=_grid, default="14,18,22,26,30,34,38")
+    p.add_argument("--trials", type=_AT_LEAST_1, default=500)
+    p.add_argument("--recovery-tol", type=_NONNEGATIVE, default=0.001)
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=_cmd_vmt_sweep)
 
     p = sub.add_parser("grid", help="square-grid path counts and turn fractions")
-    p.add_argument("--n", type=int, required=True, help="links per path (even)")
-    p.add_argument("--alpha", type=float, required=True,
+    p.add_argument("--n", type=_number(int, 2, 60, even=True), required=True,
+                   help="links per path (even)")
+    p.add_argument("--alpha", type=_number(float, 0, 0.5, strict=True), required=True,
                    help="turn fraction, 0 < alpha < 0.5")
-    p.add_argument("--turns", type=int, default=None,
+    p.add_argument("--turns", type=_number(int, 0), default=None,
                    help="override the turn cap (default floor(alpha*n))")
     p.add_argument("--output", default=None, help="optional CSV")
     p.set_defaults(func=_cmd_grid)
@@ -485,7 +478,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage problems
         return int(exc.code or 0)
-    args.resolved_argv = _resolved_argv(args)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -509,33 +501,33 @@ def main(argv=None) -> int:
 # Flags whose values are input files; absolutized in manifests so a rerun
 # works from any working directory.
 _INPUT_FILE_KEYS = frozenset(
-    {"network", "paths", "measurements", "weights", "truth", "lengths"}
-)
+    {"network", "paths", "measurements", "weights", "truth", "lengths"})
+
+
+def _flag_text(value) -> str:
+    """A parsed flag value in the syntax its argparse type reads."""
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(map(_flag_text, value))
+    return str(value)
 
 
 def _resolved_argv(args) -> list[str]:
     """Reconstruct a replayable argument vector from parsed options."""
-    cmd = args.command
-    argv = [cmd]
-    skip = {"command", "func", "resolved_argv"}
-    if cmd == "rerun":
-        argv.append(args.manifest)
-        if args.output_dir:
-            argv += ["--output-dir", args.output_dir]
-        return argv
+    argv = [args.command]
     for key, value in sorted(vars(args).items()):
-        if key in skip or value is None or value is False:
+        if key in ("command", "func") or value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
         if value is True:
             argv.append(flag)
-        elif key == "od":
+        elif isinstance(value, list):  # a repeatable flag
             for item in value:
-                argv += [flag, str(item)]
+                argv += [flag, _flag_text(item)]
         else:
             if key in _INPUT_FILE_KEYS and FsPath(str(value)).exists():
                 value = FsPath(str(value)).resolve()
-            argv += [flag, str(value)]
+            argv += [flag, _flag_text(value)]
     return argv
 
 

@@ -284,9 +284,10 @@ class RecoveryReport:
     seed: int
 
     CRITERIA = ("path_alloc", "od_flow", "total_flow")
+    CSV_HEADER = ("S", "M", "criterion", "rate", "stderr", "trials", "seed")
 
     def csv_rows(self):
-        """Rows (S, M, criterion, rate, stderr, trials, seed)."""
+        """Rows under ``CSV_HEADER``."""
         rows = []
         for pt in self.points:
             for crit, rate in zip(
@@ -396,12 +397,14 @@ class NoisyCdfReport:
     seed: int
     infeasible_trials: int = 0
 
+    CSV_HEADER = ("method", "error", "cdf")
+
     def quantile(self, method: str, q: float) -> float:
         errs = self.errors_l1 if method == "l1" else self.errors_l2
         return float(np.quantile(np.asarray(errs), q, method="linear"))
 
     def csv_rows(self):
-        """Rows (method, error, cdf), errors ascending per method."""
+        """Rows under ``CSV_HEADER``, errors ascending per method."""
         rows = []
         for method, errs in (("l1", self.errors_l1), ("l2", self.errors_l2)):
             for i, e in enumerate(errs):
@@ -476,9 +479,11 @@ class VmtReport:
     points: tuple[VmtSweepPoint, ...]
     seed: int
 
+    CSV_HEADER = ("M", "rate_min", "rate_max", "mean_ratio_min", "mean_ratio_max",
+                  "unbounded_count")
+
     def csv_rows(self):
-        """Rows (M, rate_min, rate_max, mean_ratio_min, mean_ratio_max,
-        unbounded_count)."""
+        """Rows under ``CSV_HEADER``."""
         return [
             (p.m, p.rate_min, p.rate_max, p.mean_ratio_min, p.mean_ratio_max,
              p.unbounded_count)
@@ -560,34 +565,20 @@ def grid_path_count(n: int) -> int:
 def grid_paths_max_turns(n: int, turns: int) -> int:
     """Monotone grid paths using at most ``turns`` direction changes.
 
-    Dynamic program over (position, heading, turns used); exact integer
-    arithmetic throughout.
+    A path with ``t`` turns runs in ``t + 1`` alternating straight pieces,
+    which split each heading's ``s = n / 2`` moves into positive parts: for
+    either first heading, ``C(s-1, t // 2) C(s-1, (t-1) // 2)`` paths make
+    exactly ``t >= 1`` turns.  Exact integer arithmetic throughout.
     """
     if n % 2 != 0 or not 2 <= n <= 60:
         raise GridSizeError("n must be an even integer in 2..60")
     if turns < 0:
         raise GridSizeError("turns must be nonnegative")
-    side = n // 2
-    cap = min(turns, n - 1)
-    # layer[(i, j, h)][k] = paths reaching (i, j) with heading h
-    # (0 = east, 1 = north) after i + j moves, having used k turns
-    layer: dict[tuple[int, int, int], list[int]] = {
-        (1, 0, 0): [1] + [0] * cap,
-        (0, 1, 1): [1] + [0] * cap,
-    }
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int, int], list[int]] = {}
-        for (i, j, h), counts in layer.items():
-            for nh, (ni, nj) in ((0, (i + 1, j)), (1, (i, j + 1))):
-                if ni > side or nj > side:
-                    continue
-                extra = 0 if nh == h else 1
-                target = nxt.setdefault((ni, nj, nh), [0] * (cap + 1))
-                for k in range(cap + 1 - extra):
-                    if counts[k]:
-                        target[k + extra] += counts[k]
-        layer = nxt
-    return sum(sum(layer.get((side, side, h), ())) for h in (0, 1))
+    k = n // 2 - 1
+    return sum(
+        2 * math.comb(k, t // 2) * math.comb(k, (t - 1) // 2)
+        for t in range(1, min(turns, n - 1) + 1)
+    )
 
 
 def grid_turn_fraction(alpha: float, n: int) -> float:

@@ -533,13 +533,10 @@ def build_dynamic_system(
     delays: list[list[tuple[LinkId, int]]] = []
     covered: set[LinkId] = set()
     for p in pt.paths:
-        entries = []
-        d = 0
-        for lid in p.links:
-            if lid in measured_set:
-                entries.append((lid, d))
-                covered.add(lid)
-            d += net.link_by_id[lid].travel_time
+        entries = [
+            (lid, path_prefix_delay(p, lid, net)) for lid in p.links if lid in measured_set
+        ]
+        covered.update(lid for lid, _ in entries)
         delays.append(entries)
     for lid in measured_links:
         if lid not in covered:

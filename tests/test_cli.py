@@ -1,10 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from odflow import PathTable, build_static_incidence, experiments, fileio
+from odflow import (
+    PathTable,
+    __version__,
+    build_dynamic_system,
+    build_static_incidence,
+    experiments,
+    fileio,
+)
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
 
@@ -408,7 +419,7 @@ class TestSweepCommands:
         out = tmp_path / "out.csv"
         rc = main(argv + [empty, "--trials", "2", "--output", str(out)])
         assert rc == 2
-        assert "usage error: empty" in capsys.readouterr().err
+        assert f"argument {argv[-1]}: empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_noisy_cdf_csv(self, tmp_path):
@@ -464,9 +475,9 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("argv,message", [
         (["sweep", "--supports", "4,x"], "integer list"),
-        (["sweep", "--supports", "4,8;,"], "empty support group"),
+        (["sweep", "--supports", "4,8;,"], "argument --supports: empty"),
         (["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--delta", "-1"],
-         "--delta must be nonnegative"),
+         "argument --delta: must be"),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, message):
         # these exited 3, with a raw int() message or after trials ran
@@ -500,3 +511,151 @@ class TestSweepCommands:
         assert rc == 0
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+@pytest.fixture()
+def inputs(tmp_path, demo_counts, fig1, fig2):
+    """Input files of fig2 commands (``all`` counts every link, so travel is
+    bounded), plus a fig1 dynamic count file."""
+    counts, truth, x = demo_counts
+    links = [l.id for l in fig2.network.links]
+    all_counts = tmp_path / "all.csv"
+    write_counts(all_counts, links,
+                 build_static_incidence(fig2.table, links, fig2.network).matrix @ x)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([0.1 if i in (1, 7, 10, 13) else 1.0 for i in range(14)]))
+    lengths = tmp_path / "lengths.json"
+    lengths.write_text(json.dumps([2.0] * 14))
+    measured = [l.id for l in fig1.network.links]
+    ms = build_dynamic_system(fig1.table, fig1.network, measured, [0, 1])
+    x = np.zeros(ms.n_cols)
+    x[ms.col_labels.index((1, 0))] = 6.0
+    dyn = tmp_path / "dyn.csv"
+    lines = ["link_id,time,count"]
+    lines += [f"{lid},{t},{c}" for (lid, t), c in zip(ms.row_labels, ms.matrix @ x)]
+    dyn.write_text("\n".join(lines) + "\n")
+    return {"counts": counts, "all": all_counts, "truth": truth, "weights": weights,
+            "lengths": lengths, "dyn": dyn}
+
+
+FIG2 = ["--network", "fig2", "--paths", "fig2", "--measurements", "{counts}"]
+FIG2_ALL = FIG2[:-1] + ["{all}"]
+
+
+def fill(argv, inputs):
+    return [tok.format(**inputs) for tok in argv]
+
+
+class TestFlagValues:
+    # each of these exited 0 or 3 (after reading inputs or running
+    # trials), or gave a usage error from the command body
+    @pytest.mark.parametrize("argv,flag", [
+        (["vmt-sweep", "--m-grid", "38", "--trials", "2", "--recovery-tol", "-1"],
+         "--recovery-tol"),
+        (["vmt-sweep", "--m-grid", "38", "--trials", "2", "--recovery-tol", "nan"],
+         "--recovery-tol"),
+        (["enumerate", "--network", "fig1", "--od", "1,3", "--max-links", "-1"],
+         "--max-links"),
+        (["enumerate", "--network", "fig1", "--od", "1,3", "--max-turns", "-1"],
+         "--max-turns"),
+        (["enumerate", "--network", "fig1", "--od", "1,3", "--max-length-ratio", "0.5"],
+         "--max-length-ratio"),
+        (["enumerate", "--network", "fig1", "--od", "1,3,2"], "--od"),
+        (["estimate", *FIG2, "--method", "l1", "--delta", "-3"], "--delta"),
+        (["estimate", *FIG2, "--method", "l2-noisy", "--delta", "inf"], "--delta"),
+        (["estimate", *FIG2, "--method", "reweighted", "--iters", "0"], "--iters"),
+        (["estimate", *FIG2, "--method", "reweighted", "--epsilon", "-1"], "--epsilon"),
+        (["estimate", *FIG2, "--method", "l1", "--times", "1,x"], "--times"),
+        (["vmt", *FIG2_ALL, "--unit", "--lengths", "{lengths}"], "--lengths"),
+        (["vmt", *FIG2_ALL, "--unit", "--link-lengths"], "--link-lengths"),
+        (["vmt", *FIG2_ALL, "--link-lengths", "--lengths", "{lengths}"], "--lengths"),
+        (["noisy-cdf", "--support", "4,8,12", "--nu", "-0.1", "--trials", "2"], "--nu"),
+        (["noisy-cdf", "--support", "4,8,12", "--nu", "0", "--trials", "2"], "--nu"),
+        (["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--m", "0",
+          "--trials", "2"], "--m"),
+        (["noisy-cdf", "--support", "", "--nu", "0.1", "--trials", "2"], "--support"),
+        (["sweep", "--supports", "4,8,12", "--sparsity", "3", "--trials", "2"],
+         "--sparsity"),
+        (["grid", "--n", "10", "--alpha", "0.2", "--turns", "-1"], "--turns"),
+        (["grid", "--n", "7", "--alpha", "0.2"], "--n"),
+        (["grid", "--n", "62", "--alpha", "0.2"], "--n"),
+        (["grid", "--n", "10", "--alpha", "0.7"], "--alpha"),
+        (["grid", "--n", "10", "--alpha", "0"], "--alpha"),
+    ])
+    def test_bad_flag_value_exits_2_before_any_work(self, tmp_path, capsys, inputs,
+                                                     argv, flag):
+        out = tmp_path / "out"
+        rc = main(fill(argv, inputs) + ["--output", str(out)])
+        assert rc == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "out.manifest.json").exists()
+
+    def test_enumerate_needs_an_od(self, tmp_path, capsys):
+        rc = main(["enumerate", "--network", "fig1", "--output", str(tmp_path / "p")])
+        assert rc == 2
+        assert "--od" in capsys.readouterr().err
+
+    def test_fixture_bound_stays_with_the_library(self, tmp_path, capsys):
+        # fig2 has 10 links: only the fixture knows that --m 11 is too many
+        out = tmp_path / "out"
+        rc = main(["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--m", "11",
+                   "--trials", "2", "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--network", "fig1", "--od", "1,3", "--od", "2,1",
+         "--max-links", "3"],
+        ["estimate", *FIG2, "--method", "l1", "--truth", "{truth}"],
+        ["estimate", *FIG2, "--method", "l2"],
+        ["estimate", *FIG2, "--method", "l1-noisy", "--delta", "0.5"],
+        ["estimate", *FIG2, "--method", "l2-noisy", "--delta", "0.5"],
+        ["estimate", *FIG2, "--method", "weighted", "--weights", "{weights}"],
+        ["estimate", *FIG2, "--method", "reweighted", "--iters", "3",
+         "--epsilon", "0.01"],
+        ["estimate", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
+         "--method", "l1", "--dynamic", "--times", "0,2"],
+        ["vmt", *FIG2_ALL, "--unit"],
+        ["vmt", *FIG2_ALL, "--lengths", "{lengths}"],
+        ["vmt", *FIG2_ALL, "--link-lengths"],
+        ["sweep", "--supports", "4,8,12;1,7,10,13", "--m-grid", "4:10",
+         "--trials", "4", "--seed", "3"],
+        ["sweep", "--sparsity", "3,4", "--m-grid", "8,10", "--trials", "4"],
+        ["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--m", "7",
+         "--delta", "0.3", "--trials", "4"],
+        ["vmt-sweep", "--m-grid", "30,38", "--recovery-tol", "0.01", "--trials", "3"],
+        ["grid", "--n", "10", "--alpha", "0.2", "--turns", "3"],
+    ])
+    def test_rerun_reproduces_output_bytes(self, tmp_path, inputs, argv):
+        out = tmp_path / "out"
+        assert main(fill(argv, inputs) + ["--output", str(out)]) == 0
+        again = tmp_path / "again"
+        rc = main(["rerun", str(out) + ".manifest.json", "--output-dir", str(again)])
+        assert rc == 0
+        assert (again / "out").read_bytes() == out.read_bytes()
+
+
+def test_module_runs_as_a_process():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "odflow.cli", *argv], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    done = run("--version")
+    assert (done.returncode, done.stdout) == (0, f"odflow {__version__}\n")
+    done = run("grid", "--n", "10", "--alpha", "0.2")
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == [
+        "paths=252",
+        "paths_with_at_most_2_turns=10",
+        "exact_fraction=0.0396825396825",
+        "tail_bound=0.165298888222",
+    ]
+    done = run("grid", "--n", "7", "--alpha", "0.2")
+    assert done.returncode == 2
+    assert "argument --n" in done.stderr

@@ -564,10 +564,21 @@ class TestGridCombinatorics:
         with pytest.raises(GridSizeError):
             grid_path_count(0)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_dp_matches_brute_force(self, n):
         for turns in range(n):
             assert grid_paths_max_turns(n, turns) == brute_force_grid_paths(n, turns)
+
+    @pytest.mark.parametrize("n,turns,count", [
+        (50, 5, 166802),
+        (50, 10, 1181610010),
+        (60, 11, 35178417812),
+        (60, 30, 65147652035168312),
+    ])
+    def test_max_turn_counts_pinned(self, n, turns, count):
+        # values of the dynamic program over (position, heading, turns used)
+        # that the closed form replaced
+        assert grid_paths_max_turns(n, turns) == count
 
     @pytest.mark.parametrize("n", [2, 4, 10, 26, 50])
     def test_one_turn_paths(self, n):
