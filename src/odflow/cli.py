@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -197,13 +198,15 @@ def _build_system(args, net, table):
     meas = fileio.load_measurements(args.measurements)
     y = np.asarray(meas.counts, dtype=float)
     if meas.kind == "dynamic":
-        links_in_order = []
-        times = sorted({t for (_, t) in meas.row_labels} | set(args.times or ()))
-        for lid, _ in meas.row_labels:
-            if lid not in links_in_order:
-                links_in_order.append(lid)
-        full = build_dynamic_system(table, net, links_in_order, times)
-        return full.subsystem(meas.row_labels), y
+        # the grid of the file's links and times, cut to its rows and to the
+        # columns they observe (compress keeps the matrix row-major, which
+        # the rounding of its products depends on)
+        links = list(dict.fromkeys(lid for lid, _ in meas.row_labels))
+        times = sorted({t for _, t in meas.row_labels})
+        ms = build_dynamic_system(table, net, links, times).subsystem(meas.row_labels)
+        seen = ms.matrix.any(axis=0)
+        cols = tuple(lbl for lbl, keep in zip(ms.col_labels, seen) if keep)
+        return replace(ms, matrix=ms.matrix.compress(seen, axis=1), col_labels=cols), y
     if args.dynamic:
         raise UsageError("--dynamic needs a 'link_id,time,count' measurement file")
     measured = list(meas.row_labels)
@@ -395,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reweighting damping term")
     p.add_argument("--dynamic", action="store_true",
                    help="expect a dynamic (link,time,count) measurement file")
-    p.add_argument("--times", type=_int_list, default=None,
-                   help="extra count times to model, comma separated")
     p.add_argument("--truth", default=None,
                    help="JSON list with the true allocation, for a recovery check")
     p.add_argument("--output", required=True, help="result JSON to write")
@@ -413,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--link-lengths", action="store_true",
                         help="derive path lengths from the network's link lengths")
     p.add_argument("--dynamic", action="store_true")
-    p.add_argument("--times", type=_int_list, default=None)
     p.add_argument("--output", required=True, help="bounds JSON to write")
     p.set_defaults(func=_cmd_vmt)
 

@@ -29,7 +29,8 @@ Two engines:
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
-  on Lawson-Hanson nonnegative least squares (``scipy.optimize.nnls``):
+  on Lawson-Hanson nonnegative least squares (``scipy.optimize.nnls``),
+  whose every answer passes one KKT check or is solved again by BVLS:
   one NNLS solve decides feasibility, and an infeasible verdict needs its
   residual as a certificate.  The ball's multiplier is a root
   on each support piece of the penalized path: of a secular equation for
@@ -74,7 +75,7 @@ _MAX_BALL_SOLVES = 100
 _MAX_NEWTON_STEPS = 100
 # The KKT checks allow this much on the wrong side, relative to the largest
 # entry of A'r (l2 certificate) or to the roundoff in A'r (l1 certificate,
-# ridge check), so that a root on a breakpoint of the path, where one
+# NNLS answers), so that a root on a breakpoint of the path, where one
 # entry of x or of A'r is zero, still certifies.
 _KKT_SLACK = 1e-12
 # The equality-constrained l2 program relaxes x >= 0 by this much (counts
@@ -103,8 +104,8 @@ class ConeProblem:
     """``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0``.
 
     ``objective`` is ``"l1"`` (weighted sum of entries, weights default to
-    one) or ``"l2"`` (Euclidean norm).  ``delta = 0`` degenerates to the
-    equality-constrained program.
+    one) or ``"l2"`` (Euclidean norm, no weights).  ``delta = 0``
+    degenerates to the equality-constrained program.
     """
 
     A: np.ndarray
@@ -673,8 +674,12 @@ class _SolveFailed(Exception):
 
 
 class _CountedNnls:
-    """``scipy.optimize.nnls`` that counts its calls and turns its
-    iteration cap into :class:`_SolveFailed`."""
+    """``scipy.optimize.nnls`` that counts its calls: the one door of every
+    NNLS answer ``(x, ||E x - f||)`` of the cone solver.  An answer that
+    misses its KKT conditions (:func:`_kkt`), as scipy's can on large
+    rank-deficient stacks, is solved again by BVLS (Stark & Parker 1995),
+    counted as one more solve; an iteration cap, or a BVLS answer that
+    misses them too, raises :class:`_SolveFailed`."""
 
     def __init__(self):
         self.calls = 0
@@ -682,39 +687,43 @@ class _CountedNnls:
     def __call__(self, E: np.ndarray, f: np.ndarray):
         self.calls += 1
         try:
-            return nnls(E, f)
+            x, dist = nnls(E, f)
         except RuntimeError as exc:
             raise _SolveFailed(str(exc)) from exc
-
-    def bvls(self, E: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The same program by bounded-variable least squares (Stark &
-        Parker 1995), counted as one more solve."""
+        if _kkt(E, f, x):
+            return x, dist
         self.calls += 1
-        fit = lsq_linear(E, f, bounds=(0.0, np.inf), method="bvls")
-        if fit.status == 0:
-            raise _SolveFailed(fit.message)
-        return fit.x
+        x = lsq_linear(E, f, bounds=(0.0, np.inf), method="bvls").x
+        if not _kkt(E, f, x):
+            raise _SolveFailed("no least-squares answer meets its KKT conditions")
+        return x, float(np.linalg.norm(E @ x - f))
 
 
-def _roundoff(abs_A, abs_y, x) -> float:
+def _roundoff(A, y, x):
     """The scale of the roundoff in ``A'(y - A x)``:
-    ``max |A|'(|y| + |A||x|)``, given ``|A|`` and ``|y|``."""
-    return float(((abs_y + abs_A @ np.abs(x)) @ abs_A).max())
+    ``max |A|'(|y| + |A||x|)``."""
+    abs_A = np.abs(A)
+    return ((np.abs(y) + abs_A @ np.abs(x)) @ abs_A).max()
 
 
-def _separates(A, y, x, delta) -> bool:
-    """Whether the residual ``r = y - A x`` certifies that no ``z >= 0``
-    has ``||y - A z|| <= delta``.
+def _kkt(E, f, x):
+    """Whether ``x >= 0`` meets the KKT conditions of
+    ``min_{x >= 0} ||E x - f||``: ``g = E'(f - E x) <= 0``, with equality on
+    the support, up to ``_KKT_SLACK`` times the roundoff in ``g``."""
+    g = (f - E @ x) @ E
+    slack = _KKT_SLACK * _roundoff(E, f, x)
+    return g.max() <= slack and g.min(where=x > 0, initial=0.0) >= -slack
 
-    With ``u = r/||r||``, ``A'u <= 0`` and ``u'y > delta`` give
-    ``||y - A z|| >= u'(y - A z) >= u'y > delta`` for every ``z >= 0``;
-    ``A'r`` may be positive by ``_KKT_SLACK`` times its roundoff.
+
+def _separates(A, y, x, dist, delta) -> bool:
+    """Whether the residual ``r = y - A x``, ``||r|| = dist``, of a certified
+    NNLS answer certifies that no ``z >= 0`` has ``||y - A z|| <= delta``.
+
+    With ``u = r/||r||``, ``A'u <= 0`` (the answer's KKT conditions) and
+    ``u'y > delta`` give ``||y - A z|| >= u'(y - A z) >= u'y > delta`` for
+    every ``z >= 0``.
     """
-    r = y - A @ x
-    norm = float(np.linalg.norm(r))
-    return (norm > 0.0
-            and float((A.T @ r).max()) <= _KKT_SLACK * _roundoff(np.abs(A), np.abs(y), x)
-            and float(r @ y) > delta * norm)
+    return dist > 0.0 and float((y - A @ x) @ y) > delta * dist
 
 
 def _ldp(G: np.ndarray, h: np.ndarray, solve: _CountedNnls):
@@ -747,25 +756,14 @@ def _lasso(A, y, lam, nu, solve) -> np.ndarray:
     return _ldp(-A.T, A.T @ y - lam / nu, solve)[1]
 
 
-def _ridge(A, y, abs_A, abs_y, nu, solve) -> np.ndarray:
+def _ridge(A, y, nu, solve) -> np.ndarray:
     """``argmin_{x >= 0} ½||x||² + (nu/2)·||A x - y||²``: NNLS on
-    ``[sqrt(nu) A; I]``.
-
-    scipy's NNLS can stop short of this optimum on large rank-deficient
-    stacks, so an answer that misses the KKT conditions
-    ``x = max(0, nu A'(y - A x))`` by more than roundoff is solved again by
-    BVLS.  ``abs_A`` and ``abs_y`` are ``|A|`` and ``|y|``, fixed for the
-    whole ball search, for the roundoff bound.
-    """
+    ``[sqrt(nu) A; I]``."""
     n = A.shape[1]
     root = math.sqrt(nu)
     E = np.vstack([root * A, np.eye(n)])
     f = np.concatenate([root * y, np.zeros(n)])
-    x, _ = solve(E, f)
-    miss = np.abs(x - np.maximum(0.0, nu * (A.T @ (y - A @ x)))).max()
-    if miss > _KKT_SLACK * nu * _roundoff(abs_A, abs_y, x):
-        x = solve.bvls(E, f)
-    return x
+    return solve(E, f)[0]
 
 
 def _piece_root(A_S, y, delta, lo, hi):
@@ -854,7 +852,7 @@ def _l1_piece(A, y, lam, delta, support, *_):
     nu = math.sqrt(float(t @ t) / gap)
     x = np.zeros(A.shape[1])
     x[support] = Wt.T @ ((c - t / nu) / s)
-    slack = _KKT_SLACK * _roundoff(np.abs(A), np.abs(y), x)
+    slack = _KKT_SLACK * _roundoff(A, y, x)
     if (x.min() < -_KKT_SLACK * x.max()
             or np.max(A.T @ (y - A @ x) - lam / nu) > slack):
         return nu, None
@@ -919,6 +917,8 @@ def _cone_arrays(p: ConeProblem):
         raise ValueError(f"unknown objective {p.objective!r}")
     if p.weights is None:
         return A, y, np.ones(n)
+    if p.objective == "l2":
+        raise ValueError("weights apply to the l1 objective only")
     lam = np.asarray(p.weights, dtype=float).ravel()
     if lam.shape != (n,) or not (np.isfinite(lam).all() and (lam > 0).all()):
         raise ValueError("weights must be finite, positive and length-matched")
@@ -932,11 +932,10 @@ def solve_cone(p: ConeProblem) -> Solution:
     * l1 objective, ``delta = 0``: the linear program, by :func:`solve_lp`.
     * Otherwise the residual of ``nnls(A, y)`` is the distance from ``y``
       to the nonnegative image of ``A``.  Above ``delta`` the ball is
-      infeasible if the residual certifies it (:func:`_separates`); an
-      answer that does not is solved again by BVLS, and one that still
-      does not ends the solve at the iteration limit.  At ``delta = 0``
-      counts within ``_TOL_FEAS`` (relative to ``||y||``) of the image are
-      accepted.
+      infeasible if the residual certifies it (:func:`_separates`), and
+      the solve ends at the iteration limit if it does not.  At
+      ``delta = 0`` counts within ``_TOL_FEAS`` (relative to ``||y||``) of
+      the image are accepted.
     * ``delta = 0`` or a ball that meets the image in the one point
       ``A x_ls`` (NNLS residual equal to ``delta``): the feasible set is
       ``{x >= 0 : A x = A x_ls}``.  For l2 its least-norm point, a
@@ -950,9 +949,11 @@ def solve_cone(p: ConeProblem) -> Solution:
       to one NNLS solve of the penalized program, whose support gives the
       next piece (:func:`_ball_search`).
 
-    ``iterations`` counts NNLS solves, BVLS re-solves included, plus the
-    simplex pivots of any linear program.  When a solve or the multiplier search gives
-    up, the status is iteration-limit.
+    Every NNLS answer passes one KKT check or is solved again by BVLS
+    (:class:`_CountedNnls`); ``iterations`` counts NNLS solves, BVLS
+    re-solves included, plus the simplex pivots of any linear program.
+    When a solve or the multiplier search gives up, the status is
+    iteration-limit.
     """
     A, y, lam = _cone_arrays(p)
     n = A.shape[1]
@@ -983,14 +984,9 @@ def solve_cone(p: ConeProblem) -> Solution:
     try:
         x_ls, dist = solve(A, y_unit)
         limit = delta_unit if delta > 0 else _TOL_FEAS
-        if dist > limit and not _separates(A, y_unit, x_ls, limit):
-            # NNLS stopped short of the image's nearest point: BVLS finishes
-            # the solve, and its answer must certify itself in turn.
-            x_ls = solve.bvls(A, y_unit)
-            dist = float(np.linalg.norm(A @ x_ls - y_unit))
-            if dist > limit and not _separates(A, y_unit, x_ls, limit):
-                raise _SolveFailed("no certificate for an infeasible ball")
         if dist > limit:
+            if not _separates(A, y_unit, x_ls, dist, limit):
+                raise _SolveFailed("no certificate for an infeasible ball")
             return Solution(
                 x=np.zeros(n),
                 status=STATUS_INFEASIBLE,
@@ -1017,8 +1013,7 @@ def solve_cone(p: ConeProblem) -> Solution:
             if quad:
                 lo = 0.5 * (1.0 - delta_unit) / (delta_unit * float(np.sum(A * A)))
                 piece = partial(_l2_piece, A, y_unit, delta_unit)
-                penalized = partial(_ridge, A, y_unit, np.abs(A), np.abs(y_unit),
-                                    solve=solve)
+                penalized = partial(_ridge, A, y_unit, solve=solve)
             else:
                 lo = 1.0 / float(np.max(A.T @ y_unit / lam))
                 piece = partial(_l1_piece, A, y_unit, lam, delta_unit)

@@ -303,6 +303,32 @@ class TestVmt:
         assert payload["vmt_lower"] <= true_value + 1e-6
         assert payload["vmt_upper"] >= true_value - 1e-6
 
+    def test_dynamic_file_off_the_grid(self, tmp_path, fig2):
+        # each link counted at only one of two times: 16 of the 44 columns
+        # of the links x times grid cross no counted row, and their travel
+        # would be unbounded; the file's own columns bound it exactly
+        links = list(fig2.network.link_ids)
+        rows = [(lid, 2 + i % 2) for i, lid in enumerate(links)]
+        ms = build_dynamic_system(fig2.table, fig2.network, links, [2, 3]).subsystem(rows)
+        observed = np.flatnonzero(ms.matrix.any(axis=0))
+        assert (ms.n_cols, observed.size) == (44, 28)
+        x = np.zeros(ms.n_cols)
+        x[observed[[0, 5, 10]]] = [20.0, 30.0, 40.0]
+        counts = tmp_path / "dyn.csv"
+        lines = ["link_id,time,count"]
+        lines += [f"{lid},{t},{c}" for (lid, t), c in zip(rows, ms.matrix @ x)]
+        counts.write_text("\n".join(lines) + "\n")
+        common = ["--network", "fig2", "--paths", "fig2", "--measurements", str(counts)]
+        out = tmp_path / "v.json"
+        assert main(["vmt", *common, "--unit", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["vmt_lower"] == pytest.approx(90.0, rel=1e-9)
+        assert payload["vmt_upper"] == pytest.approx(90.0, rel=1e-9)
+        out = tmp_path / "r.json"
+        assert main(["estimate", *common, "--method", "l1", "--output", str(out)]) == 0
+        allocation = json.loads(out.read_text())["allocation"]
+        assert len(allocation) == 28
+
     def test_saved_nguyen_counts_are_feasible(self, tmp_path, nguyen):
         # save_measurements keeps 12 significant digits; on this
         # rank-deficient system that rounding must not read as infeasible
@@ -565,7 +591,7 @@ class TestFlagValues:
         (["estimate", *FIG2, "--method", "l2-noisy", "--delta", "inf"], "--delta"),
         (["estimate", *FIG2, "--method", "reweighted", "--iters", "0"], "--iters"),
         (["estimate", *FIG2, "--method", "reweighted", "--epsilon", "-1"], "--epsilon"),
-        (["estimate", *FIG2, "--method", "l1", "--times", "1,x"], "--times"),
+        (["sweep", "--sparsity", "3", "--m-grid", "10:4", "--trials", "2"], "--m-grid"),
         (["vmt", *FIG2_ALL, "--unit", "--lengths", "{lengths}"], "--lengths"),
         (["vmt", *FIG2_ALL, "--unit", "--link-lengths"], "--link-lengths"),
         (["vmt", *FIG2_ALL, "--link-lengths", "--lengths", "{lengths}"], "--lengths"),
@@ -617,7 +643,7 @@ class TestManifestRoundTrip:
         ["estimate", *FIG2, "--method", "reweighted", "--iters", "3",
          "--epsilon", "0.01"],
         ["estimate", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
-         "--method", "l1", "--dynamic", "--times", "0,2"],
+         "--method", "l1", "--dynamic"],
         ["vmt", *FIG2_ALL, "--unit"],
         ["vmt", *FIG2_ALL, "--lengths", "{lengths}"],
         ["vmt", *FIG2_ALL, "--link-lengths"],

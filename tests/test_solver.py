@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, lsq_linear, nnls
 
 from odflow import (
     IterationLimitError,
@@ -660,6 +660,15 @@ class TestSolveCone:
                 A=np.eye(2), y=np.ones(2), weights=np.array([1.0, 0.0])
             ))
 
+    def test_weights_on_l2_rejected(self):
+        # the Euclidean norm takes no weights; they used to be dropped
+        # without a word
+        with pytest.raises(ValueError, match="weights"):
+            solve_cone(ConeProblem(
+                A=np.array([[1.0, 1.0]]), y=np.array([2.0]), delta=0.5,
+                weights=np.array([100.0, 1.0]), objective="l2",
+            ))
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             solve_cone(ConeProblem(A=np.eye(2), y=np.ones(2), delta=-0.1))
@@ -720,14 +729,24 @@ def assert_l1_kkt(A, y, delta, sol, lam=1.0):
 
 def assert_l2_kkt(A, y, delta, sol):
     """The optimality conditions of the l2 ball: the residual on the sphere
-    and ``x = max(0, nu A'r)`` for one multiplier ``nu > 0``."""
+    and ``x = max(0, nu A'r)`` for one multiplier ``nu > 0``.  At
+    ``delta = 0``: ``A x = y`` and ``x = max(0, A'mu)`` for some ``mu``,
+    which a linear program finds."""
     assert sol.status == "optimal"
     x = sol.x
     r = y - A @ x
-    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
-    grad = A.T @ r
     support = on_support(x)
     assert support.any()
+    if delta == 0.0:
+        assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(y)
+        off = ~support
+        fit = linprog(np.zeros(A.shape[0]), A_eq=A[:, support].T, b_eq=x[support],
+                      A_ub=A[:, off].T, b_ub=np.full(off.sum(), 1e-9 * float(x.max())),
+                      bounds=(None, None))
+        assert fit.status == 0
+        return
+    assert np.linalg.norm(r) == pytest.approx(delta, rel=1e-9)
+    grad = A.T @ r
     nu = float(np.median(x[support] / grad[support]))
     assert nu > 0.0
     assert x == pytest.approx(
@@ -820,6 +839,51 @@ class TestInfeasibleCertificate:
         sol = solve_cone(ConeProblem(A=self.A, y=y, delta=1.0, objective="l1"))
         assert sol.status == "infeasible"
         assert sol.iterations == 1
+
+
+class TestNnlsDoor:
+    """Every NNLS answer of the cone solver passes one KKT check: an answer
+    that stops short is solved again by BVLS, counted as one more solve."""
+
+    @pytest.mark.parametrize("site,objective,call", [
+        ("feasibility", "l1", 1),
+        ("ridge", "l2", 2),
+        ("lasso", "l1", 2),
+        ("min-norm", "l2", 2),
+    ])
+    def test_short_answer_is_finished(self, fig2, monkeypatch, site, objective, call):
+        if site == "min-norm":
+            # delta = 0: the least-norm point's least-distance program
+            links = list(fig2.network.link_ids)[:8]
+            A = build_static_incidence(fig2.table, links, fig2.network).matrix
+            x = np.zeros(A.shape[1])
+            x[[4, 8, 12]] = [30.0, 50.0, 70.0]
+            y, delta = A @ x, 0.0
+        else:
+            # the first support piece fails its certificate, so the ball
+            # search makes one penalized solve: a ridge or a lasso
+            A, y, delta = noisy_instance(np.random.default_rng(1))
+        problem = ConeProblem(A=A, y=y, delta=delta, objective=objective)
+        want = solve_cone(problem).iterations
+        calls = []
+
+        def stub(E, f):  # the chosen call stops at x = 0
+            calls.append("nnls")
+            if calls.count("nnls") == call:
+                return np.zeros(E.shape[1]), float(np.linalg.norm(f))
+            return nnls(E, f)
+
+        def bvls(*args, **kwargs):
+            calls.append("bvls")
+            return lsq_linear(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "nnls", stub)
+        monkeypatch.setattr(solver, "lsq_linear", bvls)
+        sol = solve_cone(problem)
+        check = assert_l1_kkt if objective == "l1" else assert_l2_kkt
+        check(A, y, delta, sol)
+        assert calls.count("bvls") == 1
+        assert sol.iterations == want + 1
 
 
 def noisy_cdf_instances(fixture, support, noise_sd, m, seed, trials):
