@@ -101,6 +101,15 @@ class TrialConfig:
         # A rate over no trials has no value: sweeps divide by ``trials``.
         if self.trials < 1:
             raise ValueError(f"trials {self.trials} must be at least 1")
+        _check_nonnegative("noise_sd", self.noise_sd)
+        _check_nonnegative("tol", self.tol)
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    # Checked up front: a negative or NaN tolerance would grade every trial
+    # a failure, and a NaN noise level would fail only once counts are drawn.
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} {value} must be finite and nonnegative")
 
 
 def sample_support(pt: PathTable, s: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -508,6 +517,7 @@ def run_vmt_sweep(
     their ratio excluded and are tallied separately; their counts come from
     the truth and so are feasible, and they are settled before any solve.
     """
+    _check_nonnegative("recovery_tol", recovery_tol)
     bundle, full = _sweep_system(cfg, m_grid)
     pt, link_ids = bundle.table, full.row_labels
     lengths = path_lengths(bundle.network, pt)

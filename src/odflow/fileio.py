@@ -76,6 +76,13 @@ def _node_key(raw):
     return raw
 
 
+def _whole(value) -> int:
+    """A travel time as an int; a float must be integral (``2.0`` is 2)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"travel_time {value!r} is not an integer")
+    return int(value)
+
+
 def load_network(path: FsPath | str) -> Network:
     try:
         data = json.loads(FsPath(path).read_text())
@@ -88,7 +95,7 @@ def load_network(path: FsPath | str) -> Network:
                 tail=entry["tail"],
                 head=entry["head"],
                 length=float(entry.get("length", 1.0)),
-                travel_time=int(entry.get("travel_time", 1)),
+                travel_time=_whole(entry.get("travel_time", 1)),
             )
             for entry in data["links"]
         )

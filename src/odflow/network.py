@@ -283,8 +283,8 @@ def validate_network(net: Network) -> Network:
                 raise DanglingEndpointError(
                     f"link {ln.id!r} references undeclared node {endpoint!r}"
                 )
-        if ln.length < 0:
-            raise NetworkError(f"link {ln.id!r} has negative length")
+        if not (math.isfinite(ln.length) and ln.length >= 0):
+            raise NetworkError(f"link {ln.id!r} length must be finite and nonnegative")
         if not isinstance(ln.travel_time, (int, np.integer)) or ln.travel_time < 0:
             raise NetworkError(
                 f"link {ln.id!r} travel_time must be a nonnegative integer"

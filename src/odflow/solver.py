@@ -13,9 +13,10 @@ Two engines:
   rule reads its rows as Python lists, which beats numpy calls at these
   sizes.  Phase 1 starts from the identity basis of its artificials, whose
   tableau needs no factorization, and phase 2 starts from phase 1's final
-  tableau, so the tableau is factored afresh only every
-  ``_REFACTOR_EVERY`` pivots; every returned point is a fresh solve with
-  its basis.  A phase gives up after ``_MAX_PIVOTS`` pivots.
+  tableau, so each phase pivots one tableau from its start to its end and
+  the tableau is never factored.  The tableau only steers pivot choices:
+  every returned point is a fresh solve with its basis.  A phase gives up
+  after ``_MAX_PIVOTS`` pivots.
   :func:`solve_lp_padded` runs the same simplex on many programs of one
   column count at once, for the Monte Carlo sweeps that solve thousands
   of them: their tableaus, padded with zero rows, form one array, and
@@ -53,10 +54,6 @@ from scipy.optimize import lsq_linear, nnls
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE_TOL = 1e-12
-# Pivots between fresh factorizations of the simplex basis; in between,
-# each pivot updates the tableau by one rank-1 step, whose roundoff
-# accumulates.
-_REFACTOR_EVERY = 32
 # Feasibility and optimality tolerance: what phase 1 may leave in its
 # artificials (relative to max(1, ||b||_1)), the reduced cost below which a
 # column improves, and the distance (relative to the count norm) from the
@@ -64,6 +61,9 @@ _REFACTOR_EVERY = 32
 _TOL_FEAS = 1e-9
 # Simplex pivots per phase before the solve reports iteration-limit.
 _MAX_PIVOTS = 50_000
+# Phase 1's cleanup pivots a leftover artificial out on the first nonbasic
+# original column whose entry in its row exceeds this in magnitude.
+_CLEANUP_TOL = 1e-9
 
 # Newton's method on an l2 piece stops once its step falls below this
 # fraction of the multiplier.
@@ -145,7 +145,8 @@ class FeasibleBasis:
     multiplied by the sign that makes its count nonnegative.  ``basis``
     indexes columns of ``A_kept`` and is feasible for it, and ``tableau``
     is phase 1's final ``[B^-1 A_kept | B^-1 b_kept]``, one row per entry
-    of ``basis``, from which phase 2 starts.  ``iterations`` counts phase-1
+    of ``basis``, from which phase 2 starts: reached by rank-1 updates from
+    the artificials' identity basis, never factored.  ``iterations`` counts phase-1
     pivots.  ``A`` and ``b`` are the system as given, for residuals.  One
     instance serves any number of :func:`lp_phase2` calls.
     """
@@ -161,26 +162,6 @@ class FeasibleBasis:
     tableau: np.ndarray | None = None
 
 
-def _tableau(A, b, c, basis):
-    """The simplex tableau of ``basis`` from a fresh factorization, for the
-    refactor every ``_REFACTOR_EVERY`` pivots.
-
-    ``T`` is ``(m+1) x (n+1)``: ``[B^-1 A | B^-1 b]`` over the row
-    ``[c - c_B' B^-1 A | -c_B' B^-1 b]``, the reduced costs (zero on basic
-    columns) and minus the objective.
-    """
-    m, n = A.shape
-    inv = np.linalg.inv(A[:, basis])
-    y = c[basis] @ inv
-    T = np.empty((m + 1, n + 1))
-    T[:m, :n] = inv @ A
-    T[:m, n] = inv @ b
-    T[m, :n] = c - y @ A
-    T[m, basis] = 0.0
-    T[m, n] = -(y @ b)
-    return T
-
-
 def _pivot(T, r, j):
     """Pivot the tableau in place on row ``r`` and column ``j``: one rank-1
     update.  ``prow[j]`` is exactly one, so basic columns stay exact unit
@@ -190,27 +171,24 @@ def _pivot(T, r, j):
     T[r] = prow
 
 
-def _pivot_loop(A, b, c, basis, T):
+def _pivot_loop(T, basis):
     """Run simplex pivots from ``basis`` (a list of column indices, updated
-    in place) and its tableau ``T`` (see :func:`_tableau`).
+    in place) and its ``(m+1) x (n+1)`` tableau ``T``: ``[B^-1 A | B^-1 b]``
+    over the reduced costs (zero on basic columns) and minus the objective.
 
-    Returns ``(status, iterations, unbounded_entering_index, tableau)``
-    with the tableau at exit.  ``A`` must have full row rank with
-    ``basis`` indexing a nonsingular column set.  Bland's rule picks both
-    the entering and the leaving variable from the reduced-cost row, the
-    entering column and ``B^-1 b``, each read as a Python list.  Each pivot
-    is one rank-1 update of the tableau, whose roundoff accumulates, so the
-    tableau is factored afresh every ``_REFACTOR_EVERY`` pivots.
+    Returns ``(status, iterations, unbounded_entering_index)``.  Bland's
+    rule picks both the entering and the leaving variable from the
+    reduced-cost row, the entering column and ``B^-1 b``, each read as a
+    Python list.  Each pivot is one rank-1 update of ``T`` in place, from
+    the phase's start to its end; their roundoff stays far below the pivot
+    tolerances at these sizes, and no returned point is read from ``T``.
     """
-    m, n = A.shape
+    m, n = T.shape[0] - 1, T.shape[1] - 1
     for it in range(_MAX_PIVOTS):
-        if it and it % _REFACTOR_EVERY == 0:
-            T = _tableau(A, b, c, basis)
-
         # Enter the improving column of smallest index.
         j = next((k for k, r in enumerate(T[m, :n].tolist()) if r < -_TOL_FEAS), None)
         if j is None:
-            return STATUS_OPTIMAL, it, None, T
+            return STATUS_OPTIMAL, it, None
 
         x_b = T[:m, n].tolist()
         ratios = {
@@ -219,24 +197,14 @@ def _pivot_loop(A, b, c, basis, T):
             if d > _PIVOT_TOL
         }
         if not ratios:
-            return STATUS_UNBOUNDED, it + 1, j, T
+            return STATUS_UNBOUNDED, it + 1, j
         rmin = min(ratios.values())
         cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
         # Leave the tied row whose basic variable has the smallest index.
         leave = min((i for i, q in ratios.items() if q <= cut), key=basis.__getitem__)
         _pivot(T, leave, j)
         basis[leave] = j
-    return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None, None
-
-
-def _place(T, U):
-    """Write the unpadded tableau ``U`` of one system into its slot ``T``
-    of a stack, whose cost row and right-hand side come last."""
-    m, n = U.shape[0] - 1, U.shape[1] - 1
-    T[:m, :n] = U[:m, :n]
-    T[:m, -1] = U[:m, n]
-    T[-1, :n] = U[m, :n]
-    T[-1, -1] = U[m, n]
+    return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None
 
 
 def _pivot_each(T, r, j, col):
@@ -249,7 +217,7 @@ def _pivot_each(T, r, j, col):
     T[at, r] = prow
 
 
-def _pivot_stack(T, basis, refactor):
+def _pivot_stack(T, basis):
     """:func:`_pivot_loop` on a stack of systems at once.
 
     ``T`` is ``K x (R+1) x (N+1)``, one tableau per system padded to ``R``
@@ -261,9 +229,7 @@ def _pivot_stack(T, basis, refactor):
     same expressions and tolerances as :func:`_pivot_loop`, to every
     system still active by numpy calls over the stack, so each system
     takes the pivots and the arithmetic it would take alone.  A system
-    leaves the stack once it is optimal or unbounded, and every
-    ``_REFACTOR_EVERY`` pivots each active system ``k`` is replaced by its
-    unpadded tableau ``refactor(k, basis_k)`` (see :func:`_tableau`).
+    leaves the stack once it is optimal or unbounded.
 
     Updates ``T`` and ``basis`` to each system's exit and returns the
     arrays of statuses, pivot counts and unbounded entering indices (-1
@@ -276,10 +242,6 @@ def _pivot_stack(T, basis, refactor):
     ids, Tc, Bc = np.arange(K), T, basis  # the active systems
     never = np.iinfo(basis.dtype).max  # a basis entry no tied row has
     for it in range(_MAX_PIVOTS):
-        if it and it % _REFACTOR_EVERY == 0:
-            for pos, k in enumerate(ids.tolist()):
-                _place(Tc[pos], refactor(k, Bc[pos].tolist()))
-
         at = np.arange(ids.size)
         improving = Tc[:, R, :N] < -_TOL_FEAS
         j = improving.argmax(axis=1)
@@ -358,15 +320,13 @@ def lp_phase1(A, b) -> FeasibleBasis:
     # count nonnegative, over the phase-1 reduced costs, which are minus
     # the column sums on A_work and b_work and zero on the artificials.
     sign = np.where(b < 0, -1.0, 1.0)
+    A_work, b_work = A * sign[:, None], b * sign
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A * sign[:, None]
-    T[:m, -1] = b * sign
+    T[:m, :n], T[:m, -1] = A_work, b_work
     T[m] = -T[:m].sum(axis=0)
     T[:m, n:-1] = np.eye(m)
-    A1, b_work = T[:m, :-1].copy(), T[:m, -1].copy()
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    status, iters, _, T = _pivot_loop(A1, b_work, c1, basis, T)
+    status, iters, _ = _pivot_loop(T, basis)
     if status == STATUS_ITERATION_LIMIT:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
     artificial = [pos for pos, k in enumerate(basis) if k >= n]
@@ -383,7 +343,7 @@ def lp_phase1(A, b) -> FeasibleBasis:
     redundant = set()
     for pos in artificial:
         j = next((k for k, v in enumerate(T[pos, :n].tolist())
-                  if abs(v) > 1e-9 and k not in basis), None)
+                  if abs(v) > _CLEANUP_TOL and k not in basis), None)
         if j is None:
             redundant.add(basis[pos] - n)
         else:
@@ -400,7 +360,7 @@ def lp_phase1(A, b) -> FeasibleBasis:
         iterations=iters,
         rows=tuple(rows),
         basis=tuple(basis[pos] for pos in kept),
-        A_kept=A1[rows, :n],
+        A_kept=A_work[rows],
         b_kept=b_work[rows],
         tableau=tableau,
     )
@@ -435,9 +395,7 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
                         iterations=start.iterations)
     cost = c if sense == "min" else -c
     basis = list(start.basis)
-    status, iters, unbounded_j, _ = _pivot_loop(
-        start.A_kept, start.b_kept, cost, basis, _phase2_tableau(start, cost, basis)
-    )
+    status, iters, unbounded_j = _pivot_loop(_phase2_tableau(start, cost, basis), basis)
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
         return Solution(x=np.zeros(n), status=status, objective=math.nan,
@@ -511,14 +469,7 @@ def _phase1_stack(A, b, rows):
     T[:, R] = -T[:, :R].sum(axis=1)
     T[:, :R, n:-1] = np.eye(R)
     basis = np.tile(np.arange(n, n + R), (K, 1))
-
-    def refactor(k, basis_k):
-        m = rows[k]
-        A1 = np.hstack([Aw[k, :m], np.eye(m)])
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        return _tableau(A1, bw[k, :m].copy(), c1, basis_k[:m])
-
-    status, iters, _ = _pivot_stack(T, basis, refactor)
+    status, iters, _ = _pivot_stack(T, basis)
     art = (basis >= n) & real
     left = np.cumsum(np.where(art, T[:, :R, -1], 0.0), axis=1)[:, -1] if R else np.zeros(K)
     scale = np.zeros(K)
@@ -542,7 +493,7 @@ def _phase1_stack(A, b, rows):
         k = np.flatnonzero(art.any(axis=1))
         pos = art[k].argmax(axis=1)
         art[k, pos] = False
-        cand = (np.abs(T[k, pos, :n]) > 1e-9) & ~in_basis[k, :n]
+        cand = (np.abs(T[k, pos, :n]) > _CLEANUP_TOL) & ~in_basis[k, :n]
         has = cand.any(axis=1)
         redundant[k[~has], basis[k[~has], pos[~has]] - n] = True
         k, pos, j = k[has], pos[has], cand[has].argmax(axis=1)
@@ -590,12 +541,7 @@ def _phase2_stack(cost, tableau, basis, size, system):
         T[g, R, :n] = row
         T[g, R, n] = -(y @ tab[:, :, n:])[:, 0, 0]
 
-    def refactor(k, basis_k):
-        s = size[k]
-        return _tableau(np.ascontiguousarray(system[k, :s, :n]), system[k, :s, n].copy(),
-                        cost[k], basis_k[:s])
-
-    status, iters, unbounded = _pivot_stack(T, basis, refactor)
+    status, iters, unbounded = _pivot_stack(T, basis)
     x = np.zeros((K, n))
     done = status != STATUS_ITERATION_LIMIT
     for s in np.unique(size[done]).tolist():

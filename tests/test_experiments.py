@@ -516,6 +516,22 @@ class TestTrialConfig:
                                     supports=[SUPPORT_3SPARSE])
         assert report.points[0].rate_path == 1.0
 
+    @pytest.mark.parametrize("field", ["tol", "noise_sd"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_tolerances_must_be_finite_and_nonnegative(self, field, value):
+        # a negative or NaN tol would grade every recovered trial a failure
+        with pytest.raises(ValueError, match=f"{field} .* finite and nonnegative"):
+            TrialConfig(**{field: value})
+
+    def test_zero_tolerances_allowed(self):
+        assert TrialConfig(tol=0.0, noise_sd=0.0).tol == 0.0
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_vmt_recovery_tol_checked(self, value):
+        with pytest.raises(ValueError, match="recovery_tol"):
+            run_vmt_sweep(TrialConfig(fixture="nguyen", trials=5), m_grid=[38],
+                          recovery_tol=value)
+
 
 class TestSweepSystems:
     """Each sweep call builds one all-links incidence, whose row slices are

@@ -26,6 +26,7 @@ from odflow.fileio import (
     write_csv,
     write_manifest,
 )
+from odflow.network import NetworkError
 
 
 @pytest.fixture(params=["fig1", "fig2", "nguyen"])
@@ -71,6 +72,28 @@ class TestNetworkRoundTrip:
 
         with pytest.raises(SelfLoopError):
             load_network(path)
+
+    def write_link(self, tmp_path, text):
+        """A two-node network file whose one link has the fields ``text``."""
+        path = tmp_path / "net.json"
+        path.write_text(
+            '{"nodes": [1, 2], "links": [{"id": "a", "tail": 1, "head": 2, %s}]}' % text)
+        return path
+
+    def test_fractional_travel_time_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="travel_time 2.9"):
+            load_network(self.write_link(tmp_path, '"travel_time": 2.9'))
+
+    def test_integral_float_travel_time_accepted(self, tmp_path):
+        net = load_network(self.write_link(tmp_path, '"travel_time": 2.0'))
+        assert net.links[0].travel_time == 2
+        assert isinstance(net.links[0].travel_time, int)
+
+    @pytest.mark.parametrize("length", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_length_rejected(self, tmp_path, length):
+        # Python's json reads NaN and Infinity as floats
+        with pytest.raises(NetworkError, match="finite"):
+            load_network(self.write_link(tmp_path, f'"length": {length}'))
 
 
 class TestPathsRoundTrip:

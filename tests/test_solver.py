@@ -20,7 +20,6 @@ from odflow import (
 from odflow import solver
 from odflow.cli import main
 from odflow.solver import (
-    _REFACTOR_EVERY,
     ConeProblem,
     StandardLP,
     _l1_piece,
@@ -233,10 +232,10 @@ class TestLpPhases:
         assert len(start.rows) == len(start.basis) == 2
         assert start.A_kept.shape == (2, 3)
 
-    def test_basis_past_refactor_interval(self, nguyen):
-        # A long solve crosses several refactorizations of the basis
-        # inverse and still ends on the basis of a solver that factored
-        # the basis afresh at every pivot.
+    def test_long_solve_basis_pinned(self, nguyen):
+        # A long solve, 62 pivots of rank-1 updates to one tableau per
+        # phase, ends on the basis of a solver that factored the basis
+        # afresh at every pivot.
         ms = build_static_incidence(
             nguyen.table, list(nguyen.network.link_ids), nguyen.network
         )
@@ -245,7 +244,6 @@ class TestLpPhases:
         for group in nguyen.table.paths_by_od:
             x[group[rng.integers(len(group))]] = rng.uniform(1.0, 100.0)
         start = lp_phase1(ms.matrix, ms.matrix @ x)
-        assert start.iterations > _REFACTOR_EVERY
         # the incidence has rank 24: phase 1 drops 14 of its 38 rows
         assert start.rows == (
             0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 14, 15, 16, 19, 20, 21, 22, 24,
@@ -357,7 +355,7 @@ class TestSolveLpStack:
         links = full.row_labels
         lengths = path_lengths(net, nguyen.table)
         ones = np.ones(full.n_cols)
-        # the long solve of test_basis_past_refactor_interval
+        # the long solve of test_long_solve_basis_pinned
         x = nguyen_counts(nguyen, np.random.default_rng(2024))
         problems = [StandardLP(c=ones, A=full.matrix, b=full.matrix @ x)]
         rng = substream(13, 0)
@@ -372,15 +370,14 @@ class TestSolveLpStack:
         problems += [StandardLP(c=lengths, A=A, b=b, sense=s) for s in ("min", "max")]
 
         want = [solve_lp(p) for p in problems]
-        assert want[0].iterations > _REFACTOR_EVERY
         assert {"optimal", "infeasible", "unbounded"} == {w.status for w in want}
         assert len(want[5].basis) == len(want[3].basis)  # the copy is dropped
         got = solve_lp_stack(problems)
         assert len(got) == len(problems)
         for g, w in zip(got, want):
             assert_same_solution(g, w)
-        # phase 1 ends on the same tableau, basis and kept rows, refactors
-        # and cleanup included
+        # phase 1 ends on the same tableau, basis and kept rows, cleanup
+        # included
         status, iters, (live, tableau, basis, size, system) = solver._phase1_stack(
             *padded(problems))
         starts = [lp_phase1(p.A, p.b) for p in problems]
@@ -393,6 +390,29 @@ class TestSolveLpStack:
             assert tableau[pos, :s].tobytes() == want.tableau.tobytes()
             assert system[pos, :s, :-1].tobytes() == want.A_kept.tobytes()
             assert system[pos, :s, -1].tobytes() == want.b_kept.tobytes()
+
+    def test_long_dynamic_solves(self, nguyen):
+        # Time-expanded nguyen systems, every link counted at times 2..6
+        # (190 x 578), whose phase 1 takes 150 or more rank-1 updates of one
+        # tableau: the tableau stays a fresh solve of its basis to roundoff,
+        # and the stack takes the single solves' pivots.
+        ids = list(nguyen.network.link_ids)
+        A = build_dynamic_system(nguyen.table, nguyen.network, ids, range(2, 7)).matrix
+        ones = np.ones(A.shape[1])
+        problems, want = [], []
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            x = np.zeros(A.shape[1])
+            x[rng.choice(A.shape[1], 80, replace=False)] = rng.uniform(1.0, 50.0, 80)
+            start = lp_phase1(A, A @ x)
+            assert start.status == "optimal" and start.iterations >= 150
+            fresh = np.linalg.solve(start.A_kept[:, list(start.basis)],
+                                    np.column_stack([start.A_kept, start.b_kept]))
+            assert np.abs(start.tableau - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            problems.append(StandardLP(c=ones, A=A, b=A @ x))
+            want.append(lp_phase2(start, ones))  # solve_lp's answer
+        for g, w in zip(solve_lp_stack(problems), want):
+            assert_same_solution(g, w)
 
     def test_matches_single_solves_on_sweep_systems(self, fig2):
         # every M of a recovery sweep's trials in one stack of 4 to 10 rows
