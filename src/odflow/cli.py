@@ -15,6 +15,7 @@ such as ``--m`` above the fixture's link count, is the library's (exit 3).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -352,11 +353,27 @@ def _cmd_rerun(args) -> int:
     return main(argv)
 
 
+class _EnvSeed(str):
+    """The ``--seed`` default: a marker that :func:`_seed` reads as
+    ``$ODFLOW_SEED`` (or 0) at each parse, since the parser outlives the
+    environment it was built in."""
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``; argparse applies it to the string
+    default too, so a malformed ``$ODFLOW_SEED`` is a usage error like a
+    malformed ``--seed``."""
+    if isinstance(text, _EnvSeed):
+        text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_seed(parser) -> None:
-    # argparse applies ``type`` to a string default, so a malformed
-    # $ODFLOW_SEED is a usage error like a malformed --seed.
     parser.add_argument(
-        "--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
+        "--seed", type=_seed, default=_EnvSeed(),
         help=f"experiment seed (default: ${SEED_ENV_VAR} or 0)",
     )
 
@@ -471,10 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than parsing with it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage problems
         return int(exc.code or 0)
@@ -502,6 +522,9 @@ def main(argv=None) -> int:
 # works from any working directory.
 _INPUT_FILE_KEYS = frozenset(
     {"network", "paths", "measurements", "weights", "truth", "lengths"})
+# Input flags that read a fixture name before any file of that name, so
+# such a value stays a name.
+_FIXTURE_KEYS = frozenset({"network", "paths"})
 
 
 def _flag_text(value) -> str:
@@ -525,7 +548,8 @@ def _resolved_argv(args) -> list[str]:
             for item in value:
                 argv += [flag, _flag_text(item)]
         else:
-            if key in _INPUT_FILE_KEYS and FsPath(str(value)).exists():
+            fixture = key in _FIXTURE_KEYS and value in FIXTURE_NAMES
+            if key in _INPUT_FILE_KEYS and not fixture and FsPath(str(value)).exists():
                 value = FsPath(str(value)).resolve()
             argv += [flag, _flag_text(value)]
     return argv

@@ -212,8 +212,10 @@ def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = 1e-6) -> np.ndarra
     Each norm is the dot product of a row with itself, as ``np.linalg.norm``
     forms it, and the OD flows of all rows are one ``np.bincount`` with a
     bin offset per row, which adds each row's entries in its own order; so
-    a row gets the flags it would get alone.
+    a row gets the flags it would get alone.  A negative or non-finite
+    ``tol`` raises ``ValueError``.
     """
+    _check_nonnegative("tol", tol)
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
     x_true = np.atleast_2d(np.asarray(x_true, dtype=float))
     if x_hat.shape != x_true.shape or x_true.shape[1:] != (pt.n_paths,):

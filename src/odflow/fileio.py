@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 from typing import Sequence
 
@@ -53,20 +55,69 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _round12(obj):
-    """Recursively coerce floats to their 12-significant-digit value."""
-    if isinstance(obj, float):
-        return float(_fmt(obj)) if obj == obj and abs(obj) != float("inf") else obj
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+def _json_float(value: float) -> str:
+    """A float's 12-significant-digit value as ``json`` writes it."""
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(float(_fmt(value)))
+
+
+def _emit(obj, out: list, indent: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``, as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` writes it but with every
+    float at its 12-significant-digit value; ``indent`` is the current
+    line's.  Dict keys must be strings."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(obj[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(data, path: FsPath | str) -> None:
-    text = json.dumps(_round12(data), indent=2, sort_keys=True)
-    FsPath(path).write_text(text + "\n")
+    """Write ``data`` to ``path`` as sorted, two-space-indented JSON with
+    12-significant-digit floats: the one writer of JSON files.  One
+    recursive pass builds the text; ``json.dumps`` with ``indent`` would
+    run its pure-Python encoder over a rounded copy."""
+    out: list = []
+    _emit(data, out, "")
+    out.append("\n")
+    FsPath(path).write_text("".join(out))
 
 
 def _node_key(raw):

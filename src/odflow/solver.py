@@ -50,7 +50,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import lsq_linear, nnls
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE_TOL = 1e-12
@@ -611,6 +610,21 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
     return SolutionStack(x=x, status=status, objective=objective, residual_eq=residual,
                          iterations=iters, basis=basis, basis_size=size,
                          unbounded_index=unbounded)
+
+
+# scipy.optimize takes longer to import than numpy, and only the cone
+# solver needs it, so it is imported on the first cone solve: these are the
+# names the solver calls, and the ones a test replaces.
+def nnls(E, f):
+    """``scipy.optimize.nnls(E, f)``."""
+    from scipy.optimize import nnls as scipy_nnls
+    return scipy_nnls(E, f)
+
+
+def lsq_linear(*args, **kwargs):
+    """``scipy.optimize.lsq_linear(*args, **kwargs)``."""
+    from scipy.optimize import lsq_linear as scipy_lsq_linear
+    return scipy_lsq_linear(*args, **kwargs)
 
 
 class _SolveFailed(Exception):

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from odflow import get_fixture
+from odflow import fileio, get_fixture
+from oracles import json_text_oracle
 
 # Hand-checkable incidence matrix of the triangle fixture with all four
 # links measured in network order (rows l1-2, l1-3, l2-3, l3-1).
@@ -57,3 +60,18 @@ def fig2():
 @pytest.fixture(scope="session")
 def nguyen():
     return get_fixture("nguyen")
+
+
+@pytest.fixture()
+def json_writes(monkeypatch):
+    """Every ``fileio.dump_json`` call the test makes, as ``(path, text)``
+    with the text ``json``'s own encoder gives its data."""
+    writes = []
+    dump_json = fileio.dump_json
+
+    def record(data, path):
+        writes.append((Path(path), json_text_oracle(data)))
+        dump_json(data, path)
+
+    monkeypatch.setattr(fileio, "dump_json", record)
+    return writes

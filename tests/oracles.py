@@ -6,10 +6,13 @@ come from exhaustive enumeration or, for the l2 ball, from plain bisection
 over NNLS solves.  The one exception is :func:`solve_lp_stack`, which is
 no reference but the parity helper: it runs the stacked simplex on a list
 of programs, so that each answer can be compared with ``solve_lp``'s.
+:func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
+from ``json``'s own encoder.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 from typing import Sequence
@@ -17,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import nnls
 
+from odflow.fileio import _fmt
 from odflow.solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -208,3 +212,20 @@ def brute_force_grid_paths(n, max_turns):
         if turns <= max_turns:
             total += 1
     return total
+
+
+def _round12(obj):
+    """Recursively coerce floats to their 12-significant-digit value."""
+    if isinstance(obj, float):
+        return float(_fmt(obj)) if obj == obj and abs(obj) != float("inf") else obj
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+def json_text_oracle(data) -> str:
+    """The text ``fileio.dump_json`` writes, by ``json``'s own encoder over
+    a rounded copy of ``data``."""
+    return json.dumps(_round12(data), indent=2, sort_keys=True) + "\n"

@@ -16,6 +16,7 @@ from odflow import (
     experiments,
     fileio,
 )
+from odflow import cli
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
 
@@ -527,6 +528,33 @@ class TestSweepCommands:
         assert "argument --seed: invalid int value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_parser_reads_env_seed_per_call(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process, so $ODFLOW_SEED must be
+        # read when each command is parsed
+        sweep = ["sweep", "--supports", "4,8,12", "--m-grid", "10", "--trials", "2"]
+
+        def seed_of(*flags):
+            out = tmp_path / "s.csv"
+            assert main(sweep + [*flags, "--output", str(out)]) == 0
+            return json.loads((tmp_path / "s.csv.manifest.json").read_text())["seed"]
+
+        monkeypatch.setenv("ODFLOW_SEED", "77")
+        assert seed_of() == 77
+        built = cli._parser.cache_info().misses
+        monkeypatch.setenv("ODFLOW_SEED", "78")
+        assert seed_of() == 78
+        monkeypatch.setenv("ODFLOW_SEED", "7x")
+        capsys.readouterr()
+        bad = tmp_path / "bad.csv"
+        assert main(sweep + ["--output", str(bad)]) == 2
+        assert "argument --seed: invalid int value: '7x'" in capsys.readouterr().err
+        assert not bad.exists() and not (tmp_path / "bad.csv.manifest.json").exists()
+        monkeypatch.setenv("ODFLOW_SEED", "78")
+        assert seed_of("--seed", "5") == 5
+        monkeypatch.delenv("ODFLOW_SEED")
+        assert seed_of() == 0
+        assert cli._parser.cache_info().misses == built
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODFLOW_SEED", "77")
         out_a = tmp_path / "a.csv"
@@ -662,6 +690,49 @@ class TestManifestRoundTrip:
         rc = main(["rerun", str(out) + ".manifest.json", "--output-dir", str(again)])
         assert rc == 0
         assert (again / "out").read_bytes() == out.read_bytes()
+
+
+class TestJsonBytes:
+    """Every JSON file a command writes, its manifest included, holds the
+    bytes of ``json``'s own encoder over its payload (``json_writes``)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--network", "fig1", "--od", "1,3", "--od", "2,1"],
+        *(["estimate", *FIG2, "--method", method, "--truth", "{truth}", *extra]
+          for method, extra in [
+              ("l1", []), ("l2", []), ("l1-noisy", ["--delta", "0.5"]),
+              ("l2-noisy", ["--delta", "0.5"]), ("weighted", ["--weights", "{weights}"]),
+              ("reweighted", ["--iters", "3"])]),
+        *(["estimate", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
+           "--method", method, "--dynamic"] for method in ("l1", "l2", "reweighted")),
+        ["vmt", *FIG2_ALL, "--link-lengths"],
+        ["vmt", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
+         "--unit", "--dynamic"],
+    ])
+    def test_written_bytes_match_json(self, tmp_path, inputs, json_writes, argv):
+        out = tmp_path / "out"
+        assert main(fill(argv, inputs) + ["--output", str(out)]) == 0
+        assert [path.name for path, _ in json_writes] == ["out", "out.manifest.json"]
+        for path, text in json_writes:
+            assert path.read_bytes() == text.encode("ascii")
+
+
+def test_fixture_name_stays_a_name_in_manifests(tmp_path, monkeypatch, demo_counts):
+    # a directory named like the fixture must not become the rerun's input
+    counts, _, _ = demo_counts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig2").mkdir()
+    out = tmp_path / "out.json"
+    assert main(["estimate", "--network", "fig2", "--paths", "fig2",
+                 "--measurements", str(counts), "--method", "l1",
+                 "--output", str(out)]) == 0
+    argv = json.loads((tmp_path / "out.json.manifest.json").read_text())["argv"]
+    assert argv[argv.index("--network") + 1] == "fig2"
+    assert argv[argv.index("--paths") + 1] == "fig2"
+    assert argv[argv.index("--measurements") + 1] == str(counts.resolve())
+    again = tmp_path / "again"
+    assert main(["rerun", str(out) + ".manifest.json", "--output-dir", str(again)]) == 0
+    assert (again / "out.json").read_bytes() == out.read_bytes()
 
 
 def test_module_runs_as_a_process():

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odflow import (
     Link,
@@ -15,6 +17,7 @@ from odflow import (
 from odflow.fileio import (
     FileFormatError,
     Measurements,
+    dump_json,
     load_manifest,
     load_measurements,
     load_network,
@@ -27,6 +30,7 @@ from odflow.fileio import (
     write_manifest,
 )
 from odflow.network import NetworkError
+from oracles import json_text_oracle
 
 
 @pytest.fixture(params=["fig1", "fig2", "nguyen"])
@@ -207,3 +211,55 @@ class TestManifest:
         path.write_text("{}")
         with pytest.raises(FileFormatError):
             load_manifest(path)
+
+
+# Strings with non-ASCII characters, quotes, backslashes and control
+# characters; floats at every edge json writes.
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é')))
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1e-15, 1e15]),
+)
+_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``dump_json`` writes the bytes of ``json``'s own encoder over a
+    12-significant-digit copy of its data (``oracles.json_text_oracle``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_PAYLOADS)
+    def test_matches_json(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "payload.json"
+        dump_json(data, path)
+        assert path.read_bytes() == json_text_oracle(data).encode("ascii")
+
+    def test_saved_network_and_paths(self, bundle, tmp_path, json_writes):
+        net = validate_network(Network(
+            nodes=(1, 2, "é"),
+            links=(Link("a", 1, 2, length=1 / 3), Link('b"\\', 2, "é", length=1e-15)),
+            coords={1: (-0.0, 2 / 3), 2: (1e15 + 0.5, 5e-324), "é": (math.pi, 1e308)},
+        ))
+        save_network(net, tmp_path / "coords.json")
+        save_network(bundle.network, tmp_path / "net.json")
+        save_paths(bundle.table.paths, tmp_path / "paths.json")
+        assert len(json_writes) == 3
+        for path, text in json_writes:
+            assert path.read_bytes() == text.encode("ascii")
+
+    @pytest.mark.parametrize("data", [
+        {"x": [np.int64(1)]}, {"x": {1, 2}}, np.float32(1.0), {1: "a"},
+    ])
+    def test_other_types_rejected(self, tmp_path, data):
+        path = tmp_path / "x.json"
+        with pytest.raises(TypeError):
+            dump_json(data, path)
+        assert not path.exists()
