@@ -207,6 +207,21 @@ class PathTable:
         """:attr:`paths_by_od` as integer index arrays."""
         return tuple(np.array(g, dtype=np.intp) for g in self.paths_by_od)
 
+    @cached_property
+    def link_incidence(self) -> tuple[dict[LinkId, int], np.ndarray]:
+        """``(row_of, rows)``: a read-only 0/1 matrix with one row over the
+        paths for each link that some path crosses, and each such link's
+        row in it."""
+        row_of: dict[LinkId, int] = {}
+        for p in self.paths:
+            for lid in p.links:
+                row_of.setdefault(lid, len(row_of))
+        rows = np.zeros((len(row_of), self.n_paths))
+        for n, p in enumerate(self.paths):
+            rows[[row_of[lid] for lid in p.links], n] = 1.0
+        rows.flags.writeable = False
+        return row_of, rows
+
 
 @dataclass(frozen=True)
 class MeasurementSystem:
@@ -467,16 +482,14 @@ def build_static_incidence(
     A measured link crossed by no catalogued path is rejected.
     """
     _check_measured(measured_links, net)
-    on_path = [frozenset(p.links) for p in pt.paths]
-    mat = np.zeros((len(measured_links), pt.n_paths))
-    for i, lid in enumerate(measured_links):
-        for n, links in enumerate(on_path):
-            if lid in links:
-                mat[i, n] = 1.0
-        if not mat[i].any():
-            raise UselessRowError(f"measured link {lid!r} lies on no catalogued path")
+    row_of, rows = pt.link_incidence
+    try:
+        index = [row_of[lid] for lid in measured_links]
+    except KeyError as exc:
+        raise UselessRowError(
+            f"measured link {exc.args[0]!r} lies on no catalogued path") from None
     return MeasurementSystem(
-        matrix=mat,
+        matrix=rows[index],
         row_labels=tuple(measured_links),
         col_labels=tuple(range(pt.n_paths)),
         mode="static",

@@ -38,7 +38,9 @@ Two engines:
   the Euclidean norm (the trust-region equation of Moré & Sorensen 1983),
   in closed form for the weighted sum.  A KKT check certifies the piece,
   and an NNLS solve of the penalized program supplies the next piece when
-  it fails, so most solves take one or two NNLS calls.
+  it fails, so most solves take one or two NNLS calls.  The Euclidean
+  search opens with such a solve at a closed-form multiplier taken from
+  the NNLS point, so its first piece is usually the last.
 
 Problems here are desk scale (tens of rows/columns); everything is dense.
 """
@@ -819,7 +821,29 @@ def _l1_piece(A, y, lam, delta, support, *_):
     return nu, np.maximum(x, 0.0)
 
 
-def _ball_search(A, y, delta, lo, hi, support, piece, penalized) -> np.ndarray:
+def _ridge_seed(A, x_ls, dist, delta, lo, hi):
+    """The ridge multiplier at which the path, expanded to first order at
+    the NNLS point ``x_ls`` (residual norm ``dist < delta``), meets the
+    sphere, if it lies in ``[lo, hi]``; else None.
+
+    Near ``nu = inf`` the ridge point on ``S = supp(x_ls)`` is
+    ``x_S - G^{-1} x_S / nu``, ``G = A_S'A_S``, and leaves the residual
+    ``r_ls + w/nu``, ``w = A_S G^{-1} x_S``.  ``r_ls`` is orthogonal to the
+    range of ``A_S`` (the KKT conditions of ``x_ls``), so ``||r|| = delta``
+    at ``nu = ||w|| / sqrt(delta² - dist²)``, the closed form of
+    :func:`_l1_piece`.
+    """
+    support = x_ls > 0
+    A_S = A[:, support]
+    try:
+        w = A_S @ np.linalg.solve(A_S.T @ A_S, x_ls[support])
+    except np.linalg.LinAlgError:
+        return None
+    nu = math.sqrt(float(w @ w) / (delta * delta - dist * dist))
+    return nu if lo <= nu <= hi else None
+
+
+def _ball_search(A, y, delta, lo, hi, support, piece, penalized, nu=None) -> np.ndarray:
     """The point where a penalized path meets the sphere ``||A x - y|| =
     delta`` (unit-norm counts), its multiplier bracketed by ``[lo, hi]``.
 
@@ -830,18 +854,21 @@ def _ball_search(A, y, delta, lo, hi, support, piece, penalized) -> np.ndarray:
     narrows the bracket.  Other pieces, and supports met before, give way
     to a log-scale bisection step: two pieces whose roots lie at each
     other's ends of the bracket would otherwise trade places for ever.
+    A multiplier ``nu`` in the bracket, when given, opens the search with
+    that NNLS solve in place of the piece on ``support``.
     """
     tried = set()
     for _ in range(_MAX_BALL_SOLVES):
-        key = support.tobytes()
-        root, x = (None, None) if key in tried else piece(support, lo, hi)
-        tried.add(key)
-        if x is not None:
-            return x
-        nu = root if root is not None and lo <= root <= hi else math.sqrt(lo * hi)
+        if nu is None:
+            key = support.tobytes()
+            root, x = (None, None) if key in tried else piece(support, lo, hi)
+            tried.add(key)
+            if x is not None:
+                return x
+            nu = root if root is not None and lo <= root <= hi else math.sqrt(lo * hi)
         x = penalized(nu)
         lo, hi = (nu, hi) if np.linalg.norm(A @ x - y) > delta else (lo, nu)
-        support = x > 0
+        support, nu = x > 0, None
     raise _SolveFailed("the ball multiplier search did not settle")
 
 
@@ -907,7 +934,11 @@ def solve_cone(p: ConeProblem) -> Solution:
       Newton's method on the piece's spectrum, and in closed form for l1.
       A KKT check certifies the root, and a root that fails it hands over
       to one NNLS solve of the penalized program, whose support gives the
-      next piece (:func:`_ball_search`).
+      next piece (:func:`_ball_search`).  The l2 search opens with that
+      NNLS solve, at the multiplier where the ridge path expanded to first
+      order at the NNLS point meets the sphere (:func:`_ridge_seed`), or,
+      when that multiplier is undefined or outside the bracket, with the
+      piece on the NNLS support.
 
     Every NNLS answer passes one KKT check or is solved again by BVLS
     (:class:`_CountedNnls`); ``iterations`` counts NNLS solves, BVLS
@@ -980,7 +1011,8 @@ def solve_cone(p: ConeProblem) -> Solution:
                 penalized = partial(_lasso, A, y_unit, lam, solve=solve)
             hi = (float(x_ls @ x_ls) if quad else 2.0 * float(lam @ x_ls)) / (
                 delta_unit * delta_unit - dist * dist)
-            x = _ball_search(A, y_unit, delta_unit, lo, hi, x_ls > 0, piece, penalized)
+            seed = _ridge_seed(A, x_ls, dist, delta_unit, lo, hi) if quad else None
+            x = _ball_search(A, y_unit, delta_unit, lo, hi, x_ls > 0, piece, penalized, seed)
     except _SolveFailed:
         return Solution(
             x=np.zeros(n),

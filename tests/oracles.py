@@ -177,6 +177,13 @@ def simulate_static_counts(net, table, measured_links, x):
     return np.array([counts[lid] for lid in measured_links])
 
 
+def static_incidence_oracle(table, measured_links):
+    """The static incidence matrix entry by entry: 1 where the path crosses
+    the measured link."""
+    return np.array([[1.0 if lid in p.links else 0.0 for p in table.paths]
+                     for lid in measured_links])
+
+
 def simulate_dynamic_counts(net, table, row_labels, col_labels, x):
     """Tally vehicles per (link, count time) from per-departure flows.
 

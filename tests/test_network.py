@@ -12,6 +12,7 @@ from odflow import (
     canonical_order,
     decode_allocation,
     enumerate_paths,
+    get_fixture,
     path_lengths,
     path_prefix_delay,
     validate_network,
@@ -34,7 +35,11 @@ from odflow.network import (
     split_column_labels,
 )
 from conftest import FOURZONE_MATRIX, TRIANGLE_DYNAMIC_COLUMNS, TRIANGLE_MATRIX
-from oracles import simulate_dynamic_counts, simulate_static_counts
+from oracles import (
+    simulate_dynamic_counts,
+    simulate_static_counts,
+    static_incidence_oracle,
+)
 
 
 class TestValidateNetwork:
@@ -227,6 +232,46 @@ class TestStaticIncidence:
             x = rng.integers(0, 7, size=14).astype(float)
             simulated = simulate_static_counts(fig2.network, fig2.table, measured, x)
             assert np.array_equal(ms.matrix @ x, simulated)
+
+
+class TestStaticIncidenceParity:
+    """The incidence built from the table's cached link rows has the bytes
+    of the entry-by-entry construction."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "nguyen"])
+    def test_matches_oracle(self, name):
+        bundle = get_fixture(name)
+        ids = list(bundle.network.link_ids)
+        rng = np.random.default_rng(3)
+        orders = [ids, ids[::-1], [ids[0], ids[-1], ids[0]]] + [
+            [ids[i] for i in rng.choice(len(ids), int(rng.integers(1, len(ids) + 1)),
+                                        replace=False)]
+            for _ in range(20)
+        ]
+        for measured in orders:
+            ms = build_static_incidence(bundle.table, measured, bundle.network)
+            want = static_incidence_oracle(bundle.table, measured)
+            assert ms.matrix.dtype == want.dtype and ms.matrix.shape == want.shape
+            assert ms.matrix.tobytes() == want.tobytes()
+            assert ms.row_labels == tuple(measured)
+            assert not ms.matrix.flags.writeable
+
+    def test_cached_rows_are_read_only(self, fig2):
+        row_of, rows = fig2.table.link_incidence
+        assert not rows.flags.writeable
+        assert fig2.table.link_incidence[1] is rows
+        ms = build_static_incidence(fig2.table, list(row_of), fig2.network)
+        assert not np.shares_memory(ms.matrix, rows)
+
+    def test_first_useless_row_named(self):
+        table = PathTable.from_paths([Path((1, 2), ("l1-2",))])
+        with pytest.raises(UselessRowError, match="'l2-3'"):
+            build_static_incidence(table, ["l1-2", "l2-3", "l3-1"])
+
+    def test_unknown_link_checked_first(self, fig1):
+        table = PathTable.from_paths([Path((1, 2), ("l1-2",))])
+        with pytest.raises(UnknownLinkError, match="'nope'"):
+            build_static_incidence(table, ["l2-3", "nope"], fig1.network)
 
 
 class TestPrefixDelay:

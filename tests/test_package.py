@@ -26,3 +26,27 @@ def test_cli_import_leaves_scipy_optimize_out():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n"
+
+
+def test_failing_property_reports_one_failure(tmp_path):
+    # hypothesis imports more of itself to report a failing property; under
+    # the suite's warning filters that must not stop the session
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith("1 failed, 1 passed")

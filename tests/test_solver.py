@@ -24,6 +24,7 @@ from odflow.solver import (
     StandardLP,
     _l1_piece,
     _piece_root,
+    _ridge_seed,
     lp_phase1,
     lp_phase2,
     solve_cone,
@@ -880,8 +881,9 @@ class TestNnlsDoor:
             x[[4, 8, 12]] = [30.0, 50.0, 70.0]
             y, delta = A @ x, 0.0
         else:
-            # the first support piece fails its certificate, so the ball
-            # search makes one penalized solve: a ridge or a lasso
+            # the ball search makes one penalized solve: the ridge that opens
+            # the l2 search, or the lasso after the first l1 support piece
+            # fails its certificate
             A, y, delta = noisy_instance(np.random.default_rng(1))
         problem = ConeProblem(A=A, y=y, delta=delta, objective=objective)
         want = solve_cone(problem).iterations
@@ -961,7 +963,7 @@ class TestL2Ball:
         ))
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([0.75, 0.75], rel=1e-12)
-        assert sol.iterations == 2  # the feasibility check and one fallback
+        assert sol.iterations == 2  # the feasibility check and one ridge solve
 
     def test_repeated_support_bisects(self):
         # two pieces here have their roots at each other's ends of the
@@ -1086,3 +1088,102 @@ class TestDynamicBall:
         A, y = nguyen_dynamic_instance(nguyen, seed)
         sol = solve_cone(ConeProblem(A=A, y=y, delta=0.7, objective="l1"))
         assert_l1_kkt(A, y, 0.7, sol)
+
+
+class TestRidgeSeed:
+    """The l2 ball search opens with a ridge solve at the multiplier where
+    the ridge path, expanded to first order at the NNLS point, meets the
+    sphere; without that multiplier it opens with the piece on the NNLS
+    support, as the unseeded search does."""
+
+    # x_ls = (0.48, 0.18) on both columns, residual (0, 0, 0.8)
+    A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    y = np.array([0.48, 0.36, 0.8])
+
+    def test_closed_form(self):
+        x_ls, dist = nnls(self.A, self.y)
+        assert x_ls == pytest.approx([0.48, 0.18], rel=1e-12)
+        assert dist == pytest.approx(0.8, rel=1e-12)
+        # ridge residuals y_i / (1 + nu a_i²) are (0.48, 0.36/4)/nu to
+        # first order, on the sphere of radius 0.9 with the 0.8 left over
+        want = np.sqrt((0.48**2 + 0.09**2) / (0.81 - 0.64))
+        assert _ridge_seed(self.A, x_ls, dist, 0.9, 0.0, np.inf) == pytest.approx(
+            want, rel=1e-12)
+        assert _ridge_seed(self.A, x_ls, dist, 0.9, 1.01 * want, np.inf) is None
+        assert _ridge_seed(self.A, x_ls, dist, 0.9, 0.0, 0.99 * want) is None
+
+    @pytest.fixture()
+    def seeds(self, monkeypatch):
+        got = []
+
+        def spy(*args):
+            got.append(_ridge_seed(*args))
+            return got[-1]
+
+        monkeypatch.setattr(solver, "_ridge_seed", spy)
+        return got
+
+    def test_singular_support_searches_from_it(self, seeds, monkeypatch):
+        # x_ls = (0.5, 0.5) is an NNLS point of the unit counts on two equal
+        # columns; their Gram matrix is singular, so the piece on both opens
+        answers = [(np.array([0.5, 0.5]), 0.0)]
+        monkeypatch.setattr(solver, "nnls", lambda E, f: answers.pop() if answers
+                            else nnls(E, f))
+        sol = solve_cone(ConeProblem(
+            A=np.array([[1.0, 1.0]]), y=np.array([2.0]), delta=0.5, objective="l2"
+        ))
+        assert seeds == [None]
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([0.75, 0.75], rel=1e-12)
+        assert sol.iterations == 1  # the first piece is certified
+
+    def test_seed_outside_bracket(self, seeds):
+        # a radius far from the image puts the first-order multiplier past hi
+        rng = np.random.default_rng(606)
+        for _ in range(40):
+            A, y, delta = noisy_instance(rng)
+            assert_l2_kkt(A, y, delta, solve_cone(
+                ConeProblem(A=A, y=y, delta=delta, objective="l2")))
+        assert 0 < seeds.count(None) < len(seeds)
+
+    def test_same_answer_as_unseeded(self, fig2_noisy, nguyen, monkeypatch):
+        instances = (fig2_noisy
+                     + noisy_cdf_instances("fig2", (4, 8, 12), 0.1, 10, 29, 150)
+                     + noisy_cdf_instances("fig2", (1, 7, 10, 13), 0.02, 10, 29, 150)
+                     + noisy_cdf_instances("nguyen", (0, 10, 20, 30, 40, 50, 60),
+                                           1.0, 22, 29, 30)
+                     + [(*nguyen_dynamic_instance(nguyen, seed), 0.7)
+                        for seed in (2, 14, 38)])
+        problems = [ConeProblem(A=A, y=y, delta=delta, objective="l2")
+                    for A, y, delta in instances]
+        seeded = [solve_cone(p) for p in problems]
+        monkeypatch.setattr(solver, "_ridge_seed", lambda *args: None)
+        optimal = 0
+        for p, got in zip(problems, seeded):
+            want = solve_cone(p)
+            assert got.status == want.status
+            if got.status == "optimal":
+                assert_l2_kkt(p.A, p.y, p.delta, got)
+                assert np.linalg.norm(got.x - want.x) <= 1e-12 * np.linalg.norm(want.x)
+                optimal += 1
+        assert optimal >= 500
+
+    def test_one_piece_per_interior_solve(self, fig2_noisy, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return l2_piece(*args)
+
+        l2_piece = solver._l2_piece
+        monkeypatch.setattr(solver, "_l2_piece", counted)
+        pieces = []
+        for A, y, delta in fig2_noisy:
+            if not nnls(A, y)[1] < delta < np.linalg.norm(y):
+                continue
+            calls.clear()
+            sol = solve_cone(ConeProblem(A=A, y=y, delta=delta, objective="l2"))
+            assert sol.status == "optimal"
+            pieces.append(len(calls))
+        assert len(pieces) >= 150
+        assert np.median(pieces) <= 1
