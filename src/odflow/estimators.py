@@ -18,6 +18,7 @@ linear programs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,8 +256,10 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if epsilon is not None and epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # NaN passes ``epsilon <= 0`` and fails inside phase 2; inf zeroes
+    # every later weight.
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon {epsilon} must be finite and positive")
     y = _check_counts(ms, y, nonnegative=True)
     # Every round has the same feasible set, so one phase 1 serves them all.
     start = lp_phase1(ms.matrix, y)

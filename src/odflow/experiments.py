@@ -98,11 +98,19 @@ class TrialConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        # A rate over no trials has no value: sweeps divide by ``trials``.
+        # A rate over no trials has no value: sweeps divide by ``trials``
+        # and count them with ``range``.
+        _check_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"trials {self.trials} must be at least 1")
         _check_nonnegative("noise_sd", self.noise_sd)
         _check_nonnegative("tol", self.tol)
+
+
+def _check_integer(name: str, value) -> None:
+    # A float count would be truncated or fail late, in ``range``.
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
 
 
 def _check_nonnegative(name: str, value: float) -> None:
@@ -155,6 +163,7 @@ def sample_allocation(
 
 
 def _check_m(m: int, n_links: int) -> None:
+    _check_integer("m", m)
     if not 1 <= m <= n_links:
         raise MeasurementCountError(f"m {m} outside 1..{n_links}")
 
@@ -357,8 +366,8 @@ def run_recovery_sweep(
     (:func:`~odflow.solver.solve_lp_padded`) and graded at once
     (:func:`grade_recovery`).
     """
-    m_grid = [int(m) for m in m_grid]
     bundle, full = _sweep_system(cfg, m_grid)
+    m_grid = [int(m) for m in m_grid]
     pt, n_links = bundle.table, full.n_rows
     # Equal rates share one float object, which keeps the points a caller
     # holds (see SweepPoint) about a quarter smaller.

@@ -606,6 +606,9 @@ def decode_allocation(x: Sequence[float], pt: PathTable) -> DecodedAllocation:
         raise NetworkError(
             f"allocation length {x.shape} does not match path count {pt.n_paths}"
         )
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise NetworkError(f"allocation has a non-finite entry {bad[0]}")
     if x.min(initial=0.0) < 0:
         raise NegativeEntryError("allocation has a negative entry")
     flows = np.bincount(

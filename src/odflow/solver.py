@@ -9,12 +9,17 @@ Two engines:
   phases are separate steps: :func:`lp_phase1` finds a feasible basis of
   ``A x = b`` once, and :func:`lp_phase2` optimizes any number of
   objectives from it.  A phase pivots a dense tableau, ``[B^-1 A | B^-1 b]``
-  over the reduced costs, by one rank-1 update per pivot, and Bland's
-  rule reads its rows as Python lists, which beats numpy calls at these
-  sizes.  Phase 1 starts from the identity basis of its artificials, whose
-  tableau needs no factorization, and phase 2 starts from phase 1's final
-  tableau, so each phase pivots one tableau from its start to its end and
-  the tableau is never factored.  The tableau only steers pivot choices:
+  over the reduced costs, by one rank-1 update per pivot.  Bland's rule
+  scans arrays where it reads a whole row, and Python lists where it
+  reads a few entries: the entering column is the first improving entry
+  of the cost row, and phase 1's cleanup column the first free entry of
+  an artificial's row, each found by one numpy comparison and
+  ``argmax``, while the ratio test reads the entering column and
+  ``B^-1 b`` as lists, which beats numpy calls at these sizes.  Phase 1
+  starts from the identity basis of its artificials, whose tableau needs
+  no factorization, and phase 2 starts from phase 1's final tableau, so
+  each phase pivots one tableau from its start to its end and the
+  tableau is never factored.  The tableau only steers pivot choices:
   every returned point is a fresh solve with its basis.  A phase gives up
   after ``_MAX_PIVOTS`` pivots.
   :func:`solve_lp_padded` runs the same simplex on many programs of one
@@ -178,17 +183,23 @@ def _pivot_loop(T, basis):
     over the reduced costs (zero on basic columns) and minus the objective.
 
     Returns ``(status, iterations, unbounded_entering_index)``.  Bland's
-    rule picks both the entering and the leaving variable from the
-    reduced-cost row, the entering column and ``B^-1 b``, each read as a
-    Python list.  Each pivot is one rank-1 update of ``T`` in place, from
+    rule enters the first column whose reduced cost is below
+    ``-_TOL_FEAS``: one comparison and ``argmax`` over a view of the cost
+    row, as turning the row, whose every entry may be read, into a Python
+    list costs more.  It leaves by the ratio test over the entering column
+    and ``B^-1 b``, read as Python lists: few of their entries are
+    positive, and a numpy ratio test, with its several calls per pivot,
+    was slower.  Each pivot is one rank-1 update of ``T`` in place, from
     the phase's start to its end; their roundoff stays far below the pivot
     tolerances at these sizes, and no returned point is read from ``T``.
     """
     m, n = T.shape[0] - 1, T.shape[1] - 1
+    cost = T[m, :n]  # a view: each pivot updates it in place
     for it in range(_MAX_PIVOTS):
         # Enter the improving column of smallest index.
-        j = next((k for k, r in enumerate(T[m, :n].tolist()) if r < -_TOL_FEAS), None)
-        if j is None:
+        improving = cost < -_TOL_FEAS
+        j = int(improving.argmax())
+        if not improving[j]:
             return STATUS_OPTIMAL, it, None
 
         x_b = T[:m, n].tolist()
@@ -337,19 +348,24 @@ def lp_phase1(A, b) -> FeasibleBasis:
         if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
             return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
-    # Pivot leftover artificial variables out of the basis.  When no
-    # original column can replace one, the artificial's own constraint row
-    # is implied by the others (its multiplier row annihilates the original
-    # columns), so that row is dropped together with the artificial.
+    # Pivot leftover artificial variables out of the basis, each on the
+    # first nonbasic original column with an entry in its row, found in a
+    # mask of those columns.  When no original column can replace one, the
+    # artificial's own constraint row is implied by the others (its
+    # multiplier row annihilates the original columns), so that row is
+    # dropped together with the artificial.
     redundant = set()
+    free = np.ones(n, dtype=bool)  # the nonbasic original columns
+    free[[k for k in basis if k < n]] = False
     for pos in artificial:
-        j = next((k for k, v in enumerate(T[pos, :n].tolist())
-                  if abs(v) > _CLEANUP_TOL and k not in basis), None)
-        if j is None:
+        cand = (np.abs(T[pos, :n]) > _CLEANUP_TOL) & free
+        j = int(cand.argmax())
+        if not cand[j]:
             redundant.add(basis[pos] - n)
         else:
             _pivot(T, pos, j)
             basis[pos] = j
+            free[j] = False
     rows = [i for i in range(m) if i not in redundant]
     kept = [pos for pos, k in enumerate(basis) if k < n]
     tableau = T[kept, :n + 1]  # the original columns, then the right-hand side
@@ -410,7 +426,7 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
         x=x,
         status=status,
         objective=objective,
-        residual_eq=float(np.max(np.abs(start.A @ x - start.b))),
+        residual_eq=float(np.max(np.abs(start.A @ x - start.b), initial=0.0)),
         iterations=total_iters,
         basis=tuple(basis),
         unbounded_index=unbounded_j,
@@ -572,7 +588,7 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
     :func:`solve_lp`.
     """
     A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
     if A.ndim != 3:
         raise ValueError("inconsistent LP dimensions")
     K, R, n = A.shape
@@ -580,6 +596,9 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
         raise ValueError("inconsistent LP dimensions")
     if not K:
         raise ValueError("empty LP stack")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"row counts must be integers, not {rows.dtype}")
+    rows = rows.astype(np.intp)
     if ((rows < 0) | (rows > R)).any():
         raise ValueError("row counts must lie in 0..R")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):

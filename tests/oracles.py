@@ -6,6 +6,9 @@ come from exhaustive enumeration or, for the l2 ball, from plain bisection
 over NNLS solves.  The one exception is :func:`solve_lp_stack`, which is
 no reference but the parity helper: it runs the stacked simplex on a list
 of programs, so that each answer can be compared with ``solve_lp``'s.
+:func:`pivot_loop_oracle` and :func:`phase1_oracle` are the simplex's
+Bland scans read entry by entry from Python lists, the reference for the
+solver's array scans; they share its rank-1 update.
 :func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
 from ``json``'s own encoder.
 """
@@ -22,13 +25,21 @@ from scipy.optimize import nnls
 
 from odflow.fileio import _fmt
 from odflow.solver import (
+    _CLEANUP_TOL,
+    _MAX_PIVOTS,
+    _PIVOT_TOL,
+    _RATIO_TIE_TOL,
+    _TOL_FEAS,
     STATUS_INFEASIBLE,
+    STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    FeasibleBasis,
     Solution,
     StandardLP,
     _lp_cost,
     _lp_system,
+    _pivot,
     solve_lp_padded,
 )
 
@@ -126,6 +137,71 @@ def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
             unbounded_index=int(sol.unbounded_index[k]) if sol.unbounded_index[k] >= 0 else None,
         ))
     return out
+
+
+def pivot_loop_oracle(T, basis):
+    """``solver._pivot_loop`` with every Bland scan over Python lists: the
+    entering column is the first reduced cost below ``-_TOL_FEAS`` in the
+    cost row's list, found by a generator."""
+    m, n = T.shape[0] - 1, T.shape[1] - 1
+    for it in range(_MAX_PIVOTS):
+        j = next((k for k, r in enumerate(T[m, :n].tolist()) if r < -_TOL_FEAS), None)
+        if j is None:
+            return STATUS_OPTIMAL, it, None
+        x_b = T[:m, n].tolist()
+        ratios = {
+            i: max(x_b[i], 0.0) / d
+            for i, d in enumerate(T[:m, j].tolist())
+            if d > _PIVOT_TOL
+        }
+        if not ratios:
+            return STATUS_UNBOUNDED, it + 1, j
+        rmin = min(ratios.values())
+        cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
+        leave = min((i for i, q in ratios.items() if q <= cut), key=basis.__getitem__)
+        _pivot(T, leave, j)
+        basis[leave] = j
+    return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None
+
+
+def phase1_oracle(A, b) -> FeasibleBasis:
+    """``solver.lp_phase1`` on :func:`pivot_loop_oracle`, whose cleanup
+    takes each leftover artificial's replacement by a list scan of its row
+    that tests ``k not in basis``."""
+    A, b = _lp_system(A, b)
+    m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    A_work, b_work = A * sign[:, None], b * sign
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, -1] = A_work, b_work
+    T[m] = -T[:m].sum(axis=0)
+    T[:m, n:-1] = np.eye(m)
+    basis = list(range(n, n + m))
+    status, iters, _ = pivot_loop_oracle(T, basis)
+    if status == STATUS_ITERATION_LIMIT:
+        return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
+    artificial = [pos for pos, k in enumerate(basis) if k >= n]
+    if artificial:
+        x_b = T[:m, -1].tolist()
+        left = sum(x_b[pos] for pos in artificial)
+        if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
+            return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
+    redundant = set()
+    for pos in artificial:
+        j = next((k for k, v in enumerate(T[pos, :n].tolist())
+                  if abs(v) > _CLEANUP_TOL and k not in basis), None)
+        if j is None:
+            redundant.add(basis[pos] - n)
+        else:
+            _pivot(T, pos, j)
+            basis[pos] = j
+    rows = [i for i in range(m) if i not in redundant]
+    kept = [pos for pos, k in enumerate(basis) if k < n]
+    tableau = T[kept, :n + 1]
+    tableau[:, n] = T[kept, -1]
+    return FeasibleBasis(A=A, b=b, status=STATUS_OPTIMAL, iterations=iters,
+                         rows=tuple(rows), basis=tuple(basis[pos] for pos in kept),
+                         A_kept=A_work[rows], b_kept=b_work[rows], tableau=tableau)
 
 
 def l2_ball_oracle(A, y, delta) -> np.ndarray:

@@ -310,6 +310,12 @@ class TestReweighted:
         with pytest.raises(ValueError):
             reweighted_l1(six_link_system, np.ones(6), iters=0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, six_link_system, epsilon):
+        # NaN would fail inside phase 2, and inf would zero every later weight
+        with pytest.raises(ValueError, match=f"epsilon {epsilon} must be finite"):
+            reweighted_l1(six_link_system, np.ones(6), epsilon=epsilon)
+
     def test_matches_round_by_round_solves(self, fig2):
         # one shared phase 1 gives what a full solve per round gives
         ms = build_static_incidence(fig2.table, SIX_LINKS_B, fig2.network)

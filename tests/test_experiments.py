@@ -394,6 +394,17 @@ class TestRecoverySweep:
         with pytest.raises(MeasurementCountError):
             run_recovery_sweep(cfg, m_grid=[0], supports=[SUPPORT_3SPARSE])
 
+    def test_fractional_m_rejected(self):
+        # not truncated to M = 5
+        cfg = TrialConfig(fixture="fig2", trials=5, seed=0)
+        with pytest.raises(ValueError, match="m 5.7 is not an integer"):
+            run_recovery_sweep(cfg, m_grid=[5.7], supports=[SUPPORT_3SPARSE])
+
+    def test_fractional_trials_rejected(self):
+        # rejected up front, not by range() in the middle of a sweep
+        with pytest.raises(ValueError, match="trials 2.5 is not an integer"):
+            TrialConfig(fixture="fig2", trials=2.5)
+
     def test_csv_row_schema(self, small_report):
         rows = small_report.csv_rows()
         assert len(rows) == 2 * 3 * 3

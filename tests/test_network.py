@@ -412,6 +412,11 @@ class TestDecodeAllocation:
         with pytest.raises(NegativeEntryError):
             decode_allocation([-1.0] + [0.0] * 6, fig1.table)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, fig1, value):
+        with pytest.raises(NetworkError, match=f"non-finite entry {value}"):
+            decode_allocation([1.0, value] + [0.0] * 5, fig1.table)
+
     def test_splits_sum_to_one_per_touched_od(self, fig2):
         rng = np.random.default_rng(3)
         x = rng.uniform(0.0, 10.0, size=14)

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import odflow
@@ -13,6 +15,20 @@ def test_star_import_resolves_every_public_name():
         assert name in namespace, name
         assert namespace[name] is getattr(odflow, name)
     assert len(set(odflow.__all__)) == len(odflow.__all__)
+
+
+def test_benchmark_tracer_targets_exist():
+    # The benchmark's tracer looks each traced function up with no default,
+    # so a function removed from odflow would break only a traced run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("odflow_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    assert targets
+    missing = [(mod, attr) for mod, attr, *_ in targets
+               if not hasattr(import_module(mod), attr)]
+    assert missing == []
 
 
 def test_cli_import_leaves_scipy_optimize_out():

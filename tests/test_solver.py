@@ -32,7 +32,14 @@ from odflow.solver import (
     solve_lp_padded,
 )
 from odflow.experiments import _STACK_TRIALS
-from oracles import ProblemTooLargeError, l2_ball_oracle, lp_oracle, solve_lp_stack
+from oracles import (
+    ProblemTooLargeError,
+    l2_ball_oracle,
+    lp_oracle,
+    phase1_oracle,
+    pivot_loop_oracle,
+    solve_lp_stack,
+)
 
 
 def random_feasible_lp(rng, m=None, n=None, density=0.5, sense="min"):
@@ -473,6 +480,17 @@ class TestSolveLpStack:
         for g, p in zip(got, problems):
             assert_same_solution(g, solve_lp(p))
 
+    def test_systems_without_rows(self):
+        # no constraint: optimal at zero when c >= 0, else unbounded on the
+        # first negative cost
+        problems = [StandardLP(c=[1.0, 0.0], A=np.zeros((0, 2)), b=[]),
+                    StandardLP(c=[1.0, -2.0], A=np.zeros((0, 2)), b=[])]
+        want = [solve_lp(p) for p in problems]
+        assert [w.status for w in want] == ["optimal", "unbounded"]
+        assert want[1].unbounded_index == 1
+        for g, w in zip(solve_lp_stack(problems), want):
+            assert_same_solution(g, w)
+
     def test_padding_rows_ignored(self, fig2):
         # rows past each program's count may hold anything finite
         net = fig2.network
@@ -490,6 +508,7 @@ class TestSolveLpStack:
 
     @pytest.mark.parametrize("rows,message", [
         ([3, 7], "row counts"), ([-1, 2], "row counts"), ([2], "dimensions"),
+        ([1.5, 2], "must be integers"),  # not truncated to one row
     ])
     def test_padded_input_checks(self, rows, message):
         with pytest.raises(ValueError, match=message):
@@ -513,6 +532,77 @@ class TestSolveLpStack:
         problems = [] if case == "empty" else [good, bad[case]]
         with pytest.raises(ValueError, match=message):
             solve_lp_stack(problems)
+
+
+class TestListScanParity:
+    """Bland's rule by array scans (the entering column, phase 1's cleanup
+    column) against the same rule read from Python lists
+    (``oracles.pivot_loop_oracle``, ``oracles.phase1_oracle``): the same
+    pivots, bases and kept rows, and the same tableau bytes."""
+
+    @staticmethod
+    def assert_same_phases(A, b, costs):
+        """Phase 1 of ``A x = b``, then phase 2 for each cost row from it;
+        returns phase 1's outcome."""
+        got, want = lp_phase1(A, b), phase1_oracle(A, b)
+        assert (got.status, got.iterations, got.basis, got.rows) == (
+            want.status, want.iterations, want.basis, want.rows)
+        if got.status != "optimal":
+            return got
+        assert got.tableau.tobytes() == want.tableau.tobytes()
+        for cost in costs:
+            basis = list(got.basis)
+            T = solver._phase2_tableau(got, cost, basis)
+            ref_basis, ref_T = list(basis), T.copy()
+            assert solver._pivot_loop(T, basis) == pivot_loop_oracle(ref_T, ref_basis)
+            assert basis == ref_basis
+            assert T.tobytes() == ref_T.tobytes()
+        return got
+
+    def test_fig2(self, fig2):
+        net = fig2.network
+        full = build_static_incidence(fig2.table, net.link_ids, net)
+        lengths = path_lengths(net, fig2.table)
+        costs = (np.ones(full.n_cols), lengths, -lengths)
+        for t in range(60):
+            rng = substream(41, t)
+            x = sample_allocation(fig2.table, sample_support(fig2.table, 2 + t % 5, rng), rng)
+            ms = full.subsystem(sample_measurements(full.row_labels, 3 + t % 8, rng))
+            self.assert_same_phases(ms.matrix, ms.matrix @ x, costs)
+
+    def test_nguyen_static(self, nguyen):
+        # every fourth system counts all 38 links, of rank 24, so phase 1
+        # drops 14 rows; the cleanup system pivots an artificial out
+        net = nguyen.network
+        full = build_static_incidence(nguyen.table, net.link_ids, net)
+        lengths = path_lengths(net, nguyen.table)
+        costs = (np.ones(full.n_cols), lengths, -lengths)
+        dropped = 0
+        for t in range(24):
+            rng = substream(43, t)
+            x = nguyen_counts(nguyen, rng)
+            ms = full.subsystem(sample_measurements(full.row_labels, (18, 26, 32, 38)[t % 4], rng))
+            start = self.assert_same_phases(ms.matrix, ms.matrix @ x, costs)
+            assert start.status == "optimal"
+            dropped += ms.n_rows - len(start.rows)
+            if ms.n_rows == 38:
+                assert len(start.rows) == 24
+        assert dropped >= 6 * 14
+        start = self.assert_same_phases(*cleanup_system(nguyen), costs)
+        assert len(start.rows) == 12
+
+    def test_fig2_dynamic(self, fig2):
+        # (link, time) rows at count times 0-3, all 40 or a random subset
+        net = fig2.network
+        A = build_dynamic_system(fig2.table, net, net.link_ids, range(4)).matrix
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            x = np.zeros(A.shape[1])
+            x[rng.choice(A.shape[1], 6, replace=False)] = rng.uniform(1.0, 50.0, 6)
+            rows = np.sort(rng.choice(40, 40 if seed % 3 == 0 else 24, replace=False))
+            costs = (np.ones(A.shape[1]), rng.uniform(-1.0, 1.0, A.shape[1]))
+            start = self.assert_same_phases(A[rows], A[rows] @ x, costs)
+            assert start.status == "optimal"
 
 
 class TestPivotCap:
