@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command that writes an output file also writes a manifest beside it
-(``<output>.manifest.json``) holding the fully resolved argument vector;
-``odflow rerun <manifest>`` replays it byte-for-byte.
+(``<output>.manifest.json``) holding the fully resolved argument vector,
+written by :func:`main` once the command returns; ``odflow rerun
+<manifest>`` replays it byte-for-byte.
 
 Exit codes: 0 success, 2 usage, 3 parse/validation, 4 infeasible or
 unbounded program, 5 iteration limit.  Exit 2 means a bad flag value or
@@ -42,6 +43,7 @@ from .estimators import (
     vmt_bounds,
 )
 from .experiments import (
+    _SEED_MAX,
     TrialConfig,
     grid_path_count,
     grid_paths_max_turns,
@@ -157,6 +159,7 @@ def _od_pair(text: str) -> tuple:
 _AT_LEAST_1 = _number(int, 1)
 _NONNEGATIVE = _number(float, 0)
 _POSITIVE = _number(float, 0, strict=True)
+_SEED = _number(int, 0, _SEED_MAX)
 
 
 def _write_manifest(args) -> None:
@@ -191,7 +194,6 @@ def _cmd_enumerate(args) -> int:
         all_paths.extend(found)
     fileio.save_paths(all_paths, args.output)
     print(f"od_pairs={len(args.od)} paths={len(all_paths)} -> {args.output}")
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -261,7 +263,6 @@ def _cmd_estimate(args) -> int:
     fileio.dump_json(payload, args.output)
     print(f"{method}: status={result.status} objective={result.objective:.12g} "
           f"sparsity={payload['sparsity']} -> {args.output}")
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -283,7 +284,6 @@ def _cmd_vmt(args) -> int:
     fileio.dump_json(fileio.bounds_to_dict(bounds, table), args.output)
     print(f"vmt_lower={bounds.vmt_lower:.12g} vmt_upper={bounds.vmt_upper:.12g} "
           f"-> {args.output}")
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -293,7 +293,6 @@ def _cmd_sweep(args) -> int:
                                 supports=list(args.supports or args.sparsity))
     fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(f"{len(report.points)} grid points -> {args.output}")
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -307,7 +306,6 @@ def _cmd_noisy_cdf(args) -> int:
         f"median_l1={report.quantile('l1', 0.5):.6g} "
         f"median_l2={report.quantile('l2', 0.5):.6g} -> {args.output}"
     )
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -316,7 +314,6 @@ def _cmd_vmt_sweep(args) -> int:
     report = run_vmt_sweep(cfg, m_grid=args.m_grid, recovery_tol=args.recovery_tol)
     fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(f"{len(report.points)} M values -> {args.output}")
-    _write_manifest(args)
     return EXIT_OK
 
 
@@ -337,7 +334,6 @@ def _cmd_grid(args) -> int:
              "exact_fraction", "tail_bound"),
             [(args.n, args.alpha, turns, count, few, fraction, bound)],
         )
-        _write_manifest(args)
     return EXIT_OK
 
 
@@ -360,15 +356,12 @@ class _EnvSeed(str):
 
 
 def _seed(text: str) -> int:
-    """argparse type of ``--seed``; argparse applies it to the string
-    default too, so a malformed ``$ODFLOW_SEED`` is a usage error like a
-    malformed ``--seed``."""
+    """argparse type of ``--seed``, a seed ``TrialConfig`` takes; argparse
+    applies it to the string default too, so a bad ``$ODFLOW_SEED`` is a
+    usage error like a bad ``--seed``."""
     if isinstance(text, _EnvSeed):
         text = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return _SEED(text)
 
 
 def _add_seed(parser) -> None:
@@ -499,7 +492,10 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help and 2 for usage problems
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if getattr(args, "output", None):
+            _write_manifest(args)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,6 +51,8 @@ from .solver import solve_lp_padded
 
 # Range of the uniform flow drawn for each OD pair a trial routes.
 _FLOW_RANGE = (1.0, 100.0)
+# Largest experiment seed: the seed is one 64-bit word of the Philox key.
+_SEED_MAX = 2**64 - 1
 # Trials of one support spec whose l1 programs, one per M of the grid,
 # a recovery sweep solves as one stack: enough to spread the fixed cost of
 # the stacked simplex's numpy calls, few enough that the stack's memory
@@ -103,6 +105,10 @@ class TrialConfig:
         _check_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"trials {self.trials} must be at least 1")
+        # Philox truncates a float seed and rejects a negative one late.
+        _check_integer("seed", self.seed)
+        if not 0 <= self.seed <= _SEED_MAX:
+            raise ValueError(f"seed {self.seed} must lie in 0..2**64-1")
         _check_nonnegative("noise_sd", self.noise_sd)
         _check_nonnegative("tol", self.tol)
 

@@ -260,7 +260,7 @@ class MeasurementSystem:
         except KeyError as exc:
             raise UnknownLinkError(f"no measurement row {exc.args[0]!r}") from exc
         return MeasurementSystem(
-            matrix=self.matrix[idx, :].copy(),
+            matrix=self.matrix[idx, :],  # a fresh row-major array
             row_labels=tuple(row_labels),
             col_labels=self.col_labels,
             mode=self.mode,

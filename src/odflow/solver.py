@@ -30,8 +30,10 @@ Two engines:
   tableau and the basic points are numpy calls over the stack as well,
   batched per row count or basis size where a product must round as a
   single solve's does, so no per-program Python runs between the
-  phases.  Each program takes the pivots, and returns the answer, that
-  :func:`solve_lp` gives it.
+  phases.  Each program takes the pivots that :func:`solve_lp` gives it,
+  and the stack returns each program's status, point and pivot record
+  (basis, pivot count, unbounded index) as :func:`solve_lp` returns
+  them; its objective and residual follow from the point.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -440,18 +442,18 @@ def solve_lp(p: StandardLP) -> Solution:
 
 @dataclass(frozen=True)
 class SolutionStack:
-    """The answers of :func:`solve_lp_padded`, one row per program, each
-    field as on :class:`Solution`.
+    """The answers of :func:`solve_lp_padded`, one row per program: each
+    program's status, point and pivot record, each field as on
+    :class:`Solution`.
 
     ``basis[k, :basis_size[k]]`` is program ``k``'s final basis when its
     status is optimal or unbounded; ``unbounded_index`` is -1 where no
-    entering column certified unboundedness.
+    entering column certified unboundedness.  Objective values and
+    residuals follow from ``x`` and are left to the caller.
     """
 
     x: np.ndarray
     status: np.ndarray
-    objective: np.ndarray
-    residual_eq: np.ndarray
     iterations: np.ndarray
     basis: np.ndarray
     basis_size: np.ndarray
@@ -577,9 +579,9 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
     ``A`` is ``K x R x n``, ``b`` is ``K x R`` and ``c`` is ``K x n`` or one
     cost row for all; program ``k`` has the first ``rows[k]`` rows of
     ``A[k]`` and ``b[k]``, and the rows past them are ignored.  Program
-    ``k`` gets the status, basis, pivot count, unbounded index, and the
-    bytes of ``x``, objective and equality residual, of :func:`solve_lp`
-    on it.  Each phase pivots one padded stack of tableaus
+    ``k`` gets the status, basis, pivot count, unbounded index and the
+    bytes of ``x`` of :func:`solve_lp` on it; its objective and residual
+    follow from ``x``.  Each phase pivots one padded stack of tableaus
     (:func:`_pivot_stack`), which spreads the fixed cost of each numpy call
     over the stack, and the work between and after the phases runs by
     numpy calls over the stack as well, batched per row count or basis
@@ -609,27 +611,15 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
 
     status, iters, start = _phase1_stack(A, b, rows)
     x = np.zeros((K, n))
-    objective = np.full(K, math.nan)
-    residual = np.zeros(K)
     unbounded = np.full(K, -1)
     basis, size = np.zeros((K, 0), dtype=np.intp), np.zeros(K, dtype=np.intp)
     if start is not None:
         live, tableau, basis2, size2, system = start
-        cost = c[live]
-        st2, it2, ub2, basis2, x2 = _phase2_stack(cost, tableau, basis2, size2, system)
+        st2, it2, ub2, basis2, x2 = _phase2_stack(c[live], tableau, basis2, size2, system)
         status[live], iters[live], unbounded[live], x[live] = st2, iters[live] + it2, ub2, x2
         basis = np.zeros((K, basis2.shape[1]), dtype=np.intp)
         basis[live], size[live] = basis2, size2
-        objective[live] = np.where(
-            st2 == STATUS_OPTIMAL, (cost[:, None, :] @ x2[:, :, None])[:, 0, 0],
-            np.where(st2 == STATUS_UNBOUNDED, -math.inf, math.nan))
-        done = live[st2 != STATUS_ITERATION_LIMIT]
-        for m in np.unique(rows[done]).tolist():
-            g = done[rows[done] == m]
-            r = (A[g, :m] @ x[g, :, None])[..., 0] - b[g, :m]
-            residual[g] = np.abs(r).max(axis=1, initial=0.0)
-    return SolutionStack(x=x, status=status, objective=objective, residual_eq=residual,
-                         iterations=iters, basis=basis, basis_size=size,
+    return SolutionStack(x=x, status=status, iterations=iters, basis=basis, basis_size=size,
                          unbounded_index=unbounded)
 
 

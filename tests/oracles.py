@@ -103,8 +103,9 @@ def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
     Entry ``i`` is ``solve_lp(problems[i])``, field for field and to the
     byte: the programs are padded into one stack and solved by
     :func:`solve_lp_padded`, a maximized objective as the minimum of its
-    negation.  Inputs are checked as :func:`solve_lp` checks them, all
-    before the first pivot.
+    negation, and each objective and residual is formed from the
+    program's point as :func:`lp_phase2` forms it.  Inputs are checked as
+    :func:`solve_lp` checks them, all before the first pivot.
     """
     if not problems:
         raise ValueError("empty LP stack")
@@ -113,25 +114,31 @@ def solve_lp_stack(problems: Sequence[StandardLP]) -> list[Solution]:
         A, b = _lp_system(p.A, p.b)
         c = _lp_cost(p.c, A.shape[1], p.sense)
         costs.append(c if p.sense == "min" else -c)
-        systems.append((A, b))
-    if len({A.shape[1] for A, _ in systems}) > 1:
+        systems.append((A, b, c))
+    if len({A.shape[1] for A, _, _ in systems}) > 1:
         raise ValueError("stacked programs must have one column count")
 
-    rows = [A.shape[0] for A, _ in systems]
+    rows = [A.shape[0] for A, _, _ in systems]
     A_pad = np.zeros((len(systems), max(rows), systems[0][0].shape[1]))
     b_pad = np.zeros(A_pad.shape[:2])
-    for k, (A, b) in enumerate(systems):
+    for k, (A, b, _) in enumerate(systems):
         A_pad[k, :rows[k]], b_pad[k, :rows[k]] = A, b
     sol = solve_lp_padded(np.array(costs), A_pad, b_pad, rows)
     out = []
-    for k, p in enumerate(problems):
-        status, objective = sol.status[k], float(sol.objective[k])
+    for k, (p, (A, b, c)) in enumerate(zip(problems, systems)):
+        status, x = sol.status[k], sol.x[k].copy()
         has_basis = status in (STATUS_OPTIMAL, STATUS_UNBOUNDED)
+        if status == STATUS_OPTIMAL:
+            objective = float(c @ x)
+        elif status == STATUS_UNBOUNDED:
+            objective = -math.inf if p.sense == "min" else math.inf
+        else:
+            objective = math.nan
         out.append(Solution(
-            x=sol.x[k].copy(),
+            x=x,
             status=status,
-            objective=-objective if p.sense == "max" and has_basis else objective,
-            residual_eq=float(sol.residual_eq[k]),
+            objective=objective,
+            residual_eq=float(np.max(np.abs(A @ x - b), initial=0.0)) if has_basis else 0.0,
             iterations=int(sol.iterations[k]),
             basis=tuple(sol.basis[k, :sol.basis_size[k]].tolist()) if has_basis else None,
             unbounded_index=int(sol.unbounded_index[k]) if sol.unbounded_index[k] >= 0 else None,

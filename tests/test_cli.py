@@ -528,6 +528,24 @@ class TestSweepCommands:
         assert "argument --seed: invalid int value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                              source, seed):
+        # -1 exited 3 from numpy's Philox after the fixture was loaded
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--fixture", "fig2", "--supports", "4,8,12",
+                "--m-grid", "10", "--trials", "3", "--output", str(out)]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("ODFLOW_SEED", seed)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be an integer in 0..{2**64 - 1}" in captured.err
+        assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+
     def test_one_parser_reads_env_seed_per_call(self, tmp_path, monkeypatch, capsys):
         # the parser is built once per process, so $ODFLOW_SEED must be
         # read when each command is parsed

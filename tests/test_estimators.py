@@ -310,6 +310,20 @@ class TestReweighted:
         with pytest.raises(ValueError):
             reweighted_l1(six_link_system, np.ones(6), iters=0)
 
+    def test_fractional_iters_rejected_before_any_solve(self, six_link_system, monkeypatch):
+        solves = []
+        monkeypatch.setattr(estimators, "lp_phase1", lambda *a: solves.append(a))
+        with pytest.raises(ValueError, match=r"iters 2\.5 is not an integer"):
+            reweighted_l1(six_link_system, np.ones(6), iters=2.5)
+        assert not solves
+
+    def test_numpy_integer_iters(self, six_link_system):
+        y = six_link_system.matrix @ four_sparse_truth()
+        got = reweighted_l1(six_link_system, y, iters=np.int64(2))
+        want = reweighted_l1(six_link_system, y, iters=2)
+        assert got.objective_trace == want.objective_trace
+        assert np.array_equal(got.allocation.x, want.allocation.x)
+
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
     def test_non_finite_epsilon_rejected(self, six_link_system, epsilon):
         # NaN would fail inside phase 2, and inf would zero every later weight

@@ -543,6 +543,21 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match=f"{field} .* finite and nonnegative"):
             TrialConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, r"seed 1\.5 is not an integer"),  # ran as seed 1
+        (-1, r"seed -1 must lie in 0\.\.2\*\*64-1"),  # failed in numpy at trial 0
+        (2**64, r"seed 18446744073709551616 must lie"),
+    ])
+    def test_seed_must_be_64_bit_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, np.uint64(2**64 - 1)])
+    def test_largest_seed_allowed(self, seed):
+        report = run_recovery_sweep(TrialConfig(trials=1, seed=seed), m_grid=[10],
+                                    supports=[SUPPORT_3SPARSE])
+        assert report.seed == 2**64 - 1
+
     def test_zero_tolerances_allowed(self):
         assert TrialConfig(tol=0.0, noise_sd=0.0).tol == 0.0
 

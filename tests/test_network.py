@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +225,18 @@ class TestStaticIncidence:
         for n, p in enumerate(fig2.table.paths):
             on_measured = sum(1 for lid in p.links if lid in set(measured))
             assert ms.matrix[:, n].sum() == on_measured
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_subsystem_is_fresh_and_row_major(self, fig2, order):
+        # the row-major layout fixes how products with the matrix round
+        full = build_static_incidence(
+            fig2.table, [l.id for l in fig2.network.links], fig2.network
+        )
+        full = replace(full, matrix=np.array(full.matrix, order=order))
+        sub = full.subsystem([full.row_labels[i] for i in (7, 2, 5)])
+        assert sub.matrix.flags.c_contiguous
+        assert not np.shares_memory(sub.matrix, full.matrix)
+        assert np.array_equal(sub.matrix, full.matrix[[7, 2, 5]])
 
     def test_simulation_oracle_static(self, fig2):
         rng = np.random.default_rng(5)
