@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -87,6 +86,21 @@ def _resolve_paths(spec: str, net) -> PathTable:
         return get_fixture(spec).table
     paths = fileio.load_paths(spec, net)
     return PathTable.from_paths(paths)
+
+
+def _read_numbers(path: str, what: str) -> np.ndarray:
+    """The flat JSON list of finite numbers in a ``--weights``, ``--truth``
+    or ``--lengths`` file."""
+    try:
+        data = json.loads(FsPath(path).read_text())
+        flat = isinstance(data, list) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in data)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise fileio.FileFormatError(f"cannot read {what} file: {exc}") from exc
+    if not flat:
+        raise fileio.FileFormatError(
+            f"{what} file {path} must hold a flat JSON list of finite numbers")
+    return np.array(data, dtype=float)
 
 
 def _number(convert, low, high=math.inf, *, strict=False, even=False):
@@ -201,15 +215,7 @@ def _build_system(args, net, table):
     meas = fileio.load_measurements(args.measurements)
     y = np.asarray(meas.counts, dtype=float)
     if meas.kind == "dynamic":
-        # the grid of the file's links and times, cut to its rows and to the
-        # columns they observe (compress keeps the matrix row-major, which
-        # the rounding of its products depends on)
-        links = list(dict.fromkeys(lid for lid, _ in meas.row_labels))
-        times = sorted({t for _, t in meas.row_labels})
-        ms = build_dynamic_system(table, net, links, times).subsystem(meas.row_labels)
-        seen = ms.matrix.any(axis=0)
-        cols = tuple(lbl for lbl, keep in zip(ms.col_labels, seen) if keep)
-        return replace(ms, matrix=ms.matrix.compress(seen, axis=1), col_labels=cols), y
+        return build_dynamic_system(table, net, meas.row_labels), y
     if args.dynamic:
         raise UsageError("--dynamic needs a 'link_id,time,count' measurement file")
     measured = list(meas.row_labels)
@@ -235,20 +241,14 @@ def _cmd_estimate(args) -> int:
     elif method == "l2-noisy":
         result = estimate_l2_noisy(ms, y, args.delta)
     elif method == "weighted":
-        try:
-            lam = json.loads(FsPath(args.weights).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise fileio.FileFormatError(f"cannot read weights: {exc}") from exc
-        result = estimate_weighted_l1(ms, y, WeightMatrix(np.asarray(lam, dtype=float)))
+        lam = WeightMatrix(_read_numbers(args.weights, "weights"))
+        result = estimate_weighted_l1(ms, y, lam)
     else:
         result = reweighted_l1(ms, y, iters=args.iters, epsilon=args.epsilon)
 
     payload = fileio.result_to_dict(result, table)
     if args.truth is not None:
-        try:
-            truth = np.asarray(json.loads(FsPath(args.truth).read_text()), dtype=float)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise fileio.FileFormatError(f"cannot read truth file: {exc}") from exc
+        truth = _read_numbers(args.truth, "truth")
         if truth.shape != (ms.n_cols,):
             raise fileio.FileFormatError(
                 f"truth length {truth.size} does not match {ms.n_cols} columns"
@@ -273,10 +273,7 @@ def _cmd_vmt(args) -> int:
     if args.unit:
         lengths = np.ones(ms.n_cols)
     elif args.lengths is not None:
-        try:
-            lengths = np.asarray(json.loads(FsPath(args.lengths).read_text()), dtype=float)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise fileio.FileFormatError(f"cannot read lengths file: {exc}") from exc
+        lengths = _read_numbers(args.lengths, "lengths")
     else:
         paths, _ = split_column_labels(ms.col_labels)
         lengths = path_lengths(net, table)[paths]
@@ -340,6 +337,9 @@ def _cmd_grid(args) -> int:
 def _cmd_rerun(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
     argv = list(manifest["argv"])
+    if argv[0] == "rerun":
+        # odflow never writes a rerun manifest; replaying one could recurse
+        raise fileio.FileFormatError(f"manifest {args.manifest} replays a rerun")
     if args.output_dir is not None:
         out_dir = FsPath(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,16 +43,9 @@ class FileFormatError(ValueError):
 
 
 def _fmt(value) -> str:
-    """12-significant-digit rendering for floats; plain str otherwise."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        if value != value:       # nan
-            return "nan"
-        if value in (float("inf"), float("-inf")):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".12g")
-    return str(value)
+    """12-significant-digit rendering for floats (``nan``, ``inf`` and
+    ``-inf`` included); plain str otherwise."""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def _json_float(value: float) -> str:
@@ -358,6 +351,7 @@ def load_manifest(path: FsPath | str) -> dict:
         data = json.loads(FsPath(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(data, dict) or "argv" not in data:
-        raise FileFormatError(f"manifest {path} lacks an argv record")
+    argv = data.get("argv") if isinstance(data, dict) else None
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
+        raise FileFormatError(f"manifest {path} lacks an argv list of strings")
     return data

@@ -7,9 +7,11 @@ of the per-path flow vector.  This module builds that linear map in two
 flavors:
 
 * static: one row per measured link, entry 1 when the link lies on the path;
-* dynamic: one row per (measured link, count time), one column per
-  (path, departure time), entry 1 when a vehicle that departed on the path at
-  that time is crossing the link at that count time.
+* dynamic: one row per given (measured link, count time) pair, one column
+  per (path, departure time) pair that some row observes, entry 1 when a
+  vehicle that departed on the path at that time is crossing the link at
+  that count time.  The paper's links x times grid is the rows
+  ``[(lid, t) for lid in links for t in times]``.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -72,10 +74,6 @@ class LinkNotOnPathError(NetworkError):
 
 class UselessRowError(NetworkError):
     """A measured link is crossed by no catalogued path."""
-
-
-class EmptyWindowError(NetworkError):
-    """A dynamic system was requested with no count times."""
 
 
 class NegativeEntryError(NetworkError):
@@ -464,7 +462,7 @@ def enumerate_paths(
 
 def _check_measured(measured_links: Sequence[LinkId], net: Network | None) -> None:
     if not measured_links:
-        raise NetworkError("measured_links must be nonempty")
+        raise NetworkError("measured rows must be nonempty")
     if net is not None:
         for lid in measured_links:
             if lid not in net.link_by_id:
@@ -522,57 +520,39 @@ def path_prefix_delay(p: Path, link_id: LinkId, net: Network) -> int:
 def build_dynamic_system(
     pt: PathTable,
     net: Network,
-    measured_links: Sequence[LinkId],
-    count_times: Sequence[int],
+    row_labels: Sequence[tuple[LinkId, int]],
 ) -> MeasurementSystem:
-    """Time-expanded incidence system.
+    """Time-expanded incidence system of the given (link, count time) rows.
 
-    Rows are (link, count time) pairs, ordered link-major in the given
-    orders.  Columns are the distinct (path, departure time) pairs that some
-    row can observe; departures earlier than the first count time are kept
-    as unknowns rather than assumed zero.  Columns are sorted by
-    (path index, departure time).
+    Rows keep the given order.  Columns are the distinct (path, departure
+    time) pairs that some row observes, sorted by (path index, departure
+    time); departures earlier than the first count time are kept as unknowns
+    rather than assumed zero.  A measured link crossed by no catalogued path
+    is rejected.  The links x times grid is the rows
+    ``[(lid, t) for lid in links for t in times]``.
     """
-    _check_measured(measured_links, net)
-    count_times = tuple(count_times)
-    if not count_times:
-        raise EmptyWindowError("count_times must be nonempty")
-    for t in count_times:
-        if not isinstance(t, (int, np.integer)):
-            raise NetworkError(f"count time {t!r} is not an integer")
-
-    measured_set = set(measured_links)
-    # per path: measured links with their entry delays
-    delays: list[list[tuple[LinkId, int]]] = []
-    covered: set[LinkId] = set()
-    for p in pt.paths:
-        entries = [
-            (lid, path_prefix_delay(p, lid, net)) for lid in p.links if lid in measured_set
-        ]
-        covered.update(lid for lid, _ in entries)
-        delays.append(entries)
-    for lid in measured_links:
-        if lid not in covered:
+    row_labels = tuple(row_labels)
+    for row in row_labels:
+        if not (isinstance(row, tuple) and len(row) == 2
+                and isinstance(row[1], (int, np.integer))):
+            raise NetworkError(f"row {row!r} is not a (link, integer time) pair")
+    _check_measured([lid for lid, _ in row_labels], net)
+    # per measured link: (path index, entry delay) of each path crossing it
+    crossings: dict[LinkId, list[tuple[int, int]]] = {lid: [] for lid, _ in row_labels}
+    for n, p in enumerate(pt.paths):
+        for lid in p.links:
+            if lid in crossings:
+                crossings[lid].append((n, path_prefix_delay(p, lid, net)))
+    for lid, found in crossings.items():
+        if not found:
             raise UselessRowError(f"measured link {lid!r} lies on no catalogued path")
 
-    col_set = {
-        (n, t - d)
-        for n, entries in enumerate(delays)
-        for (_, d) in entries
-        for t in count_times
-    }
-    col_labels = tuple(sorted(col_set))
+    hits = [(i, (n, t - d)) for i, (lid, t) in enumerate(row_labels)
+            for n, d in crossings[lid]]
+    col_labels = tuple(sorted({col for _, col in hits}))
     col_index = {lbl: j for j, lbl in enumerate(col_labels)}
-
-    row_labels = tuple((lid, t) for lid in measured_links for t in count_times)
-    row_index = {lbl: i for i, lbl in enumerate(row_labels)}
-
     mat = np.zeros((len(row_labels), len(col_labels)))
-    for n, entries in enumerate(delays):
-        for (lid, d) in entries:
-            for t in count_times:
-                j = col_index[(n, t - d)]
-                mat[row_index[(lid, t)], j] = 1.0
+    mat[[i for i, _ in hits], [col_index[col] for _, col in hits]] = 1.0
     return MeasurementSystem(
         matrix=mat,
         row_labels=row_labels,

@@ -10,7 +10,9 @@ of programs, so that each answer can be compared with ``solve_lp``'s.
 Bland scans read entry by entry from Python lists, the reference for the
 solver's array scans; they share its rank-1 update.
 :func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
-from ``json``'s own encoder.
+from ``json``'s own encoder.  :func:`grid_rows` is no reference either: it
+spells the paper's links x times grid as the rows a dynamic system is built
+from.
 """
 
 from __future__ import annotations
@@ -285,6 +287,11 @@ def simulate_dynamic_counts(net, table, row_labels, col_labels, x):
                 counts[key] += x[j]
             clock += net.link_by_id[lid].travel_time
     return np.array([counts[lbl] for lbl in row_labels])
+
+
+def grid_rows(links, times) -> list:
+    """The (link, count time) rows of the links x times grid, link-major."""
+    return [(lid, t) for lid in links for t in times]
 
 
 def brute_force_grid_paths(n, max_turns):

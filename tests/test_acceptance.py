@@ -35,7 +35,7 @@ from odflow import (
 from odflow.cli import main as cli_main
 from odflow.fixtures import SIX_LINKS_A, SUPPORT_3SPARSE, SUPPORT_4SPARSE
 from conftest import FOURZONE_MATRIX, TRIANGLE_DYNAMIC_COLUMNS, TRIANGLE_MATRIX
-from oracles import brute_force_grid_paths, lp_oracle
+from oracles import brute_force_grid_paths, grid_rows, lp_oracle
 
 
 def report(name: str, ok: bool, detail: str, started: float, budget: float):
@@ -71,7 +71,7 @@ def test_criterion_1_matrix_fixtures():
     )
     ok &= np.array_equal(ms2.matrix, FOURZONE_MATRIX)
     dyn = build_dynamic_system(
-        fig1.table, fig1.network, [l.id for l in fig1.network.links], [0]
+        fig1.table, fig1.network, grid_rows([l.id for l in fig1.network.links], [0])
     )
     ok &= dyn.matrix.shape == (4, 10)
     ok &= set(dyn.col_labels) == set(TRIANGLE_DYNAMIC_COLUMNS)

@@ -19,6 +19,7 @@ from odflow import (
 from odflow import cli
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
+from oracles import grid_rows
 
 
 def write_counts(path, links, counts):
@@ -187,7 +188,7 @@ class TestEstimate:
         from odflow import build_dynamic_system
 
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0, 1])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0, 1]))
         x = np.zeros(ms.n_cols)
         x[ms.col_labels.index((1, 0))] = 6.0
         y = ms.matrix @ x
@@ -310,9 +311,11 @@ class TestVmt:
         # would be unbounded; the file's own columns bound it exactly
         links = list(fig2.network.link_ids)
         rows = [(lid, 2 + i % 2) for i, lid in enumerate(links)]
-        ms = build_dynamic_system(fig2.table, fig2.network, links, [2, 3]).subsystem(rows)
+        ms = build_dynamic_system(fig2.table, fig2.network, grid_rows(links, [2, 3])).subsystem(rows)
         observed = np.flatnonzero(ms.matrix.any(axis=0))
         assert (ms.n_cols, observed.size) == (44, 28)
+        own = build_dynamic_system(fig2.table, fig2.network, rows)
+        assert own.col_labels == tuple(ms.col_labels[j] for j in observed)
         x = np.zeros(ms.n_cols)
         x[observed[[0, 5, 10]]] = [20.0, 30.0, 40.0]
         counts = tmp_path / "dyn.csv"
@@ -599,7 +602,7 @@ def inputs(tmp_path, demo_counts, fig1, fig2):
     lengths = tmp_path / "lengths.json"
     lengths.write_text(json.dumps([2.0] * 14))
     measured = [l.id for l in fig1.network.links]
-    ms = build_dynamic_system(fig1.table, fig1.network, measured, [0, 1])
+    ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0, 1]))
     x = np.zeros(ms.n_cols)
     x[ms.col_labels.index((1, 0))] = 6.0
     dyn = tmp_path / "dyn.csv"
@@ -708,6 +711,44 @@ class TestManifestRoundTrip:
         rc = main(["rerun", str(out) + ".manifest.json", "--output-dir", str(again)])
         assert rc == 0
         assert (again / "out").read_bytes() == out.read_bytes()
+
+
+class TestBadInputFiles:
+    # objects and huge integers raised out of main; NaN, inf and true entries
+    # were read as numbers
+    @pytest.mark.parametrize("argv", [
+        ["estimate", *FIG2, "--method", "weighted", "--weights", "{bad}"],
+        ["estimate", *FIG2, "--method", "l1", "--truth", "{bad}"],
+        ["vmt", *FIG2_ALL, "--lengths", "{bad}"],
+    ])
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}', "[[1.0]]",
+        # 14 entries, one per fig2 path, the last one bad
+        *(f"[{'1, ' * 13}{last}]" for last in ("NaN", "1e999", "true", "1" + "0" * 400)),
+    ], ids=["object", "nested", "nan", "inf", "bool", "huge-int"])
+    def test_number_list_must_be_flat_and_finite(self, tmp_path, capsys, inputs,
+                                                  argv, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = main(fill(argv, {**inputs, "bad": bad}) + ["--output", str(out)])
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"argv": 5}', '{"argv": null}',
+                                      '{"argv": [1, 2]}', '{"argv": []}', "null", "[1, 2]"])
+    def test_manifest_needs_an_argv_list_of_strings(self, tmp_path, capsys, text):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert main(["rerun", str(manifest)]) == 3
+        assert "argv list of strings" in capsys.readouterr().err
+
+    def test_rerun_manifest_not_replayed(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)]}))
+        assert main(["rerun", str(manifest)]) == 3
+        assert "replays a rerun" in capsys.readouterr().err
 
 
 class TestJsonBytes:

@@ -28,6 +28,7 @@ from odflow.fixtures import (
     SIX_LINKS_B,
     SUPPORT_4SPARSE,
 )
+from oracles import grid_rows
 
 
 def four_sparse_truth(f1=10.0, f2=20.0, f3=40.0):
@@ -442,7 +443,7 @@ class TestVmtBounds:
         seen = set()
         for name, bundle in (("fig1", fig1), ("fig2", fig2), ("nguyen", nguyen)):
             net = bundle.network
-            full = build_dynamic_system(bundle.table, net, list(net.link_ids), [2, 3, 4])
+            full = build_dynamic_system(bundle.table, net, grid_rows(net.link_ids, [2, 3, 4]))
             base = path_lengths(bundle)
             for _ in range(20):
                 keep = np.sort(rng.permutation(full.n_rows)[:int(rng.integers(1, full.n_rows))])
@@ -515,7 +516,7 @@ class TestVmtBounds:
 class TestDynamicEstimation:
     def test_recovery_on_time_expanded_system(self, fig1):
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0, 1])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0, 1]))
         x = np.zeros(ms.n_cols)
         # one vehicle burst on the two-link path at departure 0
         j = ms.col_labels.index((1, 0))
@@ -529,7 +530,7 @@ class TestDynamicEstimation:
     def test_per_path_totals_sum_departures(self, nguyen):
         # reference: the per-column loop, summing in column order
         links = list(nguyen.network.link_ids)
-        ms = build_dynamic_system(nguyen.table, nguyen.network, links, [3, 4, 5])
+        ms = build_dynamic_system(nguyen.table, nguyen.network, grid_rows(links, [3, 4, 5]))
         x = np.random.default_rng(9).uniform(0.0, 10.0, ms.n_cols)
         alloc = Allocation(x=x, table=ms.table, labels=ms.col_labels)
         want = np.zeros(nguyen.table.n_paths)

@@ -183,9 +183,9 @@ class TestResultSerialization:
 
     def test_twelve_digit_rendering(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(path, ("a", "b"), [(1 / 3, 2)])
+        write_csv(path, ("a", "b"), [(1 / 3, 2), (math.nan, math.inf), (-math.inf, -math.nan)])
         text = path.read_text()
-        assert text == "a,b\n0.333333333333,2\n"
+        assert text == "a,b\n0.333333333333,2\nnan,inf\n-inf,nan\n"
 
 
 class TestManifest:

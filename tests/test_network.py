@@ -24,8 +24,8 @@ from odflow.network import (
     BrokenChainError,
     DanglingEndpointError,
     DuplicateLinkIdError,
-    EmptyWindowError,
     LinkNotOnPathError,
+    MeasurementSystem,
     NegativeEntryError,
     NetworkError,
     NoPathExistsError,
@@ -38,6 +38,7 @@ from odflow.network import (
 )
 from conftest import FOURZONE_MATRIX, TRIANGLE_DYNAMIC_COLUMNS, TRIANGLE_MATRIX
 from oracles import (
+    grid_rows,
     simulate_dynamic_counts,
     simulate_static_counts,
     static_incidence_oracle,
@@ -331,7 +332,7 @@ class TestPathLengths:
 class TestDynamicSystem:
     def test_triangle_single_time_pattern(self, fig1):
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0]))
         assert ms.matrix.shape == (4, 10)
         assert set(ms.col_labels) == set(TRIANGLE_DYNAMIC_COLUMNS)
         for j, label in enumerate(ms.col_labels):
@@ -344,7 +345,7 @@ class TestDynamicSystem:
         )
         net0 = validate_network(Network(nodes=fig1.network.nodes, links=links))
         measured = [l.id for l in net0.links]
-        dyn = build_dynamic_system(fig1.table, net0, measured, [0])
+        dyn = build_dynamic_system(fig1.table, net0, grid_rows(measured, [0]))
         static = build_static_incidence(fig1.table, measured, net0)
         assert dyn.col_labels == tuple((n, 0) for n in range(7))
         assert np.array_equal(dyn.matrix, static.matrix)
@@ -355,7 +356,7 @@ class TestDynamicSystem:
             links=(Link("a", 1, 2, travel_time=1), Link("b", 2, 3, travel_time=1)),
         ))
         table = PathTable.from_paths([Path((1, 3), ("a", "b"))])
-        ms = build_dynamic_system(table, net, ["a", "b"], [0, 1])
+        ms = build_dynamic_system(table, net, grid_rows(["a", "b"], [0, 1]))
         assert ms.matrix.shape == (4, 3)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -368,7 +369,7 @@ class TestDynamicSystem:
     def test_simulation_oracle_random_instances(self, fig1):
         rng = np.random.default_rng(9)
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0, 1, 2])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0, 1, 2]))
         for _ in range(20):
             x = rng.integers(0, 4, size=ms.n_cols).astype(float)
             simulated = simulate_dynamic_counts(
@@ -377,14 +378,76 @@ class TestDynamicSystem:
             assert np.array_equal(ms.matrix @ x, simulated)
 
     def test_empty_window_rejected(self, fig1):
-        with pytest.raises(EmptyWindowError):
-            build_dynamic_system(fig1.table, fig1.network, ["l1-2"], [])
+        with pytest.raises(NetworkError, match="nonempty"):
+            build_dynamic_system(fig1.table, fig1.network, [])
+
+    @pytest.mark.parametrize("row", ["l1-2", ("l1-2",), ("l1-2", 0, 1), ("l1-2", 0.0),
+                                     ("l1-2", "0"), ["l1-2", 0]])
+    def test_row_must_be_link_and_integer_time(self, fig1, row):
+        with pytest.raises(NetworkError, match="integer time"):
+            build_dynamic_system(fig1.table, fig1.network, [("l1-3", 0), row])
+
+    def test_unknown_and_useless_links_rejected(self, fig2):
+        with pytest.raises(UnknownLinkError):
+            build_dynamic_system(fig2.table, fig2.network, [("nope", 0)])
+        net = validate_network(Network(
+            nodes=(1, 2, 3),
+            links=(Link("a", 1, 2), Link("b", 2, 3), Link("c", 1, 3)),
+        ))
+        table = PathTable.from_paths([Path((1, 3), ("a", "b"))])
+        with pytest.raises(UselessRowError):
+            build_dynamic_system(table, net, [("a", 0), ("c", 0)])
 
     def test_departures_before_window_kept(self, fig1):
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0]))
         departures = {dep for (_, dep) in ms.col_labels}
         assert -1 in departures
+
+
+def parent_dynamic_system(pt, net, rows):
+    """The construction a dynamic count file took before the builder took
+    rows: the grid of the rows' links and times, cut to the rows, then to
+    the columns they observe."""
+    links = list(dict.fromkeys(lid for lid, _ in rows))
+    times = sorted({t for _, t in rows})
+    delays = [[(lid, path_prefix_delay(p, lid, net)) for lid in p.links if lid in links]
+              for p in pt.paths]
+    cols = sorted({(n, t - d) for n, entries in enumerate(delays)
+                   for _, d in entries for t in times})
+    grid = grid_rows(links, times)
+    mat = np.zeros((len(grid), len(cols)))
+    for n, entries in enumerate(delays):
+        for lid, d in entries:
+            for t in times:
+                mat[grid.index((lid, t)), cols.index((n, t - d))] = 1.0
+    cut = MeasurementSystem(mat, tuple(grid), tuple(cols), "dynamic", pt).subsystem(rows)
+    seen = cut.matrix.any(axis=0)
+    return replace(cut, matrix=cut.matrix.compress(seen, axis=1),
+                   col_labels=tuple(c for c, keep in zip(cols, seen) if keep))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "nguyen"])
+def test_rows_build_the_cut_grid(name):
+    # the full grid first, then shuffled row subsets, mostly off the grid,
+    # some with duplicate rows
+    bundle = get_fixture(name)
+    crossed = {lid for p in bundle.table.paths for lid in p.links}
+    links = [lid for lid in bundle.network.link_ids if lid in crossed]
+    rng = np.random.default_rng(20)
+    for k in range(25):
+        grid = grid_rows(links, range(int(rng.integers(-2, 3)), int(rng.integers(3, 7))))
+        rows = grid
+        if k:
+            rows = [grid[i] for i in rng.permutation(len(grid))[:rng.integers(1, len(grid) + 1)]]
+            rows += [rows[i] for i in rng.integers(len(rows), size=rng.integers(0, 3))]
+        ms = build_dynamic_system(bundle.table, bundle.network, rows)
+        want = parent_dynamic_system(bundle.table, bundle.network, rows)
+        assert ms.row_labels == want.row_labels == tuple(rows)
+        assert ms.col_labels == want.col_labels
+        assert ms.matrix.shape == want.matrix.shape
+        assert ms.matrix.flags.c_contiguous and want.matrix.flags.c_contiguous
+        assert ms.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestSplitColumnLabels:
@@ -396,7 +459,7 @@ class TestSplitColumnLabels:
 
     def test_dynamic_labels_split(self, fig1):
         measured = [l.id for l in fig1.network.links]
-        ms = build_dynamic_system(fig1.table, fig1.network, measured, [0])
+        ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0]))
         paths, departures = split_column_labels(ms.col_labels)
         assert list(zip(paths.tolist(), departures.tolist())) == list(ms.col_labels)
 

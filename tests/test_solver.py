@@ -34,6 +34,7 @@ from odflow.solver import (
 from odflow.experiments import _STACK_TRIALS
 from oracles import (
     ProblemTooLargeError,
+    grid_rows,
     l2_ball_oracle,
     lp_oracle,
     phase1_oracle,
@@ -405,7 +406,7 @@ class TestSolveLpStack:
         # tableau: the tableau stays a fresh solve of its basis to roundoff,
         # and the stack takes the single solves' pivots.
         ids = list(nguyen.network.link_ids)
-        A = build_dynamic_system(nguyen.table, nguyen.network, ids, range(2, 7)).matrix
+        A = build_dynamic_system(nguyen.table, nguyen.network, grid_rows(ids, range(2, 7))).matrix
         ones = np.ones(A.shape[1])
         problems, want = [], []
         for seed in range(2):
@@ -594,7 +595,7 @@ class TestListScanParity:
     def test_fig2_dynamic(self, fig2):
         # (link, time) rows at count times 0-3, all 40 or a random subset
         net = fig2.network
-        A = build_dynamic_system(fig2.table, net, net.link_ids, range(4)).matrix
+        A = build_dynamic_system(fig2.table, net, grid_rows(net.link_ids, range(4))).matrix
         for seed in range(12):
             rng = np.random.default_rng(seed)
             x = np.zeros(A.shape[1])
@@ -1156,7 +1157,7 @@ def nguyen_dynamic_instance(nguyen, seed):
     rng = np.random.default_rng(seed)
     ids = list(nguyen.network.link_ids)
     links = sorted(rng.choice(ids, 25, replace=False), key=ids.index)
-    A = build_dynamic_system(nguyen.table, nguyen.network, links, (3, 4)).matrix
+    A = build_dynamic_system(nguyen.table, nguyen.network, grid_rows(links, (3, 4))).matrix
     x = np.zeros(A.shape[1])
     x[rng.choice(A.shape[1], 4, replace=False)] = rng.uniform(1.0, 50.0, 4)
     return A, A @ x
