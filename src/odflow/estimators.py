@@ -254,8 +254,9 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
     the first solve.  The result carries the total-flow value of every
     round in ``objective_trace``.
     """
-    # A float would pass ``iters < 1`` and fail in ``range`` after two solves.
-    if not isinstance(iters, (int, np.integer)):
+    # A float would pass ``iters < 1`` and fail in ``range`` after two
+    # solves, and a bool would run as 0 or 1 solves.
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
         raise ValueError(f"iters {iters!r} is not an integer")
     if iters < 1:
         raise ValueError("iters must be at least 1")

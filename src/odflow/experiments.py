@@ -45,7 +45,7 @@ from .estimators import (
     vmt_bounds,
 )
 from .fixtures import get_fixture
-from .network import LinkId, PathTable, build_static_incidence, path_lengths
+from .network import LinkId, PathTable, build_static_incidence
 from .solver import solve_lp_padded
 
 
@@ -114,8 +114,9 @@ class TrialConfig:
 
 
 def _check_integer(name: str, value) -> None:
-    # A float count would be truncated or fail late, in ``range``.
-    if not isinstance(value, (int, np.integer)):
+    # A float count would be truncated or fail late, in ``range``, and a
+    # bool would run as 0 or 1.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} {value!r} is not an integer")
 
 
@@ -146,7 +147,8 @@ def sample_allocation(
     from ``flow_range`` and divided over that pair's supported paths by a
     uniform draw from the simplex, so the per-pair splits (including the
     implied zeros) always sum to one.  OD pairs the support misses get
-    zero flow.  Draws happen in OD-pair order.  The simplex draw is the one
+    zero flow.  Draws happen in OD-pair order, and only the pairs the
+    support touches are visited.  The simplex draw is the one
     ``rng.dirichlet(np.ones(k))`` makes, standard exponentials over their
     sum, drawn and summed as it does, at less than half its cost.
     """
@@ -157,14 +159,15 @@ def sample_allocation(
         if not 0 <= n < pt.n_paths:
             raise SparsityRangeError(f"path position {n} outside 0..{pt.n_paths - 1}")
     x = np.zeros(pt.n_paths)
-    in_support = np.zeros(pt.n_paths, dtype=bool)
-    in_support[list(support)] = True
-    for group in pt.path_groups:
-        touched = group[in_support[group]]
-        if touched.size:
-            flow = rng.uniform(*flow_range)
-            share = rng.standard_exponential(touched.size)
-            x[touched] = flow * (share * (1.0 / sum(share.tolist())))
+    od = pt.od_of_path
+    touched_by_od: dict[int, list[int]] = {}
+    for n in sorted(support):
+        touched_by_od.setdefault(od[n], []).append(n)
+    for k in sorted(touched_by_od):
+        touched = touched_by_od[k]
+        flow = rng.uniform(*flow_range)
+        share = rng.standard_exponential(len(touched))
+        x[touched] = flow * (share * (1.0 / sum(share.tolist())))
     return x
 
 
@@ -537,7 +540,7 @@ def run_vmt_sweep(
     _check_nonnegative("recovery_tol", recovery_tol)
     bundle, full = _sweep_system(cfg, m_grid)
     pt, link_ids = bundle.table, full.row_labels
-    lengths = path_lengths(bundle.network, pt)
+    lengths = bundle.path_lengths
 
     points: list[VmtSweepPoint] = []
     for p_idx, m in enumerate(m_grid):

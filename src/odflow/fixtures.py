@@ -17,8 +17,11 @@ All link ids follow the ``l<tail>-<head>`` convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+import numpy as np
+
+from . import network
 from .network import (
     Link,
     Network,
@@ -52,6 +55,15 @@ class FixtureBundle:
     network: Network
     table: PathTable
     description: str
+
+    @cached_property
+    def path_lengths(self) -> np.ndarray:
+        """:func:`~odflow.network.path_lengths` of the catalog, read-only,
+        computed on first use and kept, so that a sweep that runs often
+        computes it once."""
+        lengths = network.path_lengths(self.network, self.table)
+        lengths.flags.writeable = False
+        return lengths
 
 
 def _link(tail, head, length=1.0, travel_time=1) -> Link:

@@ -201,11 +201,6 @@ class PathTable:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def path_groups(self) -> tuple[np.ndarray, ...]:
-        """:attr:`paths_by_od` as integer index arrays."""
-        return tuple(np.array(g, dtype=np.intp) for g in self.paths_by_od)
-
-    @cached_property
     def link_incidence(self) -> tuple[dict[LinkId, int], np.ndarray]:
         """``(row_of, rows)``: a read-only 0/1 matrix with one row over the
         paths for each link that some path crosses, and each such link's

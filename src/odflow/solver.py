@@ -28,12 +28,16 @@ Two engines:
   each pivot step applies Bland's rule to every program by numpy calls
   over the whole stack.  Phase 1's verdict and cleanup, phase 2's first
   tableau and the basic points are numpy calls over the stack as well,
-  batched per row count or basis size where a product must round as a
-  single solve's does, so no per-program Python runs between the
-  phases.  Each program takes the pivots that :func:`solve_lp` gives it,
-  and the stack returns each program's status, point and pivot record
-  (basis, pivot count, unbounded index) as :func:`solve_lp` returns
-  them; its objective and residual follow from the point.
+  so no per-program Python runs between the phases.  Every sum the two
+  engines share (phase 1's cost row and ``||b||_1``, phase 2's first cost
+  row and objective) adds rows in order (:func:`_row_sum`), which zero
+  padding leaves as it is, so the stack forms each for all its programs
+  at once; only the basic points are solved in one batch per basis size,
+  as LAPACK's LU is not pad-invariant.  Each program takes the pivots
+  that :func:`solve_lp` gives it, and the stack returns each program's
+  status, point and pivot record (basis, pivot count, unbounded index)
+  as :func:`solve_lp` returns them; its objective and residual follow
+  from the point.
 * :func:`solve_cone`: exact solver for
   ``min f(x)  s.t.  ||y - A x||_2 <= delta, x >= 0`` with f either a
   positively weighted sum of entries or the Euclidean norm.  It is built
@@ -221,11 +225,24 @@ def _pivot_loop(T, basis):
     return STATUS_ITERATION_LIMIT, _MAX_PIVOTS, None
 
 
-def _pivot_each(T, r, j, col):
+def _row_sum(M):
+    """The sum of the rows of ``M``, or of each matrix in a stack of them,
+    added in row order (a cumulative sum down the row axis,
+    ``np.add.accumulate``), so that zero rows appended below leave the sum
+    as it is (but for the sign of a zero sum, which no comparison sees).
+    ``M.sum(axis=-2)`` may add by pairs, depending on the memory layout,
+    and a BLAS product in an order that depends on the length: both
+    engines form every sum they must round alike here."""
+    if not M.shape[-2]:
+        return np.zeros(M.shape[:-2] + M.shape[-1:])
+    return np.add.accumulate(M, axis=-2)[..., -1, :]
+
+
+def _pivot_each(T, r, j, col, at):
     """:func:`_pivot` on every tableau of a stack, tableau ``i`` on row
     ``r[i]`` and column ``j[i]``; ``col`` holds those columns, ``T[i, :,
-    j[i]]``, as they were before the pivot."""
-    at = np.arange(len(T))
+    j[i]]``, as they were before the pivot, and ``at`` is
+    ``np.arange(len(T))``."""
     prow = T[at, r] / col[at, r][:, None]
     T -= col[:, :, None] * prow[:, None, :]
     T[at, r] = prow
@@ -254,27 +271,28 @@ def _pivot_stack(T, basis):
     iters = np.full(K, _MAX_PIVOTS)
     unbounded = np.full(K, -1)
     ids, Tc, Bc = np.arange(K), T, basis  # the active systems
+    at = np.arange(K)  # their positions in Tc and Bc
     never = np.iinfo(basis.dtype).max  # a basis entry no tied row has
     for it in range(_MAX_PIVOTS):
-        at = np.arange(ids.size)
         improving = Tc[:, R, :N] < -_TOL_FEAS
         j = improving.argmax(axis=1)
         col = Tc[at, :, j]  # the entering columns, cost row last
         ok = col[:, :R] > _PIVOT_TOL
-        optimal = ~improving[at, j]
-        done = optimal | ~ok.any(axis=1)
-        if done.any():
-            won, stuck = done & optimal, done & ~optimal
-            status[ids[won]], iters[ids[won]] = STATUS_OPTIMAL, it
+        stay = improving[at, j] & ok.any(axis=1)
+        if not stay.all():
+            optimal = ~improving[at, j]
+            stuck = ~(stay | optimal)
+            status[ids[optimal]], iters[ids[optimal]] = STATUS_OPTIMAL, it
             status[ids[stuck]], iters[ids[stuck]] = STATUS_UNBOUNDED, it + 1
             unbounded[ids[stuck]] = j[stuck]
+            done = ~stay
             out = ids[done]
             T[out] = Tc[done]
             basis[out] = Bc[done]
-            stay = ~done
             if not stay.any():
                 break
             ids, Tc, Bc, j, col, ok = ids[stay], Tc[stay], Bc[stay], j[stay], col[stay], ok[stay]
+            at = np.arange(ids.size)
 
         ratio = np.divide(np.maximum(Tc[:, :R, N], 0.0), col[:, :R],
                           out=np.full(ok.shape, np.inf), where=ok)
@@ -282,8 +300,8 @@ def _pivot_stack(T, basis):
         cut = rmin + _RATIO_TIE_TOL * (1.0 + rmin)
         # Leave the tied row whose basic variable has the smallest index.
         leave = np.where(ratio <= cut[:, None], Bc, never).argmin(axis=1)
-        _pivot_each(Tc, leave, j, col)
-        Bc[np.arange(ids.size), leave] = j
+        _pivot_each(Tc, leave, j, col, at)
+        Bc[at, leave] = j
     return status, iters, unbounded
 
 
@@ -333,11 +351,13 @@ def lp_phase1(A, b) -> FeasibleBasis:
     # factorization: [A_work | I | b_work], each row signed to make its
     # count nonnegative, over the phase-1 reduced costs, which are minus
     # the column sums on A_work and b_work and zero on the artificials.
+    # b_work is |b|, so its sum is ||b||_1, the scale of the verdict.
     sign = np.where(b < 0, -1.0, 1.0)
     A_work, b_work = A * sign[:, None], b * sign
+    b_sum = float(_row_sum(b_work[:, None])[0])
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n], T[:m, -1] = A_work, b_work
-    T[m] = -T[:m].sum(axis=0)
+    T[m, :n], T[m, -1] = -_row_sum(A_work), -b_sum
     T[:m, n:-1] = np.eye(m)
     basis = list(range(n, n + m))
     status, iters, _ = _pivot_loop(T, basis)
@@ -345,9 +365,8 @@ def lp_phase1(A, b) -> FeasibleBasis:
         return FeasibleBasis(A=A, b=b, status=status, iterations=iters)
     artificial = [pos for pos, k in enumerate(basis) if k >= n]
     if artificial:
-        x_b = T[:m, -1].tolist()
-        left = sum(x_b[pos] for pos in artificial)
-        if left > _TOL_FEAS * max(1.0, float(np.abs(b).sum())):
+        left = float(_row_sum(T[artificial, -1:])[0])
+        if left > _TOL_FEAS * max(1.0, b_sum):
             return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
     # Pivot leftover artificial variables out of the basis, each on the
@@ -391,12 +410,12 @@ def _phase2_tableau(start: FeasibleBasis, cost, basis):
     minus the objective."""
     tab = start.tableau
     k = tab.shape[0]
-    y = cost[basis]
     T = np.empty((k + 1, tab.shape[1]))
     T[:k] = tab
-    T[k, :-1] = cost - y @ tab[:, :-1]
+    s = _row_sum(cost[basis][:, None] * tab)  # c_B' [B^-1 A | B^-1 b]
+    T[k, :-1] = cost - s[:-1]
     T[k, basis] = 0.0
-    T[k, -1] = -(y @ tab[:, -1])
+    T[k, -1] = -s[-1]
     return T
 
 
@@ -473,28 +492,28 @@ def _phase1_stack(A, b, rows):
     kept rows of ``[A | b]``, each row signed as phase 1 signs it, all
     packed to the top and padded with zeros.  The outcome is decided as
     :func:`lp_phase1` decides it, by numpy calls over the stack: the
-    artificials' sum is added in row order and ``||b||_1`` is summed per
-    row count, so that both round alike, and leftover artificials are
-    pivoted out one position per system a step.
+    first cost row, whose last entry is minus ``||b||_1`` (the sum of the
+    signed, zero-padded counts), and the artificials' sum add rows in
+    order (:func:`_row_sum`), so that each rounds as the single solve's
+    does, and leftover artificials are pivoted out one position per
+    system a step.
     """
     K, R, n = A.shape
     real = np.arange(R) < rows[:, None]
     sign = np.where(b < 0, -1.0, 1.0)
     sign[~real] = 0.0  # padding rows become zero
     Aw, bw = A * sign[:, :, None], b * sign
+    b_sum = _row_sum(bw[:, :, None])[:, 0]  # ||b||_1
     T = np.zeros((K, R + 1, n + R + 1))
     T[:, :R, :n] = Aw
     T[:, :R, -1] = bw
-    T[:, R] = -T[:, :R].sum(axis=1)
+    T[:, R, :n], T[:, R, -1] = -_row_sum(Aw), -b_sum
     T[:, :R, n:-1] = np.eye(R)
     basis = np.tile(np.arange(n, n + R), (K, 1))
     status, iters, _ = _pivot_stack(T, basis)
     art = (basis >= n) & real
-    left = np.cumsum(np.where(art, T[:, :R, -1], 0.0), axis=1)[:, -1] if R else np.zeros(K)
-    scale = np.zeros(K)
-    for m in np.unique(rows).tolist():
-        scale[rows == m] = np.abs(b[rows == m, :m]).sum(axis=1)
-    status[(status == STATUS_OPTIMAL) & (left > _TOL_FEAS * np.maximum(1.0, scale))] = (
+    left = _row_sum(np.where(art[:, :, None], T[:, :R, -1:], 0.0))[:, 0]
+    status[(status == STATUS_OPTIMAL) & (left > _TOL_FEAS * np.maximum(1.0, b_sum))] = (
         STATUS_INFEASIBLE)
     live = np.flatnonzero(status == STATUS_OPTIMAL)
     if not live.size:
@@ -516,8 +535,8 @@ def _phase1_stack(A, b, rows):
         has = cand.any(axis=1)
         redundant[k[~has], basis[k[~has], pos[~has]] - n] = True
         k, pos, j = k[has], pos[has], cand[has].argmax(axis=1)
-        Tk = T[k]
-        _pivot_each(Tk, pos, j, Tk[np.arange(k.size), :, j])
+        Tk, at_k = T[k], np.arange(k.size)
+        _pivot_each(Tk, pos, j, Tk[at_k, :, j], at_k)
         T[k] = Tk
         basis[k, pos] = j
         in_basis[k, j] = True
@@ -542,23 +561,22 @@ def _phase2_stack(cost, tableau, basis, size, system):
     ``cost`` one row per system, as one stack of phase 1's kept rows.
 
     Each system's first cost row, ``cost - c_B' T`` and minus the
-    objective, is formed by one batched product per basis size, so that it
-    rounds as :func:`_phase2_tableau`'s does.  Returns the statuses, pivot
-    counts, unbounded indices and final bases, and the basic points from
-    one batched ``np.linalg.solve`` per basis size (zero at an iteration
-    limit).
+    objective, is formed for the whole stack by one :func:`_row_sum`, so
+    that it rounds as :func:`_phase2_tableau`'s does.  Returns the
+    statuses, pivot counts, unbounded indices and final bases, and the
+    basic points from one batched ``np.linalg.solve`` per basis size (zero
+    at an iteration limit), the one batch per size left, as LAPACK's LU
+    of a padded basis can round differently.
     """
     K, R, n = tableau.shape[0], tableau.shape[1], cost.shape[1]
     T = np.zeros((K, R + 1, n + 1))
     T[:, :R] = tableau
-    for s in np.unique(size).tolist():
-        g = np.flatnonzero(size == s)
-        tab, bas, at = tableau[g, :s], basis[g, :s], np.arange(g.size)[:, None]
-        y = cost[g[:, None], bas][:, None, :]
-        row = cost[g] - (y @ tab[:, :, :n])[:, 0]
-        row[at, bas] = 0.0
-        T[g, R, :n] = row
-        T[g, R, n] = -(y @ tab[:, :, n:])[:, 0, 0]
+    # A padding row of the tableau is zero, so it adds nothing to the sum.
+    s = _row_sum(np.take_along_axis(cost, basis, axis=1)[:, :, None] * tableau)
+    T[:, R, :n] = cost - s[:, :n]
+    k, pos = np.nonzero(np.arange(R) < size[:, None])
+    T[k, R, basis[k, pos]] = 0.0
+    T[:, R, n] = -s[:, n]
 
     status, iters, unbounded = _pivot_stack(T, basis)
     x = np.zeros((K, n))
@@ -584,10 +602,10 @@ def solve_lp_padded(c, A, b, rows) -> SolutionStack:
     follow from ``x``.  Each phase pivots one padded stack of tableaus
     (:func:`_pivot_stack`), which spreads the fixed cost of each numpy call
     over the stack, and the work between and after the phases runs by
-    numpy calls over the stack as well, batched per row count or basis
-    size where a product must round as the single solve's does.  It pays
-    for tens of small programs, while one program alone is faster with
-    :func:`solve_lp`.
+    numpy calls over the stack as well: every sum adds rows in order, as
+    the single solve's does, so zero padding changes no bit, and only the
+    basic points are solved per basis size.  It pays for tens of small
+    programs, while one program alone is faster with :func:`solve_lp`.
     """
     A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
     rows = np.asarray(rows)

@@ -9,6 +9,9 @@ of programs, so that each answer can be compared with ``solve_lp``'s.
 :func:`pivot_loop_oracle` and :func:`phase1_oracle` are the simplex's
 Bland scans read entry by entry from Python lists, the reference for the
 solver's array scans; they share its rank-1 update.
+:func:`allocation_oracle` is the allocation sampler as it walked every OD
+pair of the table, the reference for the one that walks only the pairs
+its support touches.
 :func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
 from ``json``'s own encoder.  :func:`grid_rows` is no reference either: it
 spells the paper's links x times grid as the rows a dynamic system is built
@@ -211,6 +214,24 @@ def phase1_oracle(A, b) -> FeasibleBasis:
     return FeasibleBasis(A=A, b=b, status=STATUS_OPTIMAL, iterations=iters,
                          rows=tuple(rows), basis=tuple(basis[pos] for pos in kept),
                          A_kept=A_work[rows], b_kept=b_work[rows], tableau=tableau)
+
+
+def allocation_oracle(pt, support, rng, flow_range=(1.0, 100.0)) -> np.ndarray:
+    """``experiments.sample_allocation`` by a walk over every OD pair of the
+    table, in order, each pair's touched paths read from a mask of the
+    support: one uniform flow, then one standard exponential per touched
+    path, for each pair the support touches."""
+    x = np.zeros(pt.n_paths)
+    in_support = np.zeros(pt.n_paths, dtype=bool)
+    in_support[list(support)] = True
+    for group in pt.paths_by_od:
+        group = np.array(group, dtype=np.intp)
+        touched = group[in_support[group]]
+        if touched.size:
+            flow = rng.uniform(*flow_range)
+            share = rng.standard_exponential(touched.size)
+            x[touched] = flow * (share * (1.0 / sum(share.tolist())))
+    return x
 
 
 def l2_ball_oracle(A, y, delta) -> np.ndarray:

@@ -318,6 +318,11 @@ class TestReweighted:
             reweighted_l1(six_link_system, np.ones(6), iters=2.5)
         assert not solves
 
+    def test_bool_iters_rejected(self, six_link_system):
+        # True ran as one solve
+        with pytest.raises(ValueError, match="iters True is not an integer"):
+            reweighted_l1(six_link_system, np.ones(6), iters=True)
+
     def test_numpy_integer_iters(self, six_link_system):
         y = six_link_system.matrix @ four_sparse_truth()
         got = reweighted_l1(six_link_system, y, iters=np.int64(2))

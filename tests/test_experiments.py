@@ -1,8 +1,10 @@
+import hashlib
 import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odflow import (
     IterationLimitError,
@@ -26,7 +28,7 @@ from odflow import (
     solve_lp_padded,
     substream,
 )
-from odflow import estimators, experiments, solver
+from odflow import estimators, experiments, network, solver
 from odflow.estimators import accept_points
 from odflow.experiments import (
     AlphaRangeError,
@@ -35,7 +37,7 @@ from odflow.experiments import (
     SparsityRangeError,
 )
 from odflow.fixtures import SUPPORT_3SPARSE, SUPPORT_4SPARSE
-from oracles import brute_force_grid_paths
+from oracles import allocation_oracle, brute_force_grid_paths
 
 
 class TestSampling:
@@ -120,6 +122,21 @@ class TestSampling:
                 got = sample_allocation(pt, support, substream(14, t))
                 want = per_path(pt, support, substream(14, t))
                 assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["fig1", "fig2", "nguyen"]), data=st.data(),
+           seed=st.integers(0, 2**64 - 1))
+    def test_allocation_matches_every_pair_walk(self, name, data, seed):
+        # the sampler visits only the OD pairs its support touches; the
+        # walk over every pair is the reference, draw for draw
+        pt = get_fixture(name).table
+        support = data.draw(st.lists(st.integers(0, pt.n_paths - 1), min_size=1,
+                                     unique=True))
+        rng, ref_rng = substream(seed, 0), substream(seed, 0)
+        got = sample_allocation(pt, support, rng)
+        want = allocation_oracle(pt, support, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()  # the same number of draws
 
     def test_flow_range_respected(self, fig2):
         for t in range(20):
@@ -400,6 +417,12 @@ class TestRecoverySweep:
         with pytest.raises(ValueError, match="m 5.7 is not an integer"):
             run_recovery_sweep(cfg, m_grid=[5.7], supports=[SUPPORT_3SPARSE])
 
+    def test_bool_m_rejected(self):
+        # not run as M = 1
+        cfg = TrialConfig(fixture="fig2", trials=5, seed=0)
+        with pytest.raises(ValueError, match="m True is not an integer"):
+            run_recovery_sweep(cfg, m_grid=[True], supports=[SUPPORT_3SPARSE])
+
     def test_fractional_trials_rejected(self):
         # rejected up front, not by range() in the middle of a sweep
         with pytest.raises(ValueError, match="trials 2.5 is not an integer"):
@@ -518,6 +541,29 @@ class TestVmtSweep:
         assert 0 < unbounded < 40
         assert len(calls) == 40 - unbounded
 
+    # sha256 of repr of every point's fields: the report of the sweep that
+    # computed the path lengths on every call
+    PINNED_REPORT = "b7998901ac1ff9476309c13ce1f2a1b3adabf229cc8f85cf4e92dbd96335c4f2"
+
+    def test_report_pinned(self):
+        report = run_vmt_sweep(TrialConfig(fixture="nguyen", trials=30, seed=8),
+                               m_grid=[22, 30, 38])
+        digest = hashlib.sha256(repr([astuple(p) for p in report.points]).encode())
+        assert digest.hexdigest() == self.PINNED_REPORT
+
+    def test_path_lengths_once_per_fixture(self, monkeypatch):
+        # fresh bundles, so that no earlier test has filled their cache
+        bundles = {name: replace(get_fixture(name)) for name in ("fig2", "nguyen")}
+        monkeypatch.setattr(experiments, "get_fixture", bundles.__getitem__)
+        calls = []
+        path_lengths = network.path_lengths
+        monkeypatch.setattr(network, "path_lengths",
+                            lambda net, pt: calls.append(pt) or path_lengths(net, pt))
+        for seed in range(3):
+            for name in bundles:
+                run_vmt_sweep(TrialConfig(fixture=name, trials=2, seed=seed), m_grid=[10])
+        assert calls == [bundles["fig2"].table, bundles["nguyen"].table]
+
     def test_determinism(self):
         cfg = TrialConfig(fixture="nguyen", trials=15, seed=42)
         a = run_vmt_sweep(cfg, m_grid=[30])
@@ -530,6 +576,12 @@ class TestTrialConfig:
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ValueError, match="at least 1"):
             TrialConfig(trials=trials)
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_bool_rejected(self, field):
+        # True ran one trial, or seed 1
+        with pytest.raises(ValueError, match=f"{field} True is not an integer"):
+            TrialConfig(**{field: True})
 
     def test_one_trial_allowed(self):
         report = run_recovery_sweep(TrialConfig(trials=1, seed=2), m_grid=[10],

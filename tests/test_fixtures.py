@@ -1,6 +1,6 @@
 import pytest
 
-from odflow import enumerate_paths, get_fixture, validate_network, validate_path
+from odflow import enumerate_paths, get_fixture, path_lengths, validate_network, validate_path
 from odflow.fixtures import NGUYEN_EDGES, NGUYEN_MAX_LINKS
 
 
@@ -72,3 +72,12 @@ class TestFixtureIntegrity:
     def test_unit_lengths_and_travel_times(self, nguyen):
         assert all(l.length == 1.0 for l in nguyen.network.links)
         assert all(l.travel_time == 1 for l in nguyen.network.links)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "nguyen"])
+    def test_path_lengths_cached_read_only(self, name):
+        bundle = get_fixture(name)
+        lengths = bundle.path_lengths
+        assert lengths is bundle.path_lengths
+        assert lengths.tobytes() == path_lengths(bundle.network, bundle.table).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            lengths[0] = 2.0

@@ -345,6 +345,23 @@ def cleanup_system(nguyen):
     return ms.matrix, ms.matrix @ x
 
 
+def sweep_chunk(fig2):
+    """The l1 programs of one chunk of a recovery sweep: _STACK_TRIALS
+    trials of random support, each at every M of 3..10."""
+    net = fig2.network
+    full = build_static_incidence(fig2.table, net.link_ids, net)
+    links = full.row_labels
+    problems = []
+    for t in range(_STACK_TRIALS):
+        rng = substream(17, t)
+        x = sample_allocation(fig2.table, sample_support(fig2.table, 2 + t % 5, rng), rng)
+        perm = rng.permutation(len(links))
+        for m in range(3, 11):
+            ms = full.subsystem(tuple(links[i] for i in sorted(perm[:m])))
+            problems.append(StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=ms.matrix @ x))
+    return problems
+
+
 def padded(problems):
     """``(A, b, rows)`` of the programs as zero-padded arrays."""
     rows = [len(p.b) for p in problems]
@@ -453,20 +470,8 @@ class TestSolveLpStack:
         assert len(start.rows) == A.shape[0] - 1
 
     def test_full_sweep_chunk(self, fig2):
-        # one chunk of a recovery sweep: _STACK_TRIALS trials of random
-        # support, each at every M of 3..10, every field of every answer
-        net = fig2.network
-        full = build_static_incidence(fig2.table, net.link_ids, net)
-        links = full.row_labels
-        problems = []
-        for t in range(_STACK_TRIALS):
-            rng = substream(17, t)
-            x = sample_allocation(fig2.table, sample_support(fig2.table, 2 + t % 5, rng), rng)
-            perm = rng.permutation(len(links))
-            for m in range(3, 11):
-                ms = full.subsystem(tuple(links[i] for i in sorted(perm[:m])))
-                problems.append(StandardLP(c=np.ones(ms.n_cols), A=ms.matrix,
-                                           b=ms.matrix @ x))
+        # one chunk of a recovery sweep, every field of every answer
+        problems = sweep_chunk(fig2)
         assert len(problems) == 256
         for g, p in zip(solve_lp_stack(problems), problems):
             assert_same_solution(g, solve_lp(p))
@@ -533,6 +538,75 @@ class TestSolveLpStack:
         problems = [] if case == "empty" else [good, bad[case]]
         with pytest.raises(ValueError, match=message):
             solve_lp_stack(problems)
+
+
+class TestRowSum:
+    """Every sum the two simplex engines must round alike adds rows in
+    order (``solver._row_sum``), so that the zero rows that pad a program
+    in a stack change no bit of it."""
+
+    def test_column_added_in_row_order(self):
+        # numpy's pairwise sum of this column is 1e16 + 6; row by row each
+        # 1.0 is lost to rounding, as in a left-to-right sum
+        col = np.array([1e16] + [1.0] * 9)
+        want = 0.0
+        for v in col.tolist():
+            want += v
+        assert solver._row_sum(col[:, None]).tobytes() == np.float64(want).tobytes()
+        # and in a stack, with zero rows below
+        stack = np.zeros((2, 20, 1))
+        stack[0, :10, 0], stack[1, 5:15, 0] = col, col
+        assert solver._row_sum(stack).tobytes() == np.full((2, 1), want).tobytes()
+
+    def test_zero_padding_changes_no_field(self):
+        # One count of 1e16 among counts of one, so that a pairwise
+        # ||b||_1 moves with the rows around it, and two rows that ask one
+        # flow to be 0 and delta at once, so that phase 1 leaves delta in
+        # an artificial: 1e7 + 0.01 passes the verdict (1e-9 ||b||_1) and
+        # five ulps more fails it.  Each program sits 8 or more zero rows
+        # deep in the stack.
+        problems = []
+        for counts in ([1.0, 1e16] + [1.0] * 5, [1e16] + [1.0] * 9):
+            for delta in (1e7 + 0.01, 10000000.01000001):
+                m = len(counts) + 2
+                A = np.zeros((m, 11))
+                A[np.arange(m - 2), np.arange(m - 2)] = 1.0
+                A[-2:, -1] = 1.0
+                problems.append(StandardLP(c=np.ones(11), A=A, b=counts + [0.0, delta]))
+        want = [solve_lp(p) for p in problems]
+        assert [w.status for w in want] == ["optimal", "infeasible"] * 2
+        rows = [len(p.b) for p in problems]
+        b = np.zeros((len(problems), max(rows) + 8))
+        A = np.zeros(b.shape + (11,))
+        for k, p in enumerate(problems):
+            A[k, :rows[k]], b[k, :rows[k]] = p.A, p.b
+        got = solve_lp_padded(np.ones(11), A, b, rows)
+        for k, w in enumerate(want):
+            assert (got.status[k], got.iterations[k]) == (w.status, w.iterations)
+            assert got.x[k].tobytes() == w.x.tobytes()
+            if w.basis is not None:
+                assert tuple(got.basis[k, :got.basis_size[k]]) == w.basis
+
+    def test_phase2_cost_rows_of_a_sweep_chunk(self, fig2, monkeypatch):
+        # phase 2's first cost row and objective, formed for the whole
+        # stack at once, have the bytes _phase2_tableau gives each program;
+        # the weights of a reweighted l1 round, not ones, so that each
+        # product c_i T_ij rounds
+        problems = sweep_chunk(fig2)
+        status, _, (live, tableau, basis, size, system) = solver._phase1_stack(
+            *padded(problems))
+        firsts = []
+        pivot_stack = solver._pivot_stack
+        monkeypatch.setattr(solver, "_pivot_stack",
+                            lambda T, basis: firsts.append(T.copy()) or pivot_stack(T, basis))
+        cost = np.random.default_rng(5).uniform(0.5, 2.0, (live.size, fig2.table.n_paths))
+        solver._phase2_stack(cost, tableau, basis, size, system)
+        (T,) = firsts
+        assert len({int(s) for s in size}) > 1  # programs of several basis sizes
+        for pos, k in enumerate(live):
+            start = lp_phase1(problems[k].A, problems[k].b)
+            want = solver._phase2_tableau(start, cost[pos], list(start.basis))
+            assert T[pos, -1].tobytes() == want[-1].tobytes()
 
 
 class TestListScanParity:
