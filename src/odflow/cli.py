@@ -42,6 +42,7 @@ from .estimators import (
     vmt_bounds,
 )
 from .experiments import (
+    _RECOVERY_TOL,
     _SEED_MAX,
     TrialConfig,
     grid_path_count,
@@ -258,7 +259,7 @@ def _cmd_estimate(args) -> int:
         rel = err / nrm if nrm > 0 else err
         payload["recovery"] = {
             "relative_error": rel,
-            "exact": bool(rel <= 1e-6),
+            "exact": bool(rel <= _RECOVERY_TOL),
         }
     fileio.dump_json(payload, args.output)
     print(f"{method}: status={result.status} objective={result.objective:.12g} "
@@ -294,9 +295,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_noisy_cdf(args) -> int:
-    cfg = TrialConfig(fixture=args.fixture, support=args.support, m=args.m,
-                      noise_sd=args.nu, trials=args.trials, seed=args.seed)
-    report = run_noisy_cdf(cfg, delta=args.delta)
+    cfg = TrialConfig(fixture=args.fixture, trials=args.trials, seed=args.seed)
+    report = run_noisy_cdf(cfg, args.support, args.m, args.nu, delta=args.delta)
     fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(
         f"delta={report.delta:.12g} infeasible_trials={report.infeasible_trials} "

@@ -51,6 +51,13 @@ SPARSITY_EPS_SCALE = 1e-8
 _NEG_CLIP_TOL = 1e-6
 
 
+def _check_integer(name: str, value) -> None:
+    # A float count would pass a range check and fail late, in ``range``,
+    # or be truncated; a bool would run as 0 or 1.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+
+
 class EstimationError(RuntimeError):
     """Base class for estimator failures; carries the raw solver output."""
 
@@ -254,10 +261,7 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
     the first solve.  The result carries the total-flow value of every
     round in ``objective_trace``.
     """
-    # A float would pass ``iters < 1`` and fail in ``range`` after two
-    # solves, and a bool would run as 0 or 1 solves.
-    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
-        raise ValueError(f"iters {iters!r} is not an integer")
+    _check_integer("iters", iters)
     if iters < 1:
         raise ValueError("iters must be at least 1")
     # NaN passes ``epsilon <= 0`` and fails inside phase 2; inf zeroes

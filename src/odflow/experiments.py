@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .estimators import (
     InfeasibleError,
+    _check_integer,
     accept_points,
     estimate_l1_noisy,
     estimate_l2_noisy,
@@ -53,6 +54,8 @@ from .solver import solve_lp_padded
 _FLOW_RANGE = (1.0, 100.0)
 # Largest experiment seed: the seed is one 64-bit word of the Philox key.
 _SEED_MAX = 2**64 - 1
+# Relative error within which an estimate counts as a recovery.
+_RECOVERY_TOL = 1e-6
 # Trials of one support spec whose l1 programs, one per M of the grid,
 # a recovery sweep solves as one stack: enough to spread the fixed cost of
 # the stacked simplex's numpy calls, few enough that the stack's memory
@@ -84,20 +87,15 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One grid point of a Monte Carlo study.
-
-    ``support`` is either an explicit tuple of 0-based path positions or an
-    integer sparsity level drawn fresh each trial.  ``m`` is the number of
-    measured links.
+    """The settings every sweep reads: fixture, trials per grid point and
+    experiment seed.  Each sweep takes the rest (grid, supports, noise) as
+    arguments of its own.  ``tol`` is the recovery tolerance, a constant.
     """
 
     fixture: str = "fig2"
-    support: tuple[int, ...] | int = (4, 8, 12)
-    m: int = 10
-    noise_sd: float = 0.0
     trials: int = 500
     seed: int = 0
-    tol: float = 1e-6
+    tol: ClassVar[float] = _RECOVERY_TOL
 
     def __post_init__(self):
         # A rate over no trials has no value: sweeps divide by ``trials``
@@ -109,30 +107,39 @@ class TrialConfig:
         _check_integer("seed", self.seed)
         if not 0 <= self.seed <= _SEED_MAX:
             raise ValueError(f"seed {self.seed} must lie in 0..2**64-1")
-        _check_nonnegative("noise_sd", self.noise_sd)
-        _check_nonnegative("tol", self.tol)
-
-
-def _check_integer(name: str, value) -> None:
-    # A float count would be truncated or fail late, in ``range``, and a
-    # bool would run as 0 or 1.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} {value!r} is not an integer")
 
 
 def _check_nonnegative(name: str, value: float) -> None:
     # Checked up front: a negative or NaN tolerance would grade every trial
-    # a failure, and a NaN noise level would fail only once counts are drawn.
+    # a failure, and a NaN noise level would give NaN counts.
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} {value} must be finite and nonnegative")
 
 
 def sample_support(pt: PathTable, s: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniformly random size-``s`` subset of path positions, sorted."""
-    if not 1 <= s <= pt.n_paths:
-        raise SparsityRangeError(f"sparsity {s} outside 1..{pt.n_paths}")
+    _check_sparsity(pt, s)
     idx = rng.choice(pt.n_paths, size=s, replace=False)
     return tuple(sorted(int(i) for i in idx))
+
+
+def _check_sparsity(pt: PathTable, s: int) -> None:
+    _check_integer("sparsity", s)
+    if not 1 <= s <= pt.n_paths:
+        raise SparsityRangeError(f"sparsity {s} outside 1..{pt.n_paths}")
+
+
+def _check_support(pt: PathTable, support: Sequence[int]) -> tuple[int, ...]:
+    """``support`` as a tuple, once it is checked to be a nonempty set of
+    path positions."""
+    support = tuple(support)
+    if not support or len(set(support)) != len(support):
+        raise SparsityRangeError("support must be nonempty without duplicates")
+    for n in support:
+        _check_integer("path position", n)
+        if not 0 <= n < pt.n_paths:
+            raise SparsityRangeError(f"path position {n} outside 0..{pt.n_paths - 1}")
+    return support
 
 
 def sample_allocation(
@@ -152,12 +159,7 @@ def sample_allocation(
     ``rng.dirichlet(np.ones(k))`` makes, standard exponentials over their
     sum, drawn and summed as it does, at less than half its cost.
     """
-    support = tuple(support)
-    if not support or len(set(support)) != len(support):
-        raise SparsityRangeError("support must be nonempty without duplicates")
-    for n in support:
-        if not 0 <= n < pt.n_paths:
-            raise SparsityRangeError(f"path position {n} outside 0..{pt.n_paths - 1}")
+    support = _check_support(pt, support)
     x = np.zeros(pt.n_paths)
     od = pt.od_of_path
     touched_by_od: dict[int, list[int]] = {}
@@ -198,8 +200,7 @@ def add_noise(y, nu: float, rng: np.random.Generator) -> np.ndarray:
     Values are deliberately not clipped at zero; the noise-aware programs
     must cope with slightly negative counts.
     """
-    if nu < 0:
-        raise ValueError("noise standard deviation must be nonnegative")
+    _check_nonnegative("nu", nu)
     y = np.asarray(y, dtype=float)
     if nu == 0:
         return y.copy()
@@ -219,7 +220,7 @@ class RecoveryFlags:
     total_flow: bool
 
 
-def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = 1e-6) -> np.ndarray:
+def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = _RECOVERY_TOL) -> np.ndarray:
     """Grade each row of ``x_hat`` against the same row of ``x_true``.
 
     Returns a ``K x 3`` boolean array, one row per estimate, of the flags
@@ -264,17 +265,17 @@ def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = 1e-6) -> np.ndarra
 
 
 def check_recovery(
-    x_hat, x_true, pt: PathTable, tol: float = 1e-6
+    x_hat, x_true, pt: PathTable, tol: float = _RECOVERY_TOL
 ) -> RecoveryFlags:
     """Grade an estimate against the generating truth: the one-row case of
     :func:`grade_recovery`."""
     return RecoveryFlags(*grade_recovery(x_hat, x_true, pt, tol)[0].tolist())
 
 
-def _sweep_system(cfg: TrialConfig, m_grid: Sequence[int]):
-    """``(fixture bundle, all-links incidence)`` of a sweep, after checking
-    every M of ``m_grid``; each trial's system is a row slice of it."""
-    bundle = get_fixture(cfg.fixture)
+def _sweep_system(fixture: str, m_grid: Sequence[int]):
+    """``(bundle, all-links incidence)`` of a sweep on ``fixture``, after
+    checking every M of ``m_grid``; each trial's system is a row slice of it."""
+    bundle = get_fixture(fixture)
     net = bundle.network
     for m in m_grid:
         _check_m(m, len(net.links))
@@ -329,7 +330,7 @@ class RecoveryReport:
         return rows
 
 
-def _recovery_chunk(full, pt, m_grid, X, perms, tol) -> np.ndarray:
+def _recovery_chunk(full, pt, m_grid, X, perms) -> np.ndarray:
     """How many trials of a chunk pass each criterion, one row per M.
 
     Trial ``t`` has the truth ``X[t]`` and the link permutation
@@ -352,8 +353,17 @@ def _recovery_chunk(full, pt, m_grid, X, perms, tol) -> np.ndarray:
     sol = solve_lp_padded(np.ones(n), A.reshape(G * T, R, n), b.reshape(G * T, R),
                           np.repeat(m_grid, T))
     ok, x_hat = accept_points(sol.status, sol.x)
-    flags = grade_recovery(x_hat, np.tile(X, (G, 1)), pt, tol) & ok[:, None]
+    flags = grade_recovery(x_hat, np.tile(X, (G, 1)), pt) & ok[:, None]
     return flags.reshape(G, T, 3).sum(axis=1)
+
+
+def _check_spec(pt: PathTable, spec) -> tuple[int, ...] | int:
+    """A recovery sweep's support spec, checked: an integer is a sparsity
+    level drawn fresh each trial, anything else a fixed support."""
+    if np.ndim(spec) == 0:
+        _check_sparsity(pt, spec)
+        return int(spec)
+    return _check_support(pt, spec)
 
 
 def run_recovery_sweep(
@@ -369,15 +379,17 @@ def run_recovery_sweep(
     and grades the result under the three criteria.  Infeasible solves,
     iteration limits and rejected outputs (:func:`~odflow.estimators.
     accept_points`) fail all three.  Measured subsets are nested across the
-    M grid within a trial.  The trials of a spec run in chunks of up to
+    M grid within a trial.  Every M and every spec is checked before the
+    first trial.  The trials of a spec run in chunks of up to
     ``_STACK_TRIALS``: each chunk's l1 programs, every M of each trial, are
     row slices of the all-links incidence, solved as one padded stack
     (:func:`~odflow.solver.solve_lp_padded`) and graded at once
     (:func:`grade_recovery`).
     """
-    bundle, full = _sweep_system(cfg, m_grid)
+    bundle, full = _sweep_system(cfg.fixture, m_grid)
     m_grid = [int(m) for m in m_grid]
     pt, n_links = bundle.table, full.n_rows
+    supports = [_check_spec(pt, sup) for sup in supports]
     # Equal rates share one float object, which keeps the points a caller
     # holds (see SweepPoint) about a quarter smaller.
     rates: dict[int, float] = {}
@@ -393,8 +405,8 @@ def run_recovery_sweep(
                 truths.append(sample_allocation(pt, support, rng))
                 perms.append(rng.permutation(n_links))
             passed += _recovery_chunk(full.matrix, pt, m_grid, np.array(truths),
-                                      np.array(perms), cfg.tol)
-        label = f"S={sup}" if isinstance(sup, int) else "fixed" + str(tuple(sup))
+                                      np.array(perms))
+        label = f"S={sup}" if isinstance(sup, int) else "fixed" + str(sup)
         sparsity = sup if isinstance(sup, int) else len(sup)
         for m, counts in zip(m_grid, passed.tolist()):
             rate_path, rate_od, rate_total = (
@@ -443,32 +455,36 @@ class NoisyCdfReport:
 
 def run_noisy_cdf(
     cfg: TrialConfig,
+    support: Sequence[int],
+    m: int,
+    noise_sd: float,
     delta: float | None = None,
 ) -> NoisyCdfReport:
     """Relative-error samples of the noise-aware l1 and l2 programs.
 
-    Both programs see the same noisy counts in every trial.  ``delta``
-    defaults to ``noise_sd * sqrt(m)``, the expected noise norm.  A trial
-    whose ball is infeasible is recorded as described on
-    :class:`NoisyCdfReport`; any other solver failure propagates.
+    Each trial draws an allocation on ``support``, measures ``m`` links and
+    adds noise of standard deviation ``noise_sd`` (finite and positive);
+    both programs see the same counts.  ``delta`` defaults to ``noise_sd *
+    sqrt(m)``, the expected noise norm.  A trial whose ball is infeasible is
+    recorded as described on :class:`NoisyCdfReport`; other failures propagate.
     """
-    if cfg.noise_sd <= 0:
-        raise ValueError("run_noisy_cdf needs a positive noise_sd")
-    if isinstance(cfg.support, int):
+    if not (math.isfinite(noise_sd) and noise_sd > 0):
+        raise ValueError(f"noise_sd {noise_sd} must be finite and positive")
+    if np.ndim(support) == 0:
         raise ValueError("run_noisy_cdf needs an explicit support")
-    bundle, full = _sweep_system(cfg, [cfg.m])
+    bundle, full = _sweep_system(cfg.fixture, [m])
     pt, link_ids = bundle.table, full.row_labels
     if delta is None:
-        delta = cfg.noise_sd * math.sqrt(cfg.m)
+        delta = noise_sd * math.sqrt(m)
 
     errs_l1: list[float] = []
     errs_l2: list[float] = []
     infeasible = 0
     for t in range(cfg.trials):
         rng = substream(cfg.seed, t)
-        x_true = sample_allocation(pt, cfg.support, rng)
-        ms = full.subsystem(sample_measurements(link_ids, cfg.m, rng))
-        y = add_noise(ms.matrix @ x_true, cfg.noise_sd, rng)
+        x_true = sample_allocation(pt, support, rng)
+        ms = full.subsystem(sample_measurements(link_ids, m, rng))
+        y = add_noise(ms.matrix @ x_true, noise_sd, rng)
         nrm = float(np.linalg.norm(x_true))
         try:
             r1 = estimate_l1_noisy(ms, y, delta)
@@ -538,7 +554,7 @@ def run_vmt_sweep(
     the truth and so are feasible, and they are settled before any solve.
     """
     _check_nonnegative("recovery_tol", recovery_tol)
-    bundle, full = _sweep_system(cfg, m_grid)
+    bundle, full = _sweep_system(cfg.fixture, m_grid)
     pt, link_ids = bundle.table, full.row_labels
     lengths = bundle.path_lengths
 

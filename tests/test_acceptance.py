@@ -177,11 +177,8 @@ def test_criterion_4_noisy_comparison():
     quantiles = (0.25, 0.5, 0.75)
     outcomes = []
     for support, nu in ((SUPPORT_3SPARSE, 0.1), (SUPPORT_4SPARSE, 0.02)):
-        cfg = TrialConfig(
-            fixture="fig2", support=support, m=10, noise_sd=nu,
-            trials=trials, seed=27_182,
-        )
-        rep = run_noisy_cdf(cfg)   # delta defaults to nu * sqrt(m)
+        cfg = TrialConfig(fixture="fig2", trials=trials, seed=27_182)
+        rep = run_noisy_cdf(cfg, support, 10, nu)   # delta defaults to nu * sqrt(m)
         med_ok = rep.quantile("l1", 0.5) < rep.quantile("l2", 0.5)
         dom_ok = all(
             rep.quantile("l1", q) <= rep.quantile("l2", q) for q in quantiles

@@ -204,6 +204,12 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(2), -0.1, substream(0, 0))
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_sd_rejected(self, nu):
+        # NaN gave NaN counts
+        with pytest.raises(ValueError, match="nu .* finite and nonnegative"):
+            add_noise(np.zeros(2), nu, substream(0, 0))
+
 
 class TestCheckRecovery:
     def test_exact_recovery(self, fig2):
@@ -275,7 +281,7 @@ class TestGradeRecovery:
     def test_stack_matches_single_rows(self, fig2):
         # the l1 answers to 20 chunks of sweep programs (fig2, sparsity
         # 2..6, every M of 3..10), clipped as the sweep clips them
-        full = experiments._sweep_system(TrialConfig(), [])[1]
+        full = experiments._sweep_system("fig2", [])[1]
         x_hat, x_true = [], []
         for chunk in range(20):
             X, perms = [], []
@@ -336,11 +342,8 @@ def small_report():
 
 @pytest.fixture(scope="module")
 def small_cdf():
-    cfg = TrialConfig(
-        fixture="fig2", support=SUPPORT_3SPARSE, m=10,
-        noise_sd=0.1, trials=60, seed=99,
-    )
-    return run_noisy_cdf(cfg)
+    cfg = TrialConfig(fixture="fig2", trials=60, seed=99)
+    return run_noisy_cdf(cfg, SUPPORT_3SPARSE, 10, 0.1)
 
 
 class TestRecoverySweep:
@@ -406,6 +409,30 @@ class TestRecoverySweep:
         assert all(p.sparsity == 3 for p in report.points)
         assert all(0.0 <= p.rate_path <= 1.0 for p in report.points)
 
+    def test_numpy_sparsity_matches_int(self):
+        # ran the first spec, then failed: 'numpy.int64' object is not iterable
+        cfg = TrialConfig(fixture="fig2", trials=5, seed=3)
+        a = run_recovery_sweep(cfg, m_grid=[6, 9], supports=[3, 3])
+        b = run_recovery_sweep(cfg, m_grid=[6, 9], supports=[3, np.int64(3)])
+        assert a.csv_rows() == b.csv_rows()
+
+    @pytest.mark.parametrize("spec,message", [
+        (True, "sparsity True is not an integer"),
+        (2.0, r"sparsity 2\.0 is not an integer"),
+        (15, r"sparsity 15 outside 1\.\.14"),
+        ((4, 14), r"path position 14 outside 0\.\.13"),
+        ((4, 4), "without duplicates"),
+        ((4, 8.0), r"path position 8\.0 is not an integer"),
+    ])
+    def test_specs_checked_before_trials(self, monkeypatch, spec, message):
+        # each bad spec follows a valid one, whose trials must not run
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "solve_lp_padded", no_trial)
+        with pytest.raises(ValueError, match=message):
+            run_recovery_sweep(TrialConfig(trials=2), m_grid=[5], supports=[3, spec])
+
     def test_m_out_of_range_rejected(self):
         cfg = TrialConfig(fixture="fig2", trials=5, seed=0)
         with pytest.raises(MeasurementCountError):
@@ -451,26 +478,37 @@ class TestNoisyCdf:
         assert len(small_cdf.errors_l1) == 60
 
     def test_zero_noise_rejected(self):
-        cfg = TrialConfig(fixture="fig2", support=SUPPORT_3SPARSE, noise_sd=0.0)
+        cfg = TrialConfig(fixture="fig2")
         with pytest.raises(ValueError):
-            run_noisy_cdf(cfg)
+            run_noisy_cdf(cfg, SUPPORT_3SPARSE, 10, 0.0)
+
+    @pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -1.0, 0.0])
+    def test_noise_sd_checked_before_trials(self, monkeypatch, noise_sd):
+        # NaN passed the old ``noise_sd <= 0`` check and ran every trial
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "estimate_l1_noisy", no_trial)
+        monkeypatch.setattr(experiments, "estimate_l2_noisy", no_trial)
+        with pytest.raises(ValueError, match="noise_sd .* finite and positive"):
+            run_noisy_cdf(TrialConfig(trials=2), SUPPORT_3SPARSE, 10, noise_sd)
+
+    @pytest.mark.parametrize("support", [3, np.int64(3), True])
+    def test_sparsity_level_rejected(self, support):
+        # the numpy integer failed in ``tuple()`` at the first trial
+        with pytest.raises(ValueError, match="needs an explicit support"):
+            run_noisy_cdf(TrialConfig(trials=2), support, 10, 0.1)
 
     def test_noiseless_limit_recovers(self):
         # tiny noise, generous ball: l1 errors collapse toward zero
-        cfg = TrialConfig(
-            fixture="fig2", support=SUPPORT_3SPARSE, m=10,
-            noise_sd=1e-9, trials=10, seed=4,
-        )
-        report = run_noisy_cdf(cfg)
+        cfg = TrialConfig(fixture="fig2", trials=10, seed=4)
+        report = run_noisy_cdf(cfg, SUPPORT_3SPARSE, 10, 1e-9)
         assert report.quantile("l1", 0.5) <= 1e-6
 
     def test_infeasible_trials_recorded_as_inf(self):
         # shrink delta far below the noise level: most balls are infeasible
-        cfg = TrialConfig(
-            fixture="fig2", support=SUPPORT_3SPARSE, m=10,
-            noise_sd=0.5, trials=8, seed=12,
-        )
-        report = run_noisy_cdf(cfg, delta=1e-6)
+        cfg = TrialConfig(fixture="fig2", trials=8, seed=12)
+        report = run_noisy_cdf(cfg, SUPPORT_3SPARSE, 10, 0.5, delta=1e-6)
         if report.infeasible_trials:
             assert math.isinf(report.errors_l1[-1])
             assert math.isinf(report.errors_l2[-1])
@@ -502,12 +540,9 @@ class TestNoisyCdf:
             raise IterationLimitError("l2-noisy: iteration limit reached")
 
         monkeypatch.setattr(experiments, "estimate_l2_noisy", give_up)
-        cfg = TrialConfig(
-            fixture="fig2", support=SUPPORT_3SPARSE, m=10,
-            noise_sd=0.1, trials=3, seed=99,
-        )
+        cfg = TrialConfig(fixture="fig2", trials=3, seed=99)
         with pytest.raises(IterationLimitError):
-            run_noisy_cdf(cfg)
+            run_noisy_cdf(cfg, SUPPORT_3SPARSE, 10, 0.1)
 
 
 class TestVmtSweep:
@@ -588,11 +623,11 @@ class TestTrialConfig:
                                     supports=[SUPPORT_3SPARSE])
         assert report.points[0].rate_path == 1.0
 
-    @pytest.mark.parametrize("field", ["tol", "noise_sd"])
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-    def test_tolerances_must_be_finite_and_nonnegative(self, field, value):
-        # a negative or NaN tol would grade every recovered trial a failure
-        with pytest.raises(ValueError, match=f"{field} .* finite and nonnegative"):
+    @pytest.mark.parametrize("field,value", [
+        ("support", 5), ("m", 4), ("noise_sd", 0.1), ("tol", 0.1)])
+    def test_sweep_settings_are_not_config_fields(self, field, value):
+        # each was accepted and then ignored by the sweeps that do not read it
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
             TrialConfig(**{field: value})
 
     @pytest.mark.parametrize("seed,message", [
@@ -609,9 +644,6 @@ class TestTrialConfig:
         report = run_recovery_sweep(TrialConfig(trials=1, seed=seed), m_grid=[10],
                                     supports=[SUPPORT_3SPARSE])
         assert report.seed == 2**64 - 1
-
-    def test_zero_tolerances_allowed(self):
-        assert TrialConfig(tol=0.0, noise_sd=0.0).tol == 0.0
 
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_vmt_recovery_tol_checked(self, value):
@@ -634,7 +666,7 @@ class TestSweepSystems:
         monkeypatch.setattr(experiments, "build_static_incidence", counting)
         run_recovery_sweep(TrialConfig(trials=3, seed=1), m_grid=[5, 8],
                            supports=[3, SUPPORT_3SPARSE])
-        run_noisy_cdf(TrialConfig(noise_sd=0.1, trials=3, seed=1))
+        run_noisy_cdf(TrialConfig(trials=3, seed=1), SUPPORT_3SPARSE, 10, 0.1)
         run_vmt_sweep(TrialConfig(fixture="nguyen", trials=3, seed=1), m_grid=[22, 38])
         assert len(built) == 3
 
@@ -648,7 +680,7 @@ class TestSweepSystems:
         with pytest.raises(MeasurementCountError):
             run_recovery_sweep(TrialConfig(trials=2), m_grid=[5, 11], supports=[3])
         with pytest.raises(MeasurementCountError):
-            run_noisy_cdf(TrialConfig(m=11, noise_sd=0.1, trials=2))
+            run_noisy_cdf(TrialConfig(trials=2), SUPPORT_3SPARSE, 11, 0.1)
         with pytest.raises(MeasurementCountError):
             run_vmt_sweep(TrialConfig(fixture="nguyen", trials=2), m_grid=[22, 39])
 

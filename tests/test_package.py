@@ -2,10 +2,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import import_module
 from pathlib import Path
 
 import odflow
+from odflow import experiments
 
 
 def test_star_import_resolves_every_public_name():
@@ -29,6 +31,13 @@ def test_benchmark_tracer_targets_exist():
     missing = [(mod, attr) for mod, attr, *_ in targets
                if not hasattr(import_module(mod), attr)]
     assert missing == []
+
+
+def test_benchmark_config_reads_exist():
+    # The benchmark builds its sweep configs from these fields and grades
+    # its replays with ``TrialConfig().tol``.
+    assert [f.name for f in fields(experiments.TrialConfig)] == ["fixture", "trials", "seed"]
+    assert experiments.TrialConfig().tol == experiments._RECOVERY_TOL
 
 
 def test_cli_import_leaves_scipy_optimize_out():
