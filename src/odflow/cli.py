@@ -89,9 +89,9 @@ def _resolve_paths(spec: str, net) -> PathTable:
     return PathTable.from_paths(paths)
 
 
-def _read_numbers(path: str, what: str) -> np.ndarray:
-    """The flat JSON list of finite numbers in a ``--weights``, ``--truth``
-    or ``--lengths`` file."""
+def _read_numbers(path: str, what: str, count: int) -> np.ndarray:
+    """The flat JSON list of ``count`` finite numbers in a ``--weights``,
+    ``--truth`` or ``--lengths`` file."""
     try:
         data = json.loads(FsPath(path).read_text())
         flat = isinstance(data, list) and all(
@@ -101,6 +101,9 @@ def _read_numbers(path: str, what: str) -> np.ndarray:
     if not flat:
         raise fileio.FileFormatError(
             f"{what} file {path} must hold a flat JSON list of finite numbers")
+    if len(data) != count:
+        raise fileio.FileFormatError(
+            f"{what} file {path} holds {len(data)} numbers where {count} are needed")
     return np.array(data, dtype=float)
 
 
@@ -242,18 +245,14 @@ def _cmd_estimate(args) -> int:
     elif method == "l2-noisy":
         result = estimate_l2_noisy(ms, y, args.delta)
     elif method == "weighted":
-        lam = WeightMatrix(_read_numbers(args.weights, "weights"))
+        lam = WeightMatrix(_read_numbers(args.weights, "weights", ms.n_cols))
         result = estimate_weighted_l1(ms, y, lam)
     else:
         result = reweighted_l1(ms, y, iters=args.iters, epsilon=args.epsilon)
 
-    payload = fileio.result_to_dict(result, table)
+    payload = fileio.result_to_dict(result)
     if args.truth is not None:
-        truth = _read_numbers(args.truth, "truth")
-        if truth.shape != (ms.n_cols,):
-            raise fileio.FileFormatError(
-                f"truth length {truth.size} does not match {ms.n_cols} columns"
-            )
+        truth = _read_numbers(args.truth, "truth", ms.n_cols)
         nrm = float(np.linalg.norm(truth))
         err = float(np.linalg.norm(result.allocation.x - truth))
         rel = err / nrm if nrm > 0 else err
@@ -272,14 +271,14 @@ def _cmd_vmt(args) -> int:
     table = _resolve_paths(args.paths, net)
     ms, y = _build_system(args, net, table)
     if args.unit:
-        lengths = np.ones(ms.n_cols)
+        lengths = np.ones(table.n_paths)
     elif args.lengths is not None:
-        lengths = _read_numbers(args.lengths, "lengths")
+        lengths = _read_numbers(args.lengths, "lengths", table.n_paths)
     else:
-        paths, _ = split_column_labels(ms.col_labels)
-        lengths = path_lengths(net, table)[paths]
-    bounds = vmt_bounds(ms, y, lengths)
-    fileio.dump_json(fileio.bounds_to_dict(bounds, table), args.output)
+        lengths = path_lengths(net, table)
+    paths, _ = split_column_labels(ms.col_labels)
+    bounds = vmt_bounds(ms, y, lengths[paths])
+    fileio.dump_json(fileio.bounds_to_dict(bounds), args.output)
     print(f"vmt_lower={bounds.vmt_lower:.12g} vmt_upper={bounds.vmt_upper:.12g} "
           f"-> {args.output}")
     return EXIT_OK
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", required=True)
     p.add_argument("--measurements", required=True)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--lengths", default=None, help="JSON list of per-path lengths")
+    source.add_argument("--lengths", default=None, help="JSON list, one length per path")
     source.add_argument("--unit", action="store_true",
                         help="unit lengths: bound the vehicle count")
     source.add_argument("--link-lengths", action="store_true",
@@ -545,8 +544,8 @@ def _resolved_argv(args) -> list[str]:
                 argv += [flag, _flag_text(item)]
         else:
             fixture = key in _FIXTURE_KEYS and value in FIXTURE_NAMES
-            if key in _INPUT_FILE_KEYS and not fixture and FsPath(str(value)).exists():
-                value = FsPath(str(value)).resolve()
+            if key in _INPUT_FILE_KEYS and not fixture and os.path.exists(value):
+                value = os.path.realpath(value)
             argv += [flag, _flag_text(value)]
     return argv
 

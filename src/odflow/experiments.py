@@ -220,21 +220,21 @@ class RecoveryFlags:
     total_flow: bool
 
 
-def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = _RECOVERY_TOL) -> np.ndarray:
+def grade_recovery(x_hat, x_true, pt: PathTable) -> np.ndarray:
     """Grade each row of ``x_hat`` against the same row of ``x_true``.
 
     Returns a ``K x 3`` boolean array, one row per estimate, of the flags
-    of :class:`RecoveryFlags` in their order.  Path allocation: relative
-    l2 error at most ``tol`` (absolute, for a zero truth).  OD flow: every
-    decoded pair flow within ``tol`` relatively (absolutely, for pairs with
-    no true flow).  Total flow: the summed flow within ``tol`` relatively.
+    of :class:`RecoveryFlags` in their order, with ``tol`` the recovery
+    tolerance 1e-6.  Path allocation: relative l2 error at most ``tol``
+    (absolute, for a zero truth).  OD flow: every decoded pair flow within
+    ``tol`` relatively (absolutely, for pairs with no true flow).  Total
+    flow: the summed flow within ``tol`` relatively.
     Each norm is the dot product of a row with itself, as ``np.linalg.norm``
     forms it, and the OD flows of all rows are one ``np.bincount`` with a
     bin offset per row, which adds each row's entries in its own order; so
-    a row gets the flags it would get alone.  A negative or non-finite
-    ``tol`` raises ``ValueError``.
+    a row gets the flags it would get alone.
     """
-    _check_nonnegative("tol", tol)
+    tol = _RECOVERY_TOL
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
     x_true = np.atleast_2d(np.asarray(x_true, dtype=float))
     if x_hat.shape != x_true.shape or x_true.shape[1:] != (pt.n_paths,):
@@ -264,12 +264,10 @@ def grade_recovery(x_hat, x_true, pt: PathTable, tol: float = _RECOVERY_TOL) -> 
     return np.stack([path_ok, od_ok, total_ok], axis=1)
 
 
-def check_recovery(
-    x_hat, x_true, pt: PathTable, tol: float = _RECOVERY_TOL
-) -> RecoveryFlags:
+def check_recovery(x_hat, x_true, pt: PathTable) -> RecoveryFlags:
     """Grade an estimate against the generating truth: the one-row case of
     :func:`grade_recovery`."""
-    return RecoveryFlags(*grade_recovery(x_hat, x_true, pt, tol)[0].tolist())
+    return RecoveryFlags(*grade_recovery(x_hat, x_true, pt)[0].tolist())
 
 
 def _sweep_system(fixture: str, m_grid: Sequence[int]):

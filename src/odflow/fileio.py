@@ -7,7 +7,9 @@ Schemas (stable; see README for examples):
 * path JSON: ordered list of ``{"od": [o, d], "links": [id, ...]}``
 * measurement CSV: header ``link_id,count`` (static) or
   ``link_id,time,count`` (dynamic); rows keep file order
-* result/bounds JSON: see ``result_to_dict`` / the CLI docs
+* result and bounds JSON: see ``result_to_dict`` / ``bounds_to_dict`` and
+  the README; each lists one entry per column, with a ``departure`` in
+  dynamic mode
 
 All floating-point output is printed with 12 significant digits so a rerun
 of the same manifest is byte-identical.
@@ -26,12 +28,11 @@ from pathlib import Path as FsPath
 from typing import Sequence
 
 from . import __version__
-from .estimators import EstimationResult, VmtBounds
+from .estimators import Allocation, EstimationResult, VmtBounds
 from .network import (
     Link,
     Network,
     Path,
-    PathTable,
     split_column_labels,
     validate_network,
     validate_path,
@@ -266,20 +267,24 @@ def write_csv(path: FsPath | str, header: Sequence[str], rows) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
-def result_to_dict(result: EstimationResult, table: PathTable) -> dict:
-    alloc = result.allocation
+def _entries(alloc: Allocation) -> list[dict]:
+    """One ``{"path", "flow"}`` entry per column of ``alloc``, in column
+    order, with the column's ``departure`` when it is time-expanded."""
     paths, departures = split_column_labels(alloc.labels)
-    entries = []
-    for j, n in enumerate(paths):
-        entry = {
-            "path": int(n),
-            "od": list(table.paths[n].od),
-            "links": list(table.paths[n].links),
-            "flow": float(alloc.x[j]),
-        }
-        if departures is not None:
-            entry["departure"] = int(departures[j])
-        entries.append(entry)
+    flows = alloc.x.tolist()
+    if departures is None:
+        return [{"path": n, "flow": f} for n, f in zip(paths.tolist(), flows)]
+    return [{"path": n, "departure": t, "flow": f}
+            for n, t, f in zip(paths.tolist(), departures.tolist(), flows)]
+
+
+def result_to_dict(result: EstimationResult) -> dict:
+    alloc = result.allocation
+    table = alloc.table
+    entries = _entries(alloc)
+    for entry in entries:
+        path = table.paths[entry["path"]]
+        entry.update(od=list(path.od), links=list(path.links))
     return {
         "method": result.method,
         "status": result.status,
@@ -301,19 +306,12 @@ def result_to_dict(result: EstimationResult, table: PathTable) -> dict:
     }
 
 
-def bounds_to_dict(bounds: VmtBounds, table: PathTable) -> dict:
-    def _alloc_list(alloc):
-        paths, _ = split_column_labels(alloc.labels)
-        return [
-            {"path": int(n), "flow": float(v)}
-            for n, v in zip(paths, alloc.x)
-        ]
-
+def bounds_to_dict(bounds: VmtBounds) -> dict:
     return {
         "vmt_lower": float(bounds.vmt_lower),
         "vmt_upper": float(bounds.vmt_upper),
-        "x_min": _alloc_list(bounds.x_min),
-        "x_max": _alloc_list(bounds.x_max),
+        "x_min": _entries(bounds.x_min),
+        "x_max": _entries(bounds.x_max),
     }
 
 

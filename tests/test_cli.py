@@ -15,6 +15,7 @@ from odflow import (
     build_static_incidence,
     experiments,
     fileio,
+    path_lengths,
 )
 from odflow import cli
 from odflow.cli import main
@@ -591,7 +592,8 @@ class TestSweepCommands:
 @pytest.fixture()
 def inputs(tmp_path, demo_counts, fig1, fig2):
     """Input files of fig2 commands (``all`` counts every link, so travel is
-    bounded), plus a fig1 dynamic count file."""
+    bounded), plus a fig1 dynamic count file; ``fig1_lengths`` and
+    ``fig2_lengths`` hold the link-derived length of each path."""
     counts, truth, x = demo_counts
     links = [l.id for l in fig2.network.links]
     all_counts = tmp_path / "all.csv"
@@ -601,6 +603,10 @@ def inputs(tmp_path, demo_counts, fig1, fig2):
     weights.write_text(json.dumps([0.1 if i in (1, 7, 10, 13) else 1.0 for i in range(14)]))
     lengths = tmp_path / "lengths.json"
     lengths.write_text(json.dumps([2.0] * 14))
+    fig2_lengths = tmp_path / "fig2_lengths.json"
+    fig2_lengths.write_text(json.dumps(path_lengths(fig2.network, fig2.table).tolist()))
+    fig1_lengths = tmp_path / "fig1_lengths.json"
+    fig1_lengths.write_text(json.dumps(path_lengths(fig1.network, fig1.table).tolist()))
     measured = [l.id for l in fig1.network.links]
     ms = build_dynamic_system(fig1.table, fig1.network, grid_rows(measured, [0, 1]))
     x = np.zeros(ms.n_cols)
@@ -610,11 +616,13 @@ def inputs(tmp_path, demo_counts, fig1, fig2):
     lines += [f"{lid},{t},{c}" for (lid, t), c in zip(ms.row_labels, ms.matrix @ x)]
     dyn.write_text("\n".join(lines) + "\n")
     return {"counts": counts, "all": all_counts, "truth": truth, "weights": weights,
-            "lengths": lengths, "dyn": dyn}
+            "lengths": lengths, "fig1_lengths": fig1_lengths,
+            "fig2_lengths": fig2_lengths, "dyn": dyn}
 
 
 FIG2 = ["--network", "fig2", "--paths", "fig2", "--measurements", "{counts}"]
 FIG2_ALL = FIG2[:-1] + ["{all}"]
+DYN = ["--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}", "--dynamic"]
 
 
 def fill(argv, inputs):
@@ -762,11 +770,10 @@ class TestJsonBytes:
               ("l1", []), ("l2", []), ("l1-noisy", ["--delta", "0.5"]),
               ("l2-noisy", ["--delta", "0.5"]), ("weighted", ["--weights", "{weights}"]),
               ("reweighted", ["--iters", "3"])]),
-        *(["estimate", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
-           "--method", method, "--dynamic"] for method in ("l1", "l2", "reweighted")),
+        *(["estimate", *DYN, "--method", method] for method in ("l1", "l2", "reweighted")),
         ["vmt", *FIG2_ALL, "--link-lengths"],
-        ["vmt", "--network", "fig1", "--paths", "fig1", "--measurements", "{dyn}",
-         "--unit", "--dynamic"],
+        ["vmt", *DYN, "--unit"],
+        ["vmt", *DYN, "--lengths", "{fig1_lengths}"],
     ])
     def test_written_bytes_match_json(self, tmp_path, inputs, json_writes, argv):
         out = tmp_path / "out"
@@ -774,6 +781,79 @@ class TestJsonBytes:
         assert [path.name for path, _ in json_writes] == ["out", "out.manifest.json"]
         for path, text in json_writes:
             assert path.read_bytes() == text.encode("ascii")
+
+
+class TestOutputBytes:
+    """Pinned digests of a static and a dynamic result and a static bounds
+    file, whose bytes the per-column entry encoder keeps; the entries of
+    dynamic bounds files are checked by ``TestVmtLengthSources``."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["estimate", *FIG2, "--method", "l1", "--truth", "{truth}"],
+         "8bad040a0b5990b1598febfd779452ecafbd3b5abd8069170c856b9710b0a26e"),
+        (["estimate", *DYN, "--method", "l1"],
+         "f1b21649bae901c98cecacd526b0f794734eaba01176f53069cff08e93d2b1d9"),
+        (["vmt", *FIG2_ALL, "--link-lengths"],
+         "6626e03cfad79ed8cbf89c22f9fe94dc04ae460fcab784a5bda40cfa7d766c69"),
+    ])
+    def test_digest_pinned(self, tmp_path, inputs, argv, digest):
+        out = tmp_path / "out"
+        assert main(fill(argv, inputs) + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestVmtLengthSources:
+    """Each length source gives one length per catalogued path, mapped to
+    the columns of a static or dynamic system."""
+
+    @pytest.mark.parametrize("source", [
+        ["--unit"], ["--lengths", "{fig1_lengths}"], ["--link-lengths"]])
+    def test_dynamic_entries_are_the_columns(self, tmp_path, inputs, fig1, source):
+        out = tmp_path / "v.json"
+        assert main(fill(["vmt", *DYN, *source, "--output", str(out)], inputs)) == 0
+        payload = json.loads(out.read_text())
+        rows = fileio.load_measurements(inputs["dyn"]).row_labels
+        columns = build_dynamic_system(fig1.table, fig1.network, rows).col_labels
+        for key in ("x_min", "x_max"):
+            pairs = [(e["path"], e["departure"]) for e in payload[key]]
+            assert pairs == list(columns)
+            assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("counts,lengths", [
+        (FIG2_ALL, "{fig2_lengths}"), (DYN, "{fig1_lengths}")], ids=["static", "dynamic"])
+    def test_lengths_file_matches_link_lengths(self, tmp_path, inputs, counts, lengths):
+        by_file, by_links = tmp_path / "file", tmp_path / "links"
+        for out, source in [(by_file, ["--lengths", lengths]), (by_links, ["--link-lengths"])]:
+            assert main(fill(["vmt", *counts, *source, "--output", str(out)], inputs)) == 0
+        assert by_file.read_bytes() == by_links.read_bytes()
+
+    @pytest.mark.parametrize("counts,entries,paths", [
+        (FIG2_ALL, 13, 14), (DYN, 28, 7)], ids=["static", "dynamic"])
+    def test_wrong_length_exits_3(self, tmp_path, capsys, inputs, counts, entries, paths):
+        # 28 is the dynamic file's column count: one length per column is
+        # not one per path
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([1.0] * entries))
+        out = tmp_path / "v.json"
+        rc = main(fill(["vmt", *counts, "--lengths", str(bad), "--output", str(out)], inputs))
+        assert rc == 3
+        assert f"holds {entries} numbers where {paths} are needed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_symlinked_input_recorded_as_its_target(tmp_path, demo_counts):
+    counts, _, _ = demo_counts
+    link = tmp_path / "link.csv"
+    link.symlink_to(counts)
+    out = tmp_path / "out.json"
+    assert main(["estimate", "--network", "fig2", "--paths", "fig2",
+                 "--measurements", str(link), "--method", "l1",
+                 "--output", str(out)]) == 0
+    argv = json.loads((tmp_path / "out.json.manifest.json").read_text())["argv"]
+    assert argv[argv.index("--measurements") + 1] == str(counts.resolve())
+    again = tmp_path / "again"
+    assert main(["rerun", str(out) + ".manifest.json", "--output-dir", str(again)]) == 0
+    assert (again / "out.json").read_bytes() == out.read_bytes()
 
 
 def test_fixture_name_stays_a_name_in_manifests(tmp_path, monkeypatch, demo_counts):

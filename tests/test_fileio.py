@@ -173,7 +173,7 @@ class TestResultSerialization:
         x = np.zeros(14)
         x[1] = 10.0
         res = estimate_l1(ms, ms.matrix @ x)
-        payload = result_to_dict(res, fig2.table)
+        payload = result_to_dict(res)
         assert payload["method"] == "l1"
         assert payload["status"] == "optimal"
         assert len(payload["allocation"]) == 14
