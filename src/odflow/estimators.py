@@ -51,11 +51,11 @@ SPARSITY_EPS_SCALE = 1e-8
 _NEG_CLIP_TOL = 1e-6
 
 
-def _check_integer(name: str, value) -> None:
+def _check_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
     # A float count would pass a range check and fail late, in ``range``,
     # or be truncated; a bool would run as 0 or 1.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} {value!r} is not an integer")
+        raise error(f"{name} {value!r} is not an integer")
 
 
 class EstimationError(RuntimeError):

@@ -12,8 +12,11 @@ The harness answers three families of questions on the bundled fixtures:
 Reproducibility: trial ``t`` of grid point ``p`` draws from its own
 Philox4x64-10 stream, keyed by the 64-bit experiment seed with counter
 ``[0, 0, p * trials + t, 0]``, the state that ``Philox(key=seed)
-.jumped(p * trials + t)`` reaches.  Results are independent of execution
-order and identical across runs and machines.
+.jumped(p * trials + t)`` reaches.  The seed reaches Philox as its key
+as given, through a seed sequence of its own (``_PhiloxKey``), so no
+stream asks the operating system for entropy.  Seeds and stream indices
+are integers in 0..2**64-1.  Results are independent of execution order
+and identical across runs and machines.
 
 Within one trial the support, the allocation, and a single permutation of
 the links are drawn in that order (then the noise, if any); the measured
@@ -35,6 +38,7 @@ from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .estimators import (
     InfeasibleError,
@@ -52,7 +56,8 @@ from .solver import solve_lp_padded
 
 # Range of the uniform flow drawn for each OD pair a trial routes.
 _FLOW_RANGE = (1.0, 100.0)
-# Largest experiment seed: the seed is one 64-bit word of the Philox key.
+# Largest experiment seed or substream index: each is one 64-bit word of
+# the Philox key or counter.
 _SEED_MAX = 2**64 - 1
 # Relative error within which an estimate counts as a recovery.
 _RECOVERY_TOL = 1e-6
@@ -79,10 +84,39 @@ class AlphaRangeError(ValueError):
     """Turn fraction must lie strictly between 0 and 0.5."""
 
 
+class _PhiloxKey(ISeedSequence):
+    """An experiment seed as the two 64-bit words of a Philox key.
+
+    ``Philox(key=seed)`` first fills a ``SeedSequence`` from OS entropy and
+    then throws it away; Philox reads its key from this seed sequence
+    instead, the same words that ``key=seed`` gives.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return np.array([self.seed, 0], dtype=np.uint64)
+
+
+def _check_uint64(name: str, value: int) -> None:
+    # Philox truncates a float seed and rejects a negative one late, and
+    # wraps a negative counter word.
+    _check_integer(name, value)
+    if not 0 <= value <= _SEED_MAX:
+        raise ValueError(f"{name} {value} must lie in 0..2**64-1")
+
+
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent Philox substream ``index`` of the experiment ``seed``:
-    the state ``Philox(key=seed).jumped(index)`` reaches, set directly."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+    the state ``Philox(key=seed).jumped(index)`` reaches, set directly.
+    Both are integers in 0..2**64-1."""
+    _check_uint64("seed", seed)
+    _check_uint64("substream index", index)
+    counter = np.array([0, 0, index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed), counter=counter))
 
 
 @dataclass(frozen=True)
@@ -103,10 +137,7 @@ class TrialConfig:
         _check_integer("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"trials {self.trials} must be at least 1")
-        # Philox truncates a float seed and rejects a negative one late.
-        _check_integer("seed", self.seed)
-        if not 0 <= self.seed <= _SEED_MAX:
-            raise ValueError(f"seed {self.seed} must lie in 0..2**64-1")
+        _check_uint64("seed", self.seed)
 
 
 def _check_nonnegative(name: str, value: float) -> None:
@@ -120,7 +151,7 @@ def sample_support(pt: PathTable, s: int, rng: np.random.Generator) -> tuple[int
     """Uniformly random size-``s`` subset of path positions, sorted."""
     _check_sparsity(pt, s)
     idx = rng.choice(pt.n_paths, size=s, replace=False)
-    return tuple(sorted(int(i) for i in idx))
+    return tuple(np.sort(idx).tolist())
 
 
 def _check_sparsity(pt: PathTable, s: int) -> None:
@@ -158,8 +189,10 @@ def sample_allocation(
     support touches are visited.  The simplex draw is the one
     ``rng.dirichlet(np.ones(k))`` makes, standard exponentials over their
     sum, drawn and summed as it does, at less than half its cost.
+    ``flow_range`` must be finite with ``0 <= low <= high``.
     """
     support = _check_support(pt, support)
+    low, high = _check_flow_range(flow_range)
     x = np.zeros(pt.n_paths)
     od = pt.od_of_path
     touched_by_od: dict[int, list[int]] = {}
@@ -167,10 +200,21 @@ def sample_allocation(
         touched_by_od.setdefault(od[n], []).append(n)
     for k in sorted(touched_by_od):
         touched = touched_by_od[k]
-        flow = rng.uniform(*flow_range)
-        share = rng.standard_exponential(len(touched))
-        x[touched] = flow * (share * (1.0 / sum(share.tolist())))
+        flow = rng.uniform(low, high)
+        share = rng.standard_exponential(len(touched)).tolist()
+        scale = 1.0 / sum(share)
+        for n, e in zip(touched, share):
+            x[n] = flow * (e * scale)
     return x
+
+
+def _check_flow_range(flow_range: tuple[float, float]) -> tuple[float, float]:
+    # numpy's uniform rejects an infinite or reversed range with an error
+    # about its own internals, and draws negative flows from a low below 0.
+    low, high = flow_range
+    if not (math.isfinite(low) and math.isfinite(high) and 0 <= low <= high):
+        raise ValueError(f"flow_range {flow_range} must be finite with 0 <= low <= high")
+    return low, high
 
 
 def _check_m(m: int, n_links: int) -> None:
@@ -181,7 +225,7 @@ def _check_m(m: int, n_links: int) -> None:
 
 def _prefix(all_links: Sequence[LinkId], perm, m: int) -> tuple[LinkId, ...]:
     """The links at the first ``m`` positions of ``perm``, in canonical order."""
-    return tuple(all_links[i] for i in sorted(perm[:m]))
+    return tuple(all_links[i] for i in np.sort(perm[:m]).tolist())
 
 
 def sample_measurements(
@@ -599,10 +643,16 @@ def run_vmt_sweep(
     return VmtReport(points=tuple(points), seed=cfg.seed)
 
 
-def grid_path_count(n: int) -> int:
-    """Monotone corner-to-corner paths on an n-link square grid, exactly."""
+def _check_grid_side(n: int) -> None:
+    # math.comb raises a bare TypeError on a float side.
+    _check_integer("n", n, GridSizeError)
     if n % 2 != 0 or not 2 <= n <= 60:
         raise GridSizeError("n must be an even integer in 2..60")
+
+
+def grid_path_count(n: int) -> int:
+    """Monotone corner-to-corner paths on an n-link square grid, exactly."""
+    _check_grid_side(n)
     return math.comb(n, n // 2)
 
 
@@ -614,8 +664,8 @@ def grid_paths_max_turns(n: int, turns: int) -> int:
     either first heading, ``C(s-1, t // 2) C(s-1, (t-1) // 2)`` paths make
     exactly ``t >= 1`` turns.  Exact integer arithmetic throughout.
     """
-    if n % 2 != 0 or not 2 <= n <= 60:
-        raise GridSizeError("n must be an even integer in 2..60")
+    _check_grid_side(n)
+    _check_integer("turns", turns, GridSizeError)
     if turns < 0:
         raise GridSizeError("turns must be nonnegative")
     k = n // 2 - 1
@@ -637,6 +687,7 @@ def hoeffding_turn_bound(alpha: float, n: int) -> float:
     """Tail bound exp(-2 (0.5 - alpha)^2 n) on the few-turn path fraction."""
     if not 0 < alpha < 0.5:
         raise AlphaRangeError("alpha must lie strictly between 0 and 0.5")
+    _check_integer("n", n, GridSizeError)
     if n <= 0:
         raise GridSizeError("n must be positive")
     return math.exp(-2.0 * (0.5 - alpha) ** 2 * n)

@@ -150,6 +150,15 @@ class TestSampling:
             touched = flows[flows > 0]
             assert np.all((touched >= 2.0) & (touched <= 3.0))
 
+    @pytest.mark.parametrize("flow_range", [
+        (-5.0, 1.0),  # drew negative flows
+        (math.nan, 1.0), (1.0, math.inf),  # numpy's "range exceeds valid bounds"
+        (100.0, 1.0),  # numpy's "high - low < 0"
+    ])
+    def test_flow_range_checked(self, fig2, flow_range):
+        with pytest.raises(ValueError, match="flow_range"):
+            sample_allocation(fig2.table, SUPPORT_3SPARSE, substream(9, 0), flow_range)
+
     def test_measurements_full_set(self, fig2):
         links = [l.id for l in fig2.network.links]
         got = sample_measurements(links, 10, substream(0, 0))
@@ -725,6 +734,18 @@ class TestGridCombinatorics:
         assert hoeffding_turn_bound(0.1, 50) == pytest.approx(math.exp(-16.0))
         assert hoeffding_turn_bound(0.2, 50) == pytest.approx(math.exp(-9.0))
 
+    @pytest.mark.parametrize("call", [
+        lambda: grid_path_count(4.0),
+        lambda: grid_paths_max_turns(4, 1.5),
+        lambda: grid_turn_fraction(0.2, 4.0),
+        lambda: grid_path_count(True),
+        lambda: hoeffding_turn_bound(0.2, 2.5),  # returned 0.6376
+    ], ids=["count", "max_turns", "fraction", "count_bool", "hoeffding"])
+    def test_sizes_must_be_integers(self, call):
+        # math.comb raised a bare TypeError on a float
+        with pytest.raises(GridSizeError, match="is not an integer"):
+            call()
+
     def test_hoeffding_vacuous_near_half(self):
         assert hoeffding_turn_bound(0.499999, 50) == pytest.approx(1.0, abs=1e-4)
 
@@ -750,10 +771,35 @@ class TestSubstream:
     def test_streams_reproducible(self):
         assert np.array_equal(substream(9, 3).random(8), substream(9, 3).random(8))
 
-    @pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
-    @pytest.mark.parametrize("index", [0, 1, 7, 1000, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 1000, 2**40 + 3, 2**53 + 1,
+                                       2**63 + 1, 2**64 - 1])
     def test_counter_is_jumped_state(self, seed, index):
+        # a counter list passed through float64: 2**63 + 1 drew the stream
+        # of 2**63, and 2**64 - 1 warned on an invalid cast
         want = np.random.Generator(np.random.Philox(key=seed).jumped(index))
         got = substream(seed, index)
         assert np.array_equal(got.random(8), want.random(8))
         assert np.array_equal(got.integers(0, 2**62, 8), want.integers(0, 2**62, 8))
+
+    def test_no_seed_sequence_is_made(self):
+        # Philox(key=seed) filled a SeedSequence from OS entropy and threw it away
+        seed_seq = substream(5, 2).bit_generator.seed_seq
+        assert not isinstance(seed_seq, np.random.SeedSequence)
+        assert seed_seq.generate_state(2, np.uint64).tolist() == [5, 0]
+        with pytest.raises(ValueError, match="two 64-bit words"):
+            seed_seq.generate_state(4)
+
+    @pytest.mark.parametrize("seed,index,message", [
+        (1.5, 0, r"seed 1\.5 is not an integer"),  # ran as seed 1
+        (True, 0, "seed True is not an integer"),  # ran as seed 1
+        (-1, 0, r"seed -1 must lie in 0\.\.2\*\*64-1"),
+        (2**64, 0, "seed 18446744073709551616 must lie"),
+        (7, 2.0, r"substream index 2\.0 is not an integer"),
+        (7, -1, r"substream index -1 must lie in 0\.\.2\*\*64-1"),  # ran as 2**64-1
+        (7, 2**64, "substream index 18446744073709551616 must lie"),
+    ], ids=["float_seed", "bool_seed", "negative_seed", "large_seed",
+            "float_index", "negative_index", "large_index"])
+    def test_bad_seed_or_index_rejected(self, seed, index, message):
+        with pytest.raises(ValueError, match=message):
+            substream(seed, index)
