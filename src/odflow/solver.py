@@ -9,8 +9,11 @@ Two engines:
   phases are separate steps: :func:`lp_phase1` finds a feasible basis of
   ``A x = b`` once, and :func:`lp_phase2` optimizes any number of
   objectives from it.  A phase pivots a dense tableau, ``[B^-1 A | B^-1 b]``
-  over the reduced costs, by one rank-1 update per pivot.  Bland's rule
-  scans arrays where it reads a whole row, and Python lists where it
+  over the reduced costs, by one rank-1 update per pivot, whose product
+  is one BLAS call: each entry is the IEEE product, and a zero product is
+  +0, never -0, so a row whose entering-column entry is zero comes back
+  unchanged, bit for bit.  Bland's rule scans arrays where it reads a
+  whole row, and Python lists where it
   reads a few entries: the entering column is the first improving entry
   of the cost row, and phase 1's cleanup column the first free entry of
   an artificial's row, each found by one numpy comparison and
@@ -32,8 +35,12 @@ Two engines:
   engines share (phase 1's cost row and ``||b||_1``, phase 2's first cost
   row and objective) adds rows in order (:func:`_row_sum`), which zero
   padding leaves as it is, so the stack forms each for all its programs
-  at once; only the basic points are solved in one batch per basis size,
-  as LAPACK's LU is not pad-invariant.  Each program takes the pivots
+  at once.  Each pivot's product follows one rule in both engines, a
+  BLAS product in :func:`_pivot` and ``np.einsum`` over the stack in
+  :func:`_pivot_each`, so a stacked tableau keeps the single solve's
+  bytes, signs of zero included.  Only the basic points are solved in one
+  batch per basis size, as LAPACK's LU is not pad-invariant.  Each
+  program takes the pivots
   that :func:`solve_lp` gives it, and the stack returns each program's
   status, point and pivot record (basis, pivot count, unbounded index)
   as :func:`solve_lp` returns them; its objective and residual follow
@@ -177,9 +184,16 @@ class FeasibleBasis:
 def _pivot(T, r, j):
     """Pivot the tableau in place on row ``r`` and column ``j``: one rank-1
     update.  ``prow[j]`` is exactly one, so basic columns stay exact unit
-    vectors and their reduced costs exactly zero."""
+    vectors and their reduced costs exactly zero.
+
+    The product is one BLAS call (a matrix product of inner length one)
+    and the subtraction one numpy operation.  Each entry of the product
+    is the one IEEE product ``np.multiply.outer`` forms, but a zero comes
+    out as +0, never -0, so a row whose entering-column entry is zero
+    comes back unchanged, bit for bit.  :func:`_pivot_each` forms the
+    same product for the stack, so the two engines round alike."""
     prow = T[r] / T[r, j]
-    T -= np.multiply.outer(T[:, j], prow)
+    T -= np.dot(T[:, j, None], prow[None, :])
     T[r] = prow
 
 
@@ -200,6 +214,8 @@ def _pivot_loop(T, basis):
     tolerances at these sizes, and no returned point is read from ``T``.
     """
     m, n = T.shape[0] - 1, T.shape[1] - 1
+    if not n:  # no column can enter
+        return STATUS_OPTIMAL, 0, None
     cost = T[m, :n]  # a view: each pivot updates it in place
     for it in range(_MAX_PIVOTS):
         # Enter the improving column of smallest index.
@@ -242,9 +258,15 @@ def _pivot_each(T, r, j, col, at):
     """:func:`_pivot` on every tableau of a stack, tableau ``i`` on row
     ``r[i]`` and column ``j[i]``; ``col`` holds those columns, ``T[i, :,
     j[i]]``, as they were before the pivot, and ``at`` is
-    ``np.arange(len(T))``."""
+    ``np.arange(len(T))``.
+
+    The products are formed by ``np.einsum``, which, like the BLAS product
+    of :func:`_pivot`, gives each entry's IEEE product with every zero as
+    +0; numpy's broadcast product keeps the sign of a zero product, which
+    would leave the stack's tableaus a sign of zero apart from the single
+    solve's."""
     prow = T[at, r] / col[at, r][:, None]
-    T -= col[:, :, None] * prow[:, None, :]
+    T -= np.einsum("ki,kj->kij", col, prow)
     T[at, r] = prow
 
 
@@ -267,9 +289,11 @@ def _pivot_stack(T, basis):
     for none).
     """
     K, R, N = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
+    unbounded = np.full(K, -1)
+    if not N:  # no column can enter
+        return np.full(K, STATUS_OPTIMAL, dtype=object), np.zeros(K, dtype=int), unbounded
     status = np.full(K, STATUS_ITERATION_LIMIT, dtype=object)
     iters = np.full(K, _MAX_PIVOTS)
-    unbounded = np.full(K, -1)
     ids, Tc, Bc = np.arange(K), T, basis  # the active systems
     at = np.arange(K)  # their positions in Tc and Bc
     never = np.iinfo(basis.dtype).max  # a basis entry no tied row has
@@ -374,8 +398,11 @@ def lp_phase1(A, b) -> FeasibleBasis:
     # mask of those columns.  When no original column can replace one, the
     # artificial's own constraint row is implied by the others (its
     # multiplier row annihilates the original columns), so that row is
-    # dropped together with the artificial.
+    # dropped together with the artificial.  Without original columns
+    # every leftover artificial's row goes.
     redundant = set()
+    if not n:
+        redundant, artificial = set(range(m)), []
     free = np.ones(n, dtype=bool)  # the nonbasic original columns
     free[[k for k in basis if k < n]] = False
     for pos in artificial:
@@ -521,12 +548,16 @@ def _phase1_stack(A, b, rows):
 
     # Cleanup, as in lp_phase1: each step takes every system's first
     # artificial position not yet visited, and pivots in the first original
-    # nonbasic column with an entry in that row, or drops the row.
+    # nonbasic column with an entry in that row, or drops the row.  Without
+    # original columns every leftover artificial's row goes: no pivot has
+    # moved an artificial, so its row is its position.
     T, basis, art, real = T[live], basis[live], art[live], real[live]
     at = np.arange(live.size)[:, None]
     in_basis = np.zeros((live.size, n + R), dtype=bool)
     in_basis[at, basis] = True
     redundant = np.zeros((live.size, R), dtype=bool)
+    if not n:
+        redundant, art = art, np.zeros_like(art)
     while art.any():
         k = np.flatnonzero(art.any(axis=1))
         pos = art[k].argmax(axis=1)
@@ -675,6 +706,10 @@ class _CountedNnls:
 
     def __call__(self, E: np.ndarray, f: np.ndarray):
         self.calls += 1
+        if not E.size:
+            # scipy's nnls corrupts the heap on an (m, 0) matrix and
+            # returns uninitialised memory on a (0, n) one.
+            return np.zeros(E.shape[1]), float(np.linalg.norm(f))
         try:
             x, dist = nnls(E, f)
         except RuntimeError as exc:

@@ -1,4 +1,9 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,6 +612,104 @@ class TestRowSum:
             start = lp_phase1(problems[k].A, problems[k].b)
             want = solver._phase2_tableau(start, cost[pos], list(start.basis))
             assert T[pos, -1].tobytes() == want[-1].tobytes()
+
+
+class TestPivotProduct:
+    """Both simplex engines form each pivot's rank-1 product by one rule:
+    every entry is the IEEE product, and a zero product is +0."""
+
+    # Pivot on (0, 1) or (2, 0).  Column 1 holds negative entries, a +0
+    # and a -0; row 0 holds zeros of both signs; -0 entries lie in every
+    # row, some where the old update flipped them to +0.
+    T = np.array([
+        [2.0, 4.0, 0.0, -0.0, -3.0, 1.0],
+        [-0.0, -1.5, -0.0, -0.0, 7.0, 2.0],
+        [5.0, 0.0, -0.0, 1.0, -0.0, -0.0],
+        [-0.0, -0.0, -0.0, 3.0, 0.0, 0.0],
+        [1.0, -2.5, 0.0, 0.3, -0.0, -4.0],
+    ])
+    PIVOTS = [(0, 1), (2, 0)]
+
+    @staticmethod
+    def old_update(T, r, j):
+        T = T.copy()
+        prow = T[r] / T[r, j]
+        T -= np.multiply.outer(T[:, j], prow)
+        T[r] = prow
+        return T
+
+    def single(self, r, j):
+        T = self.T.copy()
+        solver._pivot(T, r, j)
+        return T
+
+    def test_engines_give_the_same_bytes(self):
+        stack = np.stack([self.T] * len(self.PIVOTS))
+        r, j = (np.array(v) for v in zip(*self.PIVOTS))
+        at = np.arange(len(stack))
+        solver._pivot_each(stack, r, j, stack[at, :, j], at)
+        for got, (r, j) in zip(stack, self.PIVOTS):
+            assert got.tobytes() == self.single(r, j).tobytes()
+
+    @pytest.mark.parametrize("r,j", PIVOTS)
+    def test_values_of_the_old_update(self, r, j):
+        got, old = self.single(r, j), self.old_update(self.T, r, j)
+        assert np.array_equal(got, old)
+        assert got.tobytes() != old.tobytes()  # a -0 the old update flipped
+
+    @pytest.mark.parametrize("r,j", PIVOTS)
+    def test_rows_off_the_entering_column_unchanged(self, r, j):
+        got = self.single(r, j)
+        zero = np.flatnonzero(self.T[:, j] == 0.0)
+        assert zero.size >= 2
+        for i in zero:
+            assert got[i].tobytes() == self.T[i].tobytes()
+
+
+class TestNoColumns:
+    """Programs with no columns: the LP is optimal at the empty point when
+    its counts are zero and infeasible otherwise, and the ball is
+    infeasible unless it holds the zero image."""
+
+    def test_lp(self):
+        problems = [StandardLP(c=np.zeros(0), A=np.zeros((len(b), 0)), b=b)
+                    for b in ([0.0, 0.0], [0.0, -1.0], [], [-0.0])]
+        want = [solve_lp(p) for p in problems]
+        assert [w.status for w in want] == ["optimal", "infeasible", "optimal", "optimal"]
+        for w in (want[0], want[2], want[3]):
+            assert (w.x.shape, w.basis, w.objective, w.iterations) == ((0,), (), 0.0, 0)
+        assert lp_phase1(problems[0].A, problems[0].b).rows == ()
+        for g, w in zip(solve_lp_stack(problems), want):
+            assert_same_solution(g, w)
+
+    def test_cone_in_a_subprocess(self):
+        # scipy's nnls aborts the interpreter on an (m, 0) matrix, so a
+        # regression must fail this test, not end the session
+        code = (
+            "import numpy as np\n"
+            "from odflow.solver import ConeProblem, _CountedNnls, solve_cone\n"
+            "for objective, delta in (('l1', 0.5), ('l2', 0.5), ('l1', 0.0), ('l2', 0.0)):\n"
+            "    sol = solve_cone(ConeProblem(A=np.zeros((2, 0)), y=np.array([3.0, 4.0]),\n"
+            "                                 delta=delta, objective=objective))\n"
+            "    print(sol.status, sol.x.shape, sol.residual_cone)\n"
+            "for E in (np.zeros((2, 0)), np.zeros((0, 3))):\n"
+            "    x, dist = _CountedNnls()(E, np.ones(E.shape[0]))\n"
+            "    print(x.tolist(), dist)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        *cones, wide, tall = done.stdout.splitlines()
+        assert len(cones) == 4
+        for line, delta in zip(cones, (0.5, 0.5, 0.0, 0.0)):
+            status, shape, residual = line.rsplit(" ", 2)
+            # y itself certifies it: ||y - A z|| = ||y|| = 5 for every z
+            assert (status, shape) == ("infeasible", "(0,)")
+            assert float(residual) == pytest.approx(5.0 - delta)
+        assert wide == f"[] {math.sqrt(2.0)}"
+        assert tall == "[0.0, 0.0, 0.0] 0.0"
 
 
 class TestListScanParity:
