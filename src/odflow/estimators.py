@@ -13,7 +13,10 @@ already decoded into OD flows and path splits.  The programs:
 * ``vmt_bounds``           min/max sum(v*x)  s.t. A x = y, x >= 0
 
 Because x >= 0, sum(x) equals the l1 norm, so the l1 programs are plain
-linear programs.
+linear programs.  Each noiseless one enters through one phase-1 door,
+:func:`_feasible_start`, which checks the counts; every estimator leaves
+through :func:`accept_points`, and a point it rejects raises the error
+of its status.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .network import (
 )
 from .solver import (
     ConeProblem,
+    FeasibleBasis,
     Solution,
-    StandardLP,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
@@ -40,7 +43,6 @@ from .solver import (
     lp_phase1,
     lp_phase2,
     solve_cone,
-    solve_lp,
 )
 
 # Entries below this (relative) floor are treated as structural zeros when
@@ -152,15 +154,10 @@ def _check_counts(ms: MeasurementSystem, y, *, nonnegative: bool) -> np.ndarray:
     return y
 
 
-def _raise_for_status(sol: Solution, method: str) -> None:
-    if sol.status == STATUS_INFEASIBLE:
-        raise InfeasibleError(
-            f"{method}: no nonnegative allocation explains the counts", sol
-        )
-    if sol.status == STATUS_ITERATION_LIMIT:
-        raise IterationLimitError(f"{method}: iteration limit reached", sol)
-    if sol.status == STATUS_UNBOUNDED:
-        raise UnboundedError(f"{method}: unbounded program", sol)
+def _feasible_start(ms: MeasurementSystem, y) -> FeasibleBasis:
+    """Phase 1 on checked noiseless counts: the one start of every program
+    over ``{x >= 0 : A x = y}``."""
+    return lp_phase1(ms.matrix, _check_counts(ms, y, nonnegative=True))
 
 
 def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +178,20 @@ def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
 def _accepted(ms: MeasurementSystem, sol: Solution, method: str) -> Allocation:
     """The allocation of an accepted solver point; raises for any other."""
     ok, x = accept_points(sol.status, sol.x)
-    if not ok:
-        _raise_for_status(sol, method)
-        raise EstimationError(
-            f"{method}: solver returned a significantly negative entry "
-            f"({np.min(sol.x):.3e})", sol
+    if ok:
+        return Allocation(x=x, table=ms.table, labels=ms.col_labels)
+    if sol.status == STATUS_INFEASIBLE:
+        raise InfeasibleError(
+            f"{method}: no nonnegative allocation explains the counts", sol
         )
-    return Allocation(x=x, table=ms.table, labels=ms.col_labels)
+    if sol.status == STATUS_ITERATION_LIMIT:
+        raise IterationLimitError(f"{method}: iteration limit reached", sol)
+    if sol.status == STATUS_UNBOUNDED:
+        raise UnboundedError(f"{method}: unbounded program", sol)
+    raise EstimationError(
+        f"{method}: solver returned a significantly negative entry "
+        f"({np.min(sol.x):.3e})", sol
+    )
 
 
 def _finish(ms: MeasurementSystem, sol: Solution, method: str,
@@ -210,19 +214,15 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
 
 def estimate_l1(ms: MeasurementSystem, y) -> EstimationResult:
     """Sparsest-looking allocation: minimize total flow subject to the counts."""
-    y = _check_counts(ms, y, nonnegative=True)
-    lp = StandardLP(c=np.ones(ms.n_cols), A=ms.matrix, b=y, sense="min")
-    return _finish(ms, solve_lp(lp), "l1")
+    return _finish(ms, lp_phase2(_feasible_start(ms, y), np.ones(ms.n_cols)), "l1")
 
 
 def estimate_weighted_l1(ms: MeasurementSystem, y,
                          weights: WeightMatrix) -> EstimationResult:
     """Weighted variant: entries with larger weights are penalized harder."""
-    y = _check_counts(ms, y, nonnegative=True)
     if weights.lam.shape != (ms.n_cols,):
         raise ValueError("weight vector length does not match column count")
-    lp = StandardLP(c=weights.lam, A=ms.matrix, b=y, sense="min")
-    return _finish(ms, solve_lp(lp), "weighted-l1")
+    return _finish(ms, lp_phase2(_feasible_start(ms, y), weights.lam), "weighted-l1")
 
 
 def estimate_l2(ms: MeasurementSystem, y) -> EstimationResult:
@@ -235,8 +235,6 @@ def estimate_l2(ms: MeasurementSystem, y) -> EstimationResult:
 def estimate_l1_noisy(ms: MeasurementSystem, y, delta: float) -> EstimationResult:
     """Noise-aware l1 program: counts only have to hold within a ball."""
     y = _check_counts(ms, y, nonnegative=False)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     cone = ConeProblem(A=ms.matrix, y=y, delta=delta, objective="l1")
     return _finish(ms, solve_cone(cone), "l1-noisy")
 
@@ -244,8 +242,6 @@ def estimate_l1_noisy(ms: MeasurementSystem, y, delta: float) -> EstimationResul
 def estimate_l2_noisy(ms: MeasurementSystem, y, delta: float) -> EstimationResult:
     """Noise-aware minimum-norm program."""
     y = _check_counts(ms, y, nonnegative=False)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     cone = ConeProblem(A=ms.matrix, y=y, delta=delta, objective="l2")
     return _finish(ms, solve_cone(cone), "l2-noisy")
 
@@ -268,17 +264,16 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
     # every later weight.
     if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon {epsilon} must be finite and positive")
-    y = _check_counts(ms, y, nonnegative=True)
     # Every round has the same feasible set, so one phase 1 serves them all.
-    start = lp_phase1(ms.matrix, y)
-    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols), "min"), "l1")
+    start = _feasible_start(ms, y)
+    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols)), "l1")
     trace = [float(np.sum(result.allocation.x))]
     if epsilon is None:
         peak = float(np.max(result.allocation.x, initial=0.0))
         epsilon = max(1e-3 * peak, 1e-12)
     for _ in range(iters - 1):
         lam = 1.0 / (result.allocation.x + epsilon)
-        result = _finish(ms, lp_phase2(start, lam, "min"), "weighted-l1")
+        result = _finish(ms, lp_phase2(start, lam), "weighted-l1")
         trace.append(float(np.sum(result.allocation.x)))
     return replace(result, method="reweighted-l1", objective_trace=tuple(trace))
 
@@ -325,14 +320,13 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
     :class:`UnboundedError` naming the column, without solving the
     maximum, so callers can treat it as a failed trial.
     """
-    y = _check_counts(ms, y, nonnegative=True)
     v = np.asarray(path_lengths, dtype=float).ravel()
     if v.shape != (ms.n_cols,):
         raise ValueError("path_lengths length does not match column count")
     if v.size and not (np.isfinite(v).all() and v.min() >= 0):
         raise ValueError("path lengths must be finite and nonnegative")
 
-    start = lp_phase1(ms.matrix, y)
+    start = _feasible_start(ms, y)
     lo = lp_phase2(start, v, "min")
     x_min = _accepted(ms, lo, "vmt-min")
     j = uncovered_column(ms, v)

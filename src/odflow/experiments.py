@@ -223,11 +223,6 @@ def _check_m(m: int, n_links: int) -> None:
         raise MeasurementCountError(f"m {m} outside 1..{n_links}")
 
 
-def _prefix(all_links: Sequence[LinkId], perm, m: int) -> tuple[LinkId, ...]:
-    """The links at the first ``m`` positions of ``perm``, in canonical order."""
-    return tuple(all_links[i] for i in np.sort(perm[:m]).tolist())
-
-
 def sample_measurements(
     all_links: Sequence[LinkId], m: int, rng: np.random.Generator
 ) -> tuple[LinkId, ...]:
@@ -235,7 +230,8 @@ def sample_measurements(
     prefix of one random permutation, so that prefixes of the same
     permutation for growing ``m`` are nested."""
     _check_m(m, len(all_links))
-    return _prefix(all_links, rng.permutation(len(all_links)), m)
+    perm = rng.permutation(len(all_links))
+    return tuple(all_links[i] for i in np.sort(perm[:m]).tolist())
 
 
 def add_noise(y, nu: float, rng: np.random.Generator) -> np.ndarray:

@@ -90,6 +90,61 @@ def test_non_finite_counts_rejected(six_link_system, method, value):
         ESTIMATORS[method](six_link_system, y)
 
 
+@pytest.fixture
+def phase1_counts(monkeypatch):
+    """The count vector of every phase 1 the estimators run."""
+    calls = []
+    phase1 = estimators.lp_phase1
+    monkeypatch.setattr(estimators, "lp_phase1",
+                        lambda A, b: calls.append(b) or phase1(A, b))
+    return calls
+
+
+class TestFeasibleStart:
+    # every noiseless linear program enters through one phase 1 on checked counts
+    LP_ESTIMATORS = {
+        "l1": estimate_l1,
+        "weighted-l1": ESTIMATORS["weighted-l1"],
+        "reweighted-l1": lambda ms, y: reweighted_l1(ms, y, iters=3),
+        # unit lengths on the measured columns only, so the maximum is bounded
+        "vmt": lambda ms, y: vmt_bounds(ms, y, ms.matrix.any(axis=0).astype(float)),
+    }
+
+    @pytest.mark.parametrize("method", sorted(LP_ESTIMATORS))
+    def test_one_phase1_per_estimate(self, six_link_system, phase1_counts, method):
+        y = six_link_system.matrix @ four_sparse_truth()
+        self.LP_ESTIMATORS[method](six_link_system, list(y))
+        assert len(phase1_counts) == 1
+        assert phase1_counts[0].tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("method", sorted(LP_ESTIMATORS))
+    @pytest.mark.parametrize("bad,message", [
+        ("nan", "counts must be finite"),
+        ("negative", "counts must be nonnegative"),
+        ("short", "count vector length 5 does not match 6 rows"),
+    ])
+    def test_bad_counts_reach_no_phase1(self, six_link_system, phase1_counts,
+                                        method, bad, message):
+        y = six_link_system.matrix @ four_sparse_truth()
+        y = {"nan": np.where(np.arange(6) == 2, np.nan, y),
+             "negative": np.where(np.arange(6) == 2, -1.0, y),
+             "short": y[:5]}[bad]
+        with pytest.raises(ValueError, match=message):
+            self.LP_ESTIMATORS[method](six_link_system, y)
+        assert phase1_counts == []
+
+    def test_bad_weights_and_lengths_reach_no_phase1(self, six_link_system,
+                                                     phase1_counts):
+        y = six_link_system.matrix @ four_sparse_truth()
+        with pytest.raises(ValueError, match="weight vector length"):
+            estimate_weighted_l1(six_link_system, y, WeightMatrix(np.ones(13)))
+        lengths = np.ones(14)
+        lengths[3] = np.nan
+        with pytest.raises(ValueError, match="path lengths must be finite"):
+            vmt_bounds(six_link_system, y, lengths)
+        assert phase1_counts == []
+
+
 class TestL1:
     def test_exact_recovery_from_six_counts(self, six_link_system):
         rng = np.random.default_rng(42)
@@ -200,9 +255,13 @@ class TestNoisy:
         noiseless = estimate_l1(six_link_system, y).objective
         assert objectives[2] == pytest.approx(noiseless, rel=1e-4)
 
-    def test_negative_delta_rejected(self, six_link_system):
-        with pytest.raises(ValueError):
-            estimate_l1_noisy(six_link_system, np.ones(6), -1.0)
+    @pytest.mark.parametrize("delta", [-1.0, np.nan, np.inf], ids=["-1", "nan", "inf"])
+    @pytest.mark.parametrize("estimate", [estimate_l1_noisy, estimate_l2_noisy],
+                             ids=["l1-noisy", "l2-noisy"])
+    def test_negative_delta_rejected(self, six_link_system, estimate, delta):
+        # one check, the cone solver's, for every delta outside [0, inf)
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            estimate(six_link_system, np.ones(6), delta)
 
 
 class TestWeighted:
@@ -413,17 +472,28 @@ class TestVmtBounds:
             vmt_bounds(six_link_system, np.zeros(6), lengths)
 
     def test_matches_two_solve_lp_calls(self, fig2, nguyen):
-        # min and max share one phase 1; each must equal its own full solve
+        # min and max share one phase 1; each must equal its own full solve,
+        # as must the plain and weighted l1 estimates of the same programs
         for bundle, m in ((fig2, 6), (nguyen, 22), (nguyen, 38)):
             lengths = path_lengths(bundle)
             link_ids = list(bundle.network.link_ids)
             rng = np.random.default_rng(m)
+            weight_rng = np.random.default_rng((m, 1))
             n = bundle.table.n_paths
             for _ in range(10):
                 measured = [link_ids[i] for i in sorted(rng.permutation(len(link_ids))[:m])]
                 ms = build_static_incidence(bundle.table, measured, bundle.network)
                 x = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 100.0, n), 0.0)
                 y = ms.matrix @ x
+                lam = weight_rng.uniform(0.5, 2.0, n)
+                for c, est in ((np.ones(n), estimate_l1(ms, y)),
+                               (lam, estimate_weighted_l1(ms, y, WeightMatrix(lam)))):
+                    sol = solve_lp(StandardLP(c=c, A=ms.matrix, b=y, sense="min"))
+                    assert est.status == sol.status
+                    assert est.allocation.x.tobytes() == np.clip(sol.x, 0.0, None).tobytes()
+                    assert est.objective == sol.objective
+                    assert est.iterations == sol.iterations
+                    assert est.residual_eq == sol.residual_eq
                 lo, hi = (
                     solve_lp(StandardLP(c=lengths, A=ms.matrix, b=y, sense=sense))
                     for sense in ("min", "max")
