@@ -218,11 +218,15 @@ def _cmd_enumerate(args) -> int:
 def _build_system(args, net, table):
     meas = fileio.load_measurements(args.measurements)
     y = np.asarray(meas.counts, dtype=float)
+    # A count file holds link ids as text: each names the network link whose
+    # id prints the same (validate_network keeps that link unique).
+    link = {str(lid): lid for lid in net.link_ids}
     if meas.kind == "dynamic":
-        return build_dynamic_system(table, net, meas.row_labels), y
+        rows = [(link.get(lid, lid), t) for lid, t in meas.row_labels]
+        return build_dynamic_system(table, net, rows), y
     if args.dynamic:
         raise UsageError("--dynamic needs a 'link_id,time,count' measurement file")
-    measured = list(meas.row_labels)
+    measured = [link.get(lid, lid) for lid in meas.row_labels]
     return build_static_incidence(table, measured, net), y
 
 

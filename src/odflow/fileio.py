@@ -121,8 +121,17 @@ def _node_key(raw):
     return raw
 
 
+def _number(value, name):
+    """A JSON number: ``float()`` and ``int()`` would also take a bool or
+    a string, which a network file may not give."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    return value
+
+
 def _whole(value) -> int:
     """A travel time as an int; a float must be integral (``2.0`` is 2)."""
+    value = _number(value, "travel_time")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"travel_time {value!r} is not an integer")
     return int(value)
@@ -139,7 +148,7 @@ def load_network(path: FsPath | str) -> Network:
                 id=entry["id"],
                 tail=entry["tail"],
                 head=entry["head"],
-                length=float(entry.get("length", 1.0)),
+                length=float(_number(entry.get("length", 1.0), "length")),
                 travel_time=_whole(entry.get("travel_time", 1)),
             )
             for entry in data["links"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -279,11 +280,15 @@ def validate_network(net: Network) -> Network:
     """Check all structural invariants; return the network unchanged."""
     if len(set(net.nodes)) != len(net.nodes):
         raise NetworkError("duplicate node ids")
-    seen_ids = set()
+    seen_ids, printed = set(), set()
     for ln in net.links:
         if ln.id in seen_ids:
             raise DuplicateLinkIdError(f"duplicate link id {ln.id!r}")
+        # count files name links by their printed ids
+        if str(ln.id) in printed:
+            raise DuplicateLinkIdError(f"link id {ln.id!r} prints like another link's id")
         seen_ids.add(ln.id)
+        printed.add(str(ln.id))
         if ln.tail == ln.head:
             raise SelfLoopError(f"link {ln.id!r} is a self loop at node {ln.tail!r}")
         for endpoint in (ln.tail, ln.head):
@@ -291,9 +296,11 @@ def validate_network(net: Network) -> Network:
                 raise DanglingEndpointError(
                     f"link {ln.id!r} references undeclared node {endpoint!r}"
                 )
-        if not (math.isfinite(ln.length) and ln.length >= 0):
-            raise NetworkError(f"link {ln.id!r} length must be finite and nonnegative")
-        if not isinstance(ln.travel_time, (int, np.integer)) or ln.travel_time < 0:
+        if (isinstance(ln.length, bool) or not isinstance(ln.length, numbers.Real)
+                or not (math.isfinite(ln.length) and ln.length >= 0)):
+            raise NetworkError(f"link {ln.id!r} length must be a finite nonnegative number")
+        if (isinstance(ln.travel_time, bool)
+                or not isinstance(ln.travel_time, (int, np.integer)) or ln.travel_time < 0):
             raise NetworkError(
                 f"link {ln.id!r} travel_time must be a nonnegative integer"
             )

@@ -29,9 +29,10 @@ Two engines:
   column count at once, for the Monte Carlo sweeps that solve thousands
   of them: their tableaus, padded with zero rows, form one array, and
   each pivot step applies Bland's rule to every program by numpy calls
-  over the whole stack.  Phase 1's verdict and cleanup, phase 2's first
-  tableau and the basic points are numpy calls over the stack as well,
-  so no per-program Python runs between the phases.  Every sum the two
+  over the whole stack.  Both engines start each phase from one builder
+  (:func:`_phase1_tableau`, :func:`_phase2_tableau`) of one system or a
+  stack, and phase 1's verdict and cleanup and the basic points are numpy
+  calls over the stack too, so no per-program Python runs between phases.  Every sum the two
   engines share (phase 1's cost row and ``||b||_1``, phase 2's first cost
   row and objective) adds rows in order (:func:`_row_sum`), which zero
   padding leaves as it is, so the stack forms each for all its programs
@@ -360,6 +361,23 @@ def _lp_cost(c, n, sense):
     return c
 
 
+def _phase1_tableau(A, b, sign):
+    """Phase 1's first tableau of ``A x = b``, or of each system of a stack
+    (``... x m x n``), with ``A_work``, ``b_work`` and ``||b||_1``: each row
+    times its ``sign``, which makes its count nonnegative (or zeros a
+    padding row).  The artificials' basis is the identity, so the tableau,
+    ``[A_work | I | b_work]`` over minus the column sums (:func:`_row_sum`)
+    and zero on the artificials, needs no factorization."""
+    m, n = A.shape[-2:]
+    A_work, b_work = A * sign[..., None], b * sign
+    b_sum = _row_sum(b_work[..., None])[..., 0]
+    T = np.zeros(A.shape[:-2] + (m + 1, n + m + 1))
+    T[..., :m, :n], T[..., :m, -1] = A_work, b_work
+    T[..., m, :n], T[..., m, -1] = -_row_sum(A_work), -b_sum
+    T[..., :m, n:-1] = np.eye(m)
+    return T, A_work, b_work, b_sum
+
+
 def lp_phase1(A, b) -> FeasibleBasis:
     """Phase 1 of the simplex: a feasible basis of ``A x = b, x >= 0``.
 
@@ -370,19 +388,7 @@ def lp_phase1(A, b) -> FeasibleBasis:
     """
     A, b = _lp_system(A, b)
     m, n = A.shape
-
-    # The artificials' basis is the identity, so the first tableau needs no
-    # factorization: [A_work | I | b_work], each row signed to make its
-    # count nonnegative, over the phase-1 reduced costs, which are minus
-    # the column sums on A_work and b_work and zero on the artificials.
-    # b_work is |b|, so its sum is ||b||_1, the scale of the verdict.
-    sign = np.where(b < 0, -1.0, 1.0)
-    A_work, b_work = A * sign[:, None], b * sign
-    b_sum = float(_row_sum(b_work[:, None])[0])
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n], T[:m, -1] = A_work, b_work
-    T[m, :n], T[m, -1] = -_row_sum(A_work), -b_sum
-    T[:m, n:-1] = np.eye(m)
+    T, A_work, b_work, b_sum = _phase1_tableau(A, b, np.where(b < 0, -1.0, 1.0))
     basis = list(range(n, n + m))
     status, iters, _ = _pivot_loop(T, basis)
     if status == STATUS_ITERATION_LIMIT:
@@ -390,7 +396,7 @@ def lp_phase1(A, b) -> FeasibleBasis:
     artificial = [pos for pos, k in enumerate(basis) if k >= n]
     if artificial:
         left = float(_row_sum(T[artificial, -1:])[0])
-        if left > _TOL_FEAS * max(1.0, b_sum):
+        if left > _TOL_FEAS * max(1.0, float(b_sum)):
             return FeasibleBasis(A=A, b=b, status=STATUS_INFEASIBLE, iterations=iters)
 
     # Pivot leftover artificial variables out of the basis, each on the
@@ -431,18 +437,20 @@ def lp_phase1(A, b) -> FeasibleBasis:
     )
 
 
-def _phase2_tableau(start: FeasibleBasis, cost, basis):
-    """Phase 2's first tableau, without a factorization: phase 1's final
-    rows over the reduced costs of ``cost`` (zero on basic columns) and
-    minus the objective."""
-    tab = start.tableau
-    k = tab.shape[0]
-    T = np.empty((k + 1, tab.shape[1]))
-    T[:k] = tab
-    s = _row_sum(cost[basis][:, None] * tab)  # c_B' [B^-1 A | B^-1 b]
-    T[k, :-1] = cost - s[:-1]
-    T[k, basis] = 0.0
-    T[k, -1] = -s[-1]
+def _phase2_tableau(tableau, cost, cost_basic):
+    """Phase 2's first tableau from phase 1's final rows ``tableau`` of one
+    system or of each system of a stack, without a factorization: those
+    rows over the reduced costs ``cost - c_B' tableau`` (``cost_basic`` is
+    ``c_B``; a zero padding row adds nothing to :func:`_row_sum`) and minus
+    the objective.  Each pivot (:func:`_pivot`, :func:`_pivot_each`) keeps a
+    basic column an exact unit vector, so its reduced cost comes out
+    ``cost_j - cost_j``, zero."""
+    k, n = tableau.shape[-2], tableau.shape[-1] - 1
+    T = np.empty(tableau.shape[:-2] + (k + 1, n + 1))
+    T[..., :k, :] = tableau
+    s = _row_sum(cost_basic[..., None] * tableau)
+    T[..., k, :n] = cost - s[..., :n]
+    T[..., k, n] = -s[..., n]
     return T
 
 
@@ -460,7 +468,8 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
                         iterations=start.iterations)
     cost = c if sense == "min" else -c
     basis = list(start.basis)
-    status, iters, unbounded_j = _pivot_loop(_phase2_tableau(start, cost, basis), basis)
+    T = _phase2_tableau(start.tableau, cost, cost[basis])
+    status, iters, unbounded_j = _pivot_loop(T, basis)
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
         return Solution(x=np.zeros(n), status=status, objective=math.nan,
@@ -510,8 +519,9 @@ def _phase1_stack(A, b, rows):
     """:func:`lp_phase1` on a stack of systems as arrays.
 
     ``A`` is ``K x R x n`` and ``b`` is ``K x R``; system ``k`` is their
-    first ``rows[k]`` rows, and its first tableau is padded with zero rows,
-    whose artificials stay basic at zero; the artificial of row ``i`` is
+    first ``rows[k]`` rows, and its first tableau (:func:`_phase1_tableau`,
+    with a zero sign on each padding row) is padded with zero rows, whose
+    artificials stay basic at zero; the artificial of row ``i`` is
     column ``n + i`` in every system.  Returns ``(status, iterations,
     start)``: ``start`` is None when no system is feasible, else the
     feasible systems' indices, phase 1's final rows of their bases over
@@ -519,23 +529,13 @@ def _phase1_stack(A, b, rows):
     kept rows of ``[A | b]``, each row signed as phase 1 signs it, all
     packed to the top and padded with zeros.  The outcome is decided as
     :func:`lp_phase1` decides it, by numpy calls over the stack: the
-    first cost row, whose last entry is minus ``||b||_1`` (the sum of the
-    signed, zero-padded counts), and the artificials' sum add rows in
-    order (:func:`_row_sum`), so that each rounds as the single solve's
-    does, and leftover artificials are pivoted out one position per
-    system a step.
+    artificials' sum adds rows in order (:func:`_row_sum`), as
+    ``||b||_1`` does, so that each rounds as the single solve's does, and
+    leftover artificials are pivoted out one position per system a step.
     """
     K, R, n = A.shape
     real = np.arange(R) < rows[:, None]
-    sign = np.where(b < 0, -1.0, 1.0)
-    sign[~real] = 0.0  # padding rows become zero
-    Aw, bw = A * sign[:, :, None], b * sign
-    b_sum = _row_sum(bw[:, :, None])[:, 0]  # ||b||_1
-    T = np.zeros((K, R + 1, n + R + 1))
-    T[:, :R, :n] = Aw
-    T[:, :R, -1] = bw
-    T[:, R, :n], T[:, R, -1] = -_row_sum(Aw), -b_sum
-    T[:, :R, n:-1] = np.eye(R)
+    T, Aw, bw, b_sum = _phase1_tableau(A, b, np.where(real, np.where(b < 0, -1.0, 1.0), 0.0))
     basis = np.tile(np.arange(n, n + R), (K, 1))
     status, iters, _ = _pivot_stack(T, basis)
     art = (basis >= n) & real
@@ -591,24 +591,15 @@ def _phase2_stack(cost, tableau, basis, size, system):
     """:func:`lp_phase2` from the feasible systems of :func:`_phase1_stack`,
     ``cost`` one row per system, as one stack of phase 1's kept rows.
 
-    Each system's first cost row, ``cost - c_B' T`` and minus the
-    objective, is formed for the whole stack by one :func:`_row_sum`, so
-    that it rounds as :func:`_phase2_tableau`'s does.  Returns the
-    statuses, pivot counts, unbounded indices and final bases, and the
-    basic points from one batched ``np.linalg.solve`` per basis size (zero
-    at an iteration limit), the one batch per size left, as LAPACK's LU
-    of a padded basis can round differently.
+    Every system's first tableau comes from one :func:`_phase2_tableau`
+    call on the whole stack.  Returns the statuses, pivot counts,
+    unbounded indices and final bases, and the basic points from one
+    batched ``np.linalg.solve`` per basis size (zero at an iteration
+    limit), the one batch per size left, as LAPACK's LU of a padded basis
+    can round differently.
     """
-    K, R, n = tableau.shape[0], tableau.shape[1], cost.shape[1]
-    T = np.zeros((K, R + 1, n + 1))
-    T[:, :R] = tableau
-    # A padding row of the tableau is zero, so it adds nothing to the sum.
-    s = _row_sum(np.take_along_axis(cost, basis, axis=1)[:, :, None] * tableau)
-    T[:, R, :n] = cost - s[:, :n]
-    k, pos = np.nonzero(np.arange(R) < size[:, None])
-    T[k, R, basis[k, pos]] = 0.0
-    T[:, R, n] = -s[:, n]
-
+    K, n = tableau.shape[0], cost.shape[1]
+    T = _phase2_tableau(tableau, cost, np.take_along_axis(cost, basis, axis=1))
     status, iters, unbounded = _pivot_stack(T, basis)
     x = np.zeros((K, n))
     done = status != STATUS_ITERATION_LIMIT
@@ -978,7 +969,8 @@ def solve_cone(p: ConeProblem) -> Solution:
     """Exact solve of the ball-constrained nonnegative program.
 
     * ``||y|| <= delta``: zero is feasible, hence optimal.
-    * l1 objective, ``delta = 0``: the linear program, by :func:`solve_lp`.
+    * l1 objective, ``delta = 0``: the linear program, by :func:`lp_phase1`
+      and :func:`lp_phase2`.
     * Otherwise the residual of ``nnls(A, y)`` is the distance from ``y``
       to the nonnegative image of ``A``.  Above ``delta`` the ball is
       infeasible if the residual certifies it (:func:`_separates`), and
@@ -989,7 +981,7 @@ def solve_cone(p: ConeProblem) -> Solution:
       ``A x_ls`` (NNLS residual equal to ``delta``): the feasible set is
       ``{x >= 0 : A x = A x_ls}``.  For l2 its least-norm point, a
       least-distance program; for l1 the optimum of that linear program,
-      by :func:`solve_lp`.
+      by :func:`lp_phase1` and :func:`lp_phase2`.
     * Otherwise the optimum lies on the sphere, on the path of
       ``min f(x) + (nu/2)||A x - y||²``.  On each support piece of that
       path the multiplier is a root: of a secular equation for l2, by
@@ -1027,7 +1019,7 @@ def solve_cone(p: ConeProblem) -> Solution:
     if scale <= delta:
         return optimal(np.zeros(n), 0)
     if delta == 0.0 and not quad:
-        sol = solve_lp(StandardLP(c=lam, A=A, b=y))
+        sol = lp_phase2(lp_phase1(A, y), lam)
         return replace(sol, residual_cone=float(np.linalg.norm(y - A @ sol.x)))
 
     # Counts scaled to unit norm; the solution scales back linearly.
@@ -1053,7 +1045,7 @@ def solve_cone(p: ConeProblem) -> Solution:
             if quad:
                 x = _min_norm_point(A, x_ls, solve)
             else:
-                lp = solve_lp(StandardLP(c=lam, A=A, b=A @ x_ls))
+                lp = lp_phase2(lp_phase1(A, A @ x_ls), lam)
                 pivots = lp.iterations
                 if lp.status != STATUS_OPTIMAL:
                     raise _SolveFailed(f"the touching-ball program ended {lp.status}")

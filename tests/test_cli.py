@@ -359,6 +359,50 @@ class TestVmt:
         assert payload["vmt_lower"] <= payload["vmt_upper"]
 
 
+class TestIntegerLinkIds:
+    """A network file may give JSON integer link ids; a count file names
+    each link by its id as text."""
+
+    LINKS = [{"id": 1, "tail": 1, "head": 2}, {"id": 2, "tail": 2, "head": 3},
+             {"id": 3, "tail": 1, "head": 3}]
+
+    def write_network(self, tmp_path, links):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"nodes": [1, 2, 3], "links": links}))
+        return net
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic"])
+    def test_count_files_name_integer_ids(self, tmp_path, kind):
+        net_file = self.write_network(tmp_path, self.LINKS)
+        paths_file = tmp_path / "paths.json"
+        assert main(["enumerate", "--network", str(net_file), "--od", "1,3", "--od", "1,2",
+                     "--output", str(paths_file)]) == 0
+        net = fileio.load_network(net_file)
+        table = PathTable.from_paths(fileio.load_paths(paths_file, net))
+        if kind == "static":
+            ms = build_static_incidence(table, [1, 2, 3], net)
+        else:
+            ms = build_dynamic_system(table, net, grid_rows([1, 2, 3], [0, 1]))
+        x = np.linspace(2.0, 5.0, ms.n_cols)
+        counts = tmp_path / "counts.csv"
+        fileio.save_measurements(
+            fileio.Measurements(kind, ms.row_labels, tuple(ms.matrix @ x)), counts)
+        common = ["--network", str(net_file), "--paths", str(paths_file),
+                  "--measurements", str(counts)]
+        assert main(["estimate", *common, "--method", "l1",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        assert main(["vmt", *common, "--unit", "--output", str(tmp_path / "v.json")]) == 0
+        bounds = json.loads((tmp_path / "v.json").read_text())
+        assert bounds["vmt_lower"] <= bounds["vmt_upper"]
+
+    def test_ids_that_print_alike_rejected(self, tmp_path, capsys):
+        links = self.LINKS[:2] + [{"id": "1", "tail": 1, "head": 3}]
+        rc = main(["enumerate", "--network", str(self.write_network(tmp_path, links)),
+                   "--od", "1,3", "--output", str(tmp_path / "p.json")])
+        assert rc == 3
+        assert "prints like" in capsys.readouterr().err
+
+
 class TestSweepCommands:
     def test_sweep_and_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -99,6 +99,21 @@ class TestNetworkRoundTrip:
         with pytest.raises(NetworkError, match="finite"):
             load_network(self.write_link(tmp_path, f'"length": {length}'))
 
+    @pytest.mark.parametrize("source,field,value", [
+        ("file", "length", "true"), ("file", "travel_time", "true"),
+        ("file", "length", '"2"'), ("file", "travel_time", '"2"'),
+        ("api", "length", True), ("api", "travel_time", True), ("api", "length", "2"),
+    ])
+    def test_length_and_travel_time_must_be_numbers(self, tmp_path, source, field, value):
+        # float() and int() take a bool or a numeric string
+        if source == "file":
+            with pytest.raises(FileFormatError, match=field):
+                load_network(self.write_link(tmp_path, f'"{field}": {value}'))
+        else:
+            net = Network(nodes=(1, 2), links=(Link("a", 1, 2, **{field: value}),))
+            with pytest.raises(NetworkError, match=field):
+                validate_network(net)
+
 
 class TestPathsRoundTrip:
     def test_round_trip(self, bundle, tmp_path):

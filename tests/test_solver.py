@@ -610,8 +610,84 @@ class TestRowSum:
         assert len({int(s) for s in size}) > 1  # programs of several basis sizes
         for pos, k in enumerate(live):
             start = lp_phase1(problems[k].A, problems[k].b)
-            want = solver._phase2_tableau(start, cost[pos], list(start.basis))
+            want = solver._phase2_tableau(start.tableau, cost[pos], cost[pos][list(start.basis)])
             assert T[pos, -1].tobytes() == want[-1].tobytes()
+
+
+def phase_start_systems(kind, fig2, nguyen):
+    """``(A, b)`` systems of one kind, each meeting counts of a flow."""
+    if kind == "cleanup":
+        return [cleanup_system(nguyen)]
+    if kind == "nguyen-dynamic":
+        ids = list(nguyen.network.link_ids)
+        A = build_dynamic_system(nguyen.table, nguyen.network, grid_rows(ids, range(2, 5))).matrix
+        rng = np.random.default_rng(7)
+        x = np.zeros(A.shape[1])
+        x[rng.choice(A.shape[1], 40, replace=False)] = rng.uniform(1.0, 50.0, 40)
+        return [(A, A @ x)]
+    bundle = fig2 if kind == "fig2" else nguyen
+    net = bundle.network
+    full = build_static_incidence(bundle.table, net.link_ids, net)
+    systems = []
+    for t in range(12):
+        rng = substream(47, t)
+        if kind == "fig2":
+            x = sample_allocation(bundle.table, sample_support(bundle.table, 2 + t % 5, rng), rng)
+            m = 3 + t % 8
+        else:
+            x, m = nguyen_counts(nguyen, rng), (18, 26, 38)[t % 3]
+        ms = full.subsystem(sample_measurements(full.row_labels, m, rng))
+        systems.append((ms.matrix, ms.matrix @ x))
+    return systems
+
+
+class TestPhaseStarts:
+    """Both engines build phase 2's first cost row by one builder,
+    ``solver._phase2_tableau``, which writes no reduced cost of its own: it
+    relies on every basic column of phase 1's final tableau being an exact
+    unit vector, so that a basic column's reduced cost comes out zero."""
+
+    @pytest.mark.parametrize("kind", ["fig2", "nguyen", "nguyen-dynamic", "cleanup"])
+    def test_basic_columns_are_unit_vectors(self, kind, fig2, nguyen, monkeypatch):
+        systems = phase_start_systems(kind, fig2, nguyen)
+        n = systems[0][0].shape[1]
+        rng = np.random.default_rng(3)
+        # path-length-like costs with zeros, whose negation under max is -0
+        costs = [np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.5, 2.0, n))
+                 for _ in systems]
+        firsts = []
+        loop, stack = solver._pivot_loop, solver._pivot_stack
+        monkeypatch.setattr(solver, "_pivot_loop",
+                            lambda T, basis: firsts.append(T.copy()) or loop(T, basis))
+        monkeypatch.setattr(solver, "_pivot_stack",
+                            lambda T, basis: firsts.append(T.copy()) or stack(T, basis))
+
+        for (A, b), c in zip(systems, costs):
+            start = lp_phase1(A, b)
+            assert start.status == "optimal"
+            basis = list(start.basis)
+            assert np.array_equal(start.tableau[:, basis], np.eye(len(basis)))
+            for sense in ("min", "max"):
+                firsts.clear()
+                lp_phase2(start, c, sense)
+                assert not firsts[0][-1, basis].any()
+
+        # the stack, two zero rows below its longest system
+        rows = [len(b) for _, b in systems]
+        A = np.zeros((len(systems), max(rows) + 2, n))
+        b = np.zeros(A.shape[:2])
+        for k, (A_k, b_k) in enumerate(systems):
+            A[k, :rows[k]], b[k, :rows[k]] = A_k, b_k
+        _, _, (live, tableau, basis, size, system) = solver._phase1_stack(A, b, np.array(rows))
+        assert live.size == len(systems)
+        for pos, s in enumerate(size.tolist()):
+            assert np.array_equal(tableau[pos, :s][:, basis[pos, :s]], np.eye(s))
+        for sign in (1.0, -1.0):  # min, and max as the min of the negation
+            firsts.clear()
+            solver._phase2_stack(sign * np.stack(costs), tableau, basis.copy(), size, system)
+            (T,) = firsts
+            for pos, s in enumerate(size.tolist()):
+                assert not T[pos, -1, basis[pos, :s]].any()
 
 
 class TestPivotProduct:
@@ -730,7 +806,7 @@ class TestListScanParity:
         assert got.tableau.tobytes() == want.tableau.tobytes()
         for cost in costs:
             basis = list(got.basis)
-            T = solver._phase2_tableau(got, cost, basis)
+            T = solver._phase2_tableau(got.tableau, cost, cost[basis])
             ref_basis, ref_T = list(basis), T.copy()
             assert solver._pivot_loop(T, basis) == pivot_loop_oracle(ref_T, ref_basis)
             assert basis == ref_basis
