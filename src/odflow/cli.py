@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: parses flags and dispatches each command to the
+library; :mod:`odflow.fileio` reads every input file.
 
 Every command that writes an output file also writes a manifest beside it
 (``<output>.manifest.json``) holding the fully resolved argument vector,
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -80,31 +80,6 @@ def _resolve_network(spec: str):
     if spec in FIXTURE_NAMES:
         return get_fixture(spec).network
     return fileio.load_network(spec)
-
-
-def _resolve_paths(spec: str, net) -> PathTable:
-    if spec in FIXTURE_NAMES:
-        return get_fixture(spec).table
-    paths = fileio.load_paths(spec, net)
-    return PathTable.from_paths(paths)
-
-
-def _read_numbers(path: str, what: str, count: int) -> np.ndarray:
-    """The flat JSON list of ``count`` finite numbers in a ``--weights``,
-    ``--truth`` or ``--lengths`` file."""
-    try:
-        data = json.loads(FsPath(path).read_text())
-        flat = isinstance(data, list) and all(
-            type(v) in (int, float) and math.isfinite(v) for v in data)
-    except (OSError, ValueError, OverflowError) as exc:
-        raise fileio.FileFormatError(f"cannot read {what} file: {exc}") from exc
-    if not flat:
-        raise fileio.FileFormatError(
-            f"{what} file {path} must hold a flat JSON list of finite numbers")
-    if len(data) != count:
-        raise fileio.FileFormatError(
-            f"{what} file {path} holds {len(data)} numbers where {count} are needed")
-    return np.array(data, dtype=float)
 
 
 def _number(convert, low, high=math.inf, *, strict=False, even=False):
@@ -215,7 +190,12 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _build_system(args, net, table):
+def _load_system(args):
+    """The network, path table, measurement system and counts that the
+    ``--network``, ``--paths`` and ``--measurements`` flags name."""
+    net = _resolve_network(args.network)
+    table = (get_fixture(args.paths).table if args.paths in FIXTURE_NAMES
+             else PathTable.from_paths(fileio.load_paths(args.paths, net)))
     meas = fileio.load_measurements(args.measurements)
     y = np.asarray(meas.counts, dtype=float)
     # A count file holds link ids as text: each names the network link whose
@@ -223,11 +203,11 @@ def _build_system(args, net, table):
     link = {str(lid): lid for lid in net.link_ids}
     if meas.kind == "dynamic":
         rows = [(link.get(lid, lid), t) for lid, t in meas.row_labels]
-        return build_dynamic_system(table, net, rows), y
+        return net, table, build_dynamic_system(table, net, rows), y
     if args.dynamic:
         raise UsageError("--dynamic needs a 'link_id,time,count' measurement file")
     measured = [link.get(lid, lid) for lid in meas.row_labels]
-    return build_static_incidence(table, measured, net), y
+    return net, table, build_static_incidence(table, measured, net), y
 
 
 def _cmd_estimate(args) -> int:
@@ -236,9 +216,7 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--delta is required for method {method}")
     if method == "weighted" and args.weights is None:
         raise UsageError("--weights FILE is required for method weighted")
-    net = _resolve_network(args.network)
-    table = _resolve_paths(args.paths, net)
-    ms, y = _build_system(args, net, table)
+    _, _, ms, y = _load_system(args)
 
     if method == "l1":
         result = estimate_l1(ms, y)
@@ -249,14 +227,14 @@ def _cmd_estimate(args) -> int:
     elif method == "l2-noisy":
         result = estimate_l2_noisy(ms, y, args.delta)
     elif method == "weighted":
-        lam = WeightMatrix(_read_numbers(args.weights, "weights", ms.n_cols))
+        lam = WeightMatrix(fileio.load_numbers(args.weights, "weights", ms.n_cols))
         result = estimate_weighted_l1(ms, y, lam)
     else:
         result = reweighted_l1(ms, y, iters=args.iters, epsilon=args.epsilon)
 
     payload = fileio.result_to_dict(result)
     if args.truth is not None:
-        truth = _read_numbers(args.truth, "truth", ms.n_cols)
+        truth = fileio.load_numbers(args.truth, "truth", ms.n_cols)
         nrm = float(np.linalg.norm(truth))
         err = float(np.linalg.norm(result.allocation.x - truth))
         rel = err / nrm if nrm > 0 else err
@@ -271,13 +249,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_vmt(args) -> int:
-    net = _resolve_network(args.network)
-    table = _resolve_paths(args.paths, net)
-    ms, y = _build_system(args, net, table)
+    net, table, ms, y = _load_system(args)
     if args.unit:
         lengths = np.ones(table.n_paths)
     elif args.lengths is not None:
-        lengths = _read_numbers(args.lengths, "lengths", table.n_paths)
+        lengths = fileio.load_numbers(args.lengths, "lengths", table.n_paths)
     else:
         lengths = path_lengths(net, table)
     paths, _ = split_column_labels(ms.col_labels)

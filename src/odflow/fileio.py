@@ -1,4 +1,7 @@
-"""File formats: network/path JSON, measurement CSV, result JSON, manifests.
+"""File formats: network/path JSON, measurement CSV, number-list JSON,
+result JSON, manifests.  This module reads every input file, through
+``_read``, which reports a file it cannot read or decode as a
+:class:`FileFormatError` that names the file.
 
 Schemas (stable; see README for examples):
 
@@ -7,6 +10,7 @@ Schemas (stable; see README for examples):
 * path JSON: ordered list of ``{"od": [o, d], "links": [id, ...]}``
 * measurement CSV: header ``link_id,count`` (static) or
   ``link_id,time,count`` (dynamic); rows keep file order
+* number-list JSON (weights, truth, lengths): a flat list of finite numbers
 * result and bounds JSON: see ``result_to_dict`` / ``bounds_to_dict`` and
   the README; each lists one entry per column, with a ``departure`` in
   dynamic mode
@@ -26,6 +30,8 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .estimators import Allocation, EstimationResult, VmtBounds
@@ -114,6 +120,15 @@ def dump_json(data, path: FsPath | str) -> None:
     FsPath(path).write_text("".join(out))
 
 
+def _read(path: FsPath | str, what: str, decode=str):
+    """``decode`` of the text of the ``what`` file at ``path``: the one
+    read of an input file."""
+    try:
+        return decode(FsPath(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _node_key(raw):
     # JSON object keys are strings; fixture nodes are ints.  Accept both.
     if isinstance(raw, str) and raw.lstrip("-").isdigit():
@@ -138,10 +153,7 @@ def _whole(value) -> int:
 
 
 def load_network(path: FsPath | str) -> Network:
-    try:
-        data = json.loads(FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read network file {path}: {exc}") from exc
+    data = _read(path, "network file", json.loads)
     try:
         links = tuple(
             Link(
@@ -185,10 +197,7 @@ def save_network(net: Network, path: FsPath | str) -> None:
 
 
 def load_paths(path: FsPath | str, net: Network | None = None) -> tuple[Path, ...]:
-    try:
-        data = json.loads(FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read path file {path}: {exc}") from exc
+    data = _read(path, "path file", json.loads)
     if not isinstance(data, list):
         raise FileFormatError(f"path file {path} must hold a JSON list")
     try:
@@ -220,11 +229,7 @@ class Measurements:
 
 
 def load_measurements(path: FsPath | str) -> Measurements:
-    try:
-        text = FsPath(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read measurement file {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_read(path, "measurement file")))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         raise FileFormatError(f"measurement file {path} is empty")
@@ -253,6 +258,23 @@ def load_measurements(path: FsPath | str) -> Measurements:
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     return Measurements(kind=kind, row_labels=tuple(labels), counts=tuple(counts))
+
+
+def load_numbers(path: FsPath | str, what: str, count: int) -> np.ndarray:
+    """The flat JSON list of ``count`` finite numbers in a ``what``
+    (weights, truth or lengths) file."""
+    data = _read(path, f"{what} file", json.loads)
+    try:
+        flat = isinstance(data, list) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in data)
+    except OverflowError:  # an integer past the float range
+        flat = False
+    if not flat:
+        raise FileFormatError(f"{what} file {path} must hold a flat JSON list of finite numbers")
+    if len(data) != count:
+        raise FileFormatError(
+            f"{what} file {path} holds {len(data)} numbers where {count} are needed")
+    return np.array(data, dtype=float)
 
 
 def save_measurements(meas: Measurements, path: FsPath | str) -> None:
@@ -354,10 +376,7 @@ def write_manifest(
 
 
 def load_manifest(path: FsPath | str) -> dict:
-    try:
-        data = json.loads(FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read manifest {path}: {exc}") from exc
+    data = _read(path, "manifest", json.loads)
     argv = data.get("argv") if isinstance(data, dict) else None
     if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv)):
         raise FileFormatError(f"manifest {path} lacks an argv list of strings")

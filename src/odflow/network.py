@@ -276,12 +276,28 @@ def split_column_labels(col_labels: Sequence) -> tuple[np.ndarray, np.ndarray | 
     return cols, None
 
 
+def _is_id(value) -> bool:
+    """A string or an integer, bools excluded: an id that a file can give."""
+    return isinstance(value, (str, int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_node(value) -> bool:
+    """An id, or a tuple of ids such as a grid point's coordinates."""
+    return _is_id(value) or (isinstance(value, tuple) and all(map(_is_id, value)))
+
+
 def validate_network(net: Network) -> Network:
-    """Check all structural invariants; return the network unchanged."""
+    """Check all structural invariants; return the network unchanged.  Link
+    ids are strings or integers; node ids may also be tuples of them."""
+    for node in net.nodes:
+        if not _is_node(node):
+            raise NetworkError(f"node id {node!r} is not a string or an integer")
     if len(set(net.nodes)) != len(net.nodes):
         raise NetworkError("duplicate node ids")
     seen_ids, printed = set(), set()
     for ln in net.links:
+        if not _is_id(ln.id):
+            raise NetworkError(f"link id {ln.id!r} is not a string or an integer")
         if ln.id in seen_ids:
             raise DuplicateLinkIdError(f"duplicate link id {ln.id!r}")
         # count files name links by their printed ids
@@ -291,7 +307,10 @@ def validate_network(net: Network) -> Network:
         printed.add(str(ln.id))
         if ln.tail == ln.head:
             raise SelfLoopError(f"link {ln.id!r} is a self loop at node {ln.tail!r}")
-        for endpoint in (ln.tail, ln.head):
+        for end, endpoint in (("tail", ln.tail), ("head", ln.head)):
+            if not _is_node(endpoint):
+                raise NetworkError(
+                    f"link {ln.id!r} {end} {endpoint!r} is not a string or an integer")
             if endpoint not in net.node_set:
                 raise DanglingEndpointError(
                     f"link {ln.id!r} references undeclared node {endpoint!r}"
@@ -323,6 +342,9 @@ def validate_path(net: Network, p: Path) -> Path:
     if not p.links:
         raise WrongEndpointsError(f"path for OD {p.od} has no links")
     for lid in p.links:
+        if not _is_id(lid):
+            raise NetworkError(
+                f"path for OD {p.od} has link id {lid!r}, not a string or an integer")
         if lid not in net.link_by_id:
             raise UnknownLinkError(f"path references unknown link {lid!r}")
     for a, b in zip(p.links, p.links[1:]):
@@ -536,7 +558,7 @@ def build_dynamic_system(
     row_labels = tuple(row_labels)
     for row in row_labels:
         if not (isinstance(row, tuple) and len(row) == 2
-                and isinstance(row[1], (int, np.integer))):
+                and isinstance(row[1], (int, np.integer)) and not isinstance(row[1], bool)):
             raise NetworkError(f"row {row!r} is not a (link, integer time) pair")
     _check_measured([lid for lid, _ in row_labels], net)
     # per measured link: (path index, entry delay) of each path crossing it

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from odflow import (
 from odflow import cli
 from odflow.cli import main
 from odflow.fixtures import SIX_LINKS_A
+from odflow.network import NetworkError
 from oracles import grid_rows
 
 
@@ -553,6 +555,8 @@ class TestSweepCommands:
         (["sweep", "--supports", "4,8;,"], "argument --supports: empty"),
         (["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--delta", "-1"],
          "argument --delta: must be"),
+        (["sweep", "--supports", ";"], "empty support list"),
+        (["sweep", "--sparsity", "3", "--m-grid", "4:x"], "bad grid spec"),
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv, message):
         # these exited 3, with a raw int() message or after trials ran
@@ -801,6 +805,61 @@ class TestBadInputFiles:
         manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)]}))
         assert main(["rerun", str(manifest)]) == 3
         assert "replays a rerun" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """The documented exits of a bad input file or of a count file at odds
+    with ``--dynamic``."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["estimate", *FIG2, "--method", "l1", "--dynamic"], 2, "--dynamic needs"),
+        (["vmt", *FIG2_ALL, "--unit", "--dynamic"], 2, "--dynamic needs"),
+        (["estimate", *FIG2[:-1], "{ragged}", "--method", "l1"], 3, ":3: wrong column count"),
+        (["estimate", "--network", "fig2", "--paths", "{no_links}", "--measurements",
+          "{counts}", "--method", "l1"], 3, "malformed path file"),
+        (["estimate", "--network", "fig2", "--paths", "{missing}", "--measurements",
+          "{counts}", "--method", "l1"], 3, "cannot read path file"),
+        (["estimate", *FIG2[:-1], "{missing}", "--method", "l1"], 3,
+         "cannot read measurement file"),
+        (["rerun", "{missing}"], 3, "cannot read manifest"),
+    ])
+    def test_exit_code_and_message(self, tmp_path, capsys, inputs, argv, code, message):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("link_id,count\nl1-2,1\nl2-3,1,2\n")
+        no_links = tmp_path / "no_links.json"
+        no_links.write_text(json.dumps([{"od": [1, 3]}]))
+        names = {**inputs, "ragged": ragged, "no_links": no_links,
+                 "missing": tmp_path / "missing"}
+        out = tmp_path / "out"
+        extra = [] if argv[0] == "rerun" else ["--output", str(out)]
+        assert main(fill(argv, names) + extra) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # each raised TypeError (unhashable type: 'list') out of main
+    @pytest.mark.parametrize("network,paths,bad", [
+        ({"nodes": [1, 2], "links": [{"id": [1], "tail": 1, "head": 2}]}, None, "link id [1]"),
+        ({"nodes": [[1], 2], "links": [{"id": "a", "tail": 2, "head": 1}]}, None,
+         "node id [1]"),
+        ({"nodes": [1, 2], "links": [{"id": "a", "tail": 1, "head": 2}]},
+         [{"od": [1, 2], "links": [["a"]]}], "link id ['a']"),
+    ], ids=["link-id", "node-id", "path-link-id"])
+    def test_malformed_ids_exit_3(self, tmp_path, capsys, network, paths, bad):
+        net, path_file = tmp_path / "net.json", tmp_path / "paths.json"
+        net.write_text(json.dumps(network))
+        path_file.write_text(json.dumps(paths or []))
+        counts = tmp_path / "counts.csv"
+        write_counts(counts, ["a"], [1.0])
+        with pytest.raises(NetworkError, match=re.escape(bad)):
+            fileio.load_paths(path_file, fileio.load_network(net))
+        argv = (["enumerate", "--network", str(net), "--od", "1,2"] if paths is None
+                else ["estimate", "--network", str(net), "--paths", str(path_file),
+                      "--measurements", str(counts), "--method", "l1"])
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert bad in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestJsonBytes:

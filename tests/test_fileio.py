@@ -21,6 +21,7 @@ from odflow.fileio import (
     load_manifest,
     load_measurements,
     load_network,
+    load_numbers,
     load_paths,
     result_to_dict,
     save_measurements,
@@ -178,6 +179,25 @@ class TestMeasurements:
         path.write_text("")
         with pytest.raises(FileFormatError):
             load_measurements(path)
+
+
+class TestReadDoor:
+    """Every loader reads its file through ``fileio._read``, so a file that
+    is missing or not text is a ``FileFormatError`` naming it; a count
+    file of bad bytes raised a bare ``UnicodeDecodeError``."""
+
+    @pytest.mark.parametrize("load", [
+        load_network, load_paths, load_measurements, load_manifest,
+        lambda path: load_numbers(path, "weights", 3),
+    ], ids=["network", "paths", "measurements", "manifest", "numbers"])
+    @pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "not-utf8"])
+    def test_unreadable_file_named(self, tmp_path, load, content):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(FileFormatError) as info:
+            load(path)
+        assert str(path) in str(info.value)
 
 
 class TestResultSerialization:

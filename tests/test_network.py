@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,17 @@ class TestValidateNetwork:
         net = Network(nodes=(1, 2), links=(Link("a", 1, 2, travel_time=0.5),))
         with pytest.raises(NetworkError):
             validate_network(net)
+
+    @pytest.mark.parametrize("nodes,link,bad", [
+        ((True, 2), Link("a", True, 2), "node id True"),
+        ((1, 2), Link(1.5, 1, 2), "link id 1.5"),
+        ((1, 2), Link(None, 1, 2), "link id None"),
+        ((1, 2), Link("a", 1, (2, [3])), "head (2, [3])"),
+    ], ids=["bool-node", "float-link", "none-link", "list-head"])
+    def test_ids_must_be_strings_or_integers(self, nodes, link, bad):
+        # a bool, a float or None hashed and passed; a list crashed
+        with pytest.raises(NetworkError, match=re.escape(bad)):
+            validate_network(Network(nodes=nodes, links=(link,)))
 
 
 class TestValidatePath:
@@ -382,7 +394,7 @@ class TestDynamicSystem:
             build_dynamic_system(fig1.table, fig1.network, [])
 
     @pytest.mark.parametrize("row", ["l1-2", ("l1-2",), ("l1-2", 0, 1), ("l1-2", 0.0),
-                                     ("l1-2", "0"), ["l1-2", 0]])
+                                     ("l1-2", "0"), ["l1-2", 0], ("l1-2", True)])
     def test_row_must_be_link_and_integer_time(self, fig1, row):
         with pytest.raises(NetworkError, match="integer time"):
             build_dynamic_system(fig1.table, fig1.network, [("l1-3", 0), row])
