@@ -14,9 +14,19 @@ already decoded into OD flows and path splits.  The programs:
 
 Because x >= 0, sum(x) equals the l1 norm, so the l1 programs are plain
 linear programs.  Each noiseless one enters through one phase-1 door,
-:func:`_feasible_start`, which checks the counts; every estimator leaves
-through :func:`accept_points`, and a point it rejects raises the error
-of its status.
+:func:`_feasible_start`, which checks the counts and presolves them: a
+zero count on a row with no negative entry forces every column with a
+positive entry in that row to zero, since a sum of nonnegative terms is
+zero only when each term is (Andersen & Andersen 1995, "Presolving in
+linear programming").  The door drops each such row and each column it
+forces out, so the simplex runs on the kept rows and columns and finds
+the same feasible set on them; its answers come back at full size, zero
+on the dropped columns (:meth:`_Start.solve`).  The test ``y_i == 0`` is
+exact, and every incidence this library builds is nonnegative, so on
+noiseless sparse counts the programs shrink; noisy counts go to the cone
+solver and are not presolved.  Every estimator leaves through
+:func:`accept_points`, and a point it rejects raises the error of its
+status.
 """
 
 from __future__ import annotations
@@ -154,10 +164,56 @@ def _check_counts(ms: MeasurementSystem, y, *, nonnegative: bool) -> np.ndarray:
     return y
 
 
-def _feasible_start(ms: MeasurementSystem, y) -> FeasibleBasis:
+@dataclass(frozen=True)
+class _Start:
+    """Phase 1 of a presolved count program: ``phase1`` is the feasible
+    basis of the kept rows on the columns ``cols`` (full column indices,
+    ascending) of a program with ``n`` columns."""
+
+    phase1: FeasibleBasis
+    cols: np.ndarray
+    n: int
+
+    def solve(self, c, sense: str = "min") -> Solution:
+        """:func:`lp_phase2` of ``c'x`` on the kept columns, its point,
+        basis and unbounded column mapped back to the full program.  The
+        objective, residual and pivot count are the presolved program's:
+        each dropped row holds exactly at a point that is zero on every
+        column it crosses."""
+        cols = self.cols
+        sol = lp_phase2(self.phase1, np.asarray(c, dtype=float)[cols], sense)
+        x = np.zeros(self.n)
+        x[cols] = sol.x
+        return replace(
+            sol,
+            x=x,
+            basis=None if sol.basis is None else tuple(cols[list(sol.basis)].tolist()),
+            unbounded_index=(None if sol.unbounded_index is None
+                             else int(cols[sol.unbounded_index])),
+        )
+
+
+def _feasible_start(ms: MeasurementSystem, y) -> _Start:
     """Phase 1 on checked noiseless counts: the one start of every program
-    over ``{x >= 0 : A x = y}``."""
-    return lp_phase1(ms.matrix, _check_counts(ms, y, nonnegative=True))
+    over ``{x >= 0 : A x = y}``.
+
+    Presolves first.  A zero count on a row whose entries are all
+    nonnegative makes every column with a positive entry in that row zero
+    at each feasible point; the row is dropped with those columns, and
+    phase 1 runs on the rest.  The dropped rows hold at every point that
+    is zero on the dropped columns, so the feasible set on the kept
+    columns is the same, and a kept positive count whose every column is
+    dropped is infeasible, as it is in the full program.  A zero-count
+    row with a negative entry is kept whole.
+    """
+    y = _check_counts(ms, y, nonnegative=True)
+    A = ms.matrix
+    zero = (y == 0) & ~(A < 0).any(axis=1)
+    keep = ~zero
+    cols = np.flatnonzero(~(A[zero] > 0).any(axis=0))
+    # ``np.ix_`` keeps the kept rows C-ordered, as ``ms.matrix`` is, so
+    # residual products run as on the full program
+    return _Start(lp_phase1(A[np.ix_(keep, cols)], y[keep]), cols, ms.n_cols)
 
 
 def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +270,7 @@ def _finish(ms: MeasurementSystem, sol: Solution, method: str,
 
 def estimate_l1(ms: MeasurementSystem, y) -> EstimationResult:
     """Sparsest-looking allocation: minimize total flow subject to the counts."""
-    return _finish(ms, lp_phase2(_feasible_start(ms, y), np.ones(ms.n_cols)), "l1")
+    return _finish(ms, _feasible_start(ms, y).solve(np.ones(ms.n_cols)), "l1")
 
 
 def estimate_weighted_l1(ms: MeasurementSystem, y,
@@ -222,7 +278,7 @@ def estimate_weighted_l1(ms: MeasurementSystem, y,
     """Weighted variant: entries with larger weights are penalized harder."""
     if weights.lam.shape != (ms.n_cols,):
         raise ValueError("weight vector length does not match column count")
-    return _finish(ms, lp_phase2(_feasible_start(ms, y), weights.lam), "weighted-l1")
+    return _finish(ms, _feasible_start(ms, y).solve(weights.lam), "weighted-l1")
 
 
 def estimate_l2(ms: MeasurementSystem, y) -> EstimationResult:
@@ -266,14 +322,14 @@ def reweighted_l1(ms: MeasurementSystem, y, iters: int = 4,
         raise ValueError(f"epsilon {epsilon} must be finite and positive")
     # Every round has the same feasible set, so one phase 1 serves them all.
     start = _feasible_start(ms, y)
-    result = _finish(ms, lp_phase2(start, np.ones(ms.n_cols)), "l1")
+    result = _finish(ms, start.solve(np.ones(ms.n_cols)), "l1")
     trace = [float(np.sum(result.allocation.x))]
     if epsilon is None:
         peak = float(np.max(result.allocation.x, initial=0.0))
         epsilon = max(1e-3 * peak, 1e-12)
     for _ in range(iters - 1):
         lam = 1.0 / (result.allocation.x + epsilon)
-        result = _finish(ms, lp_phase2(start, lam), "weighted-l1")
+        result = _finish(ms, start.solve(lam), "weighted-l1")
         trace.append(float(np.sum(result.allocation.x)))
     return replace(result, method="reweighted-l1", objective_trace=tuple(trace))
 
@@ -327,7 +383,7 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
         raise ValueError("path lengths must be finite and nonnegative")
 
     start = _feasible_start(ms, y)
-    lo = lp_phase2(start, v, "min")
+    lo = start.solve(v, "min")
     x_min = _accepted(ms, lo, "vmt-min")
     j = uncovered_column(ms, v)
     if j is not None:
@@ -336,7 +392,7 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
             f"vmt-max: unbounded; column {label!r} crosses no measured link",
             path_label=label,
         )
-    hi = lp_phase2(start, v, "max")
+    hi = start.solve(v, "max")
     return VmtBounds(
         x_min=x_min,
         x_max=_accepted(ms, hi, "vmt-max"),

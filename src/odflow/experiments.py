@@ -231,7 +231,10 @@ def sample_measurements(
     permutation for growing ``m`` are nested."""
     _check_m(m, len(all_links))
     perm = rng.permutation(len(all_links))
-    return tuple(all_links[i] for i in np.sort(perm[:m]).tolist())
+    # From a list: a tuple built from a generator is sized for 10 and shrunk,
+    # and CPython parks each freed one on its new size's free list, so every
+    # call left one more block held.
+    return tuple([all_links[i] for i in np.sort(perm[:m]).tolist()])
 
 
 def add_noise(y, nu: float, rng: np.random.Generator) -> np.ndarray:

@@ -39,6 +39,7 @@ from .network import (
     Link,
     Network,
     Path,
+    _is_id,
     split_column_labels,
     validate_network,
     validate_path,
@@ -207,9 +208,16 @@ def load_paths(path: FsPath | str, net: Network | None = None) -> tuple[Path, ..
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise FileFormatError(f"malformed path file {path}: {exc}") from exc
-    if net is not None:
-        for p in paths:
+    for p in paths:
+        if net is not None:
             validate_path(net, p)
+        # without a network nothing else checks the ids, and a list id
+        # fails later, unhashable, in ``PathTable.from_paths``
+        for v in (*p.od, *p.links):
+            if not _is_id(v):
+                raise FileFormatError(
+                    f"path file {path}: path for OD {p.od} has id {v!r}, "
+                    "not a string or an integer")
     return paths
 
 

@@ -430,7 +430,9 @@ def lp_phase1(A, b) -> FeasibleBasis:
         status=STATUS_OPTIMAL,
         iterations=iters,
         rows=tuple(rows),
-        basis=tuple(basis[pos] for pos in kept),
+        # From a list: a tuple built from a generator is shrunk to size, and
+        # CPython parks each freed one on its size's free list for good.
+        basis=tuple([basis[pos] for pos in kept]),
         A_kept=A_work[rows],
         b_kept=b_work[rows],
         tableau=tableau,

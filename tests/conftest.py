@@ -1,3 +1,5 @@
+import gc
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +77,20 @@ def json_writes(monkeypatch):
 
     monkeypatch.setattr(fileio, "dump_json", record)
     return writes
+
+
+@pytest.fixture()
+def block_growth():
+    """``growth(call)``: how many more memory blocks the interpreter holds
+    after 2,000 calls of ``call`` than before them.  A full collection
+    empties CPython's free lists first, and 100 calls refill those a call
+    leaves at a fixed length, so what grows is what each call leaves."""
+    def growth(call, calls=2_000):
+        gc.collect()
+        for _ in range(100):
+            call()
+        before = sys.getallocatedblocks()
+        for _ in range(calls):
+            call()
+        return sys.getallocatedblocks() - before
+    return growth

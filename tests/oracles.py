@@ -12,6 +12,8 @@ solver's array scans; they share its rank-1 update.
 :func:`allocation_oracle` is the allocation sampler as it walked every OD
 pair of the table, the reference for the one that walks only the pairs
 its support touches.
+:func:`zero_count_presolve` is the estimators' presolve read row by row,
+the reference for the one phase-1 door's array form.
 :func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
 from ``json``'s own encoder.  :func:`grid_rows` is no reference either: it
 spells the paper's links x times grid as the rows a dynamic system is built
@@ -214,6 +216,22 @@ def phase1_oracle(A, b) -> FeasibleBasis:
     return FeasibleBasis(A=A, b=b, status=STATUS_OPTIMAL, iterations=iters,
                          rows=tuple(rows), basis=tuple(basis[pos] for pos in kept),
                          A_kept=A_work[rows], b_kept=b_work[rows], tableau=tableau)
+
+
+def zero_count_presolve(A, y):
+    """``(rows, cols)``: the row and column indices of ``A x = y, x >= 0``
+    kept by the zero-count presolve, read row by row.  A row goes when its
+    count is zero and no entry is negative, and with it every column with
+    a positive entry there, which every feasible point holds at zero."""
+    A, y = np.asarray(A, dtype=float), np.asarray(y, dtype=float)
+    rows, dropped = [], set()
+    for i, row in enumerate(A.tolist()):
+        if y[i] == 0 and min(row, default=0.0) >= 0:
+            dropped.update(j for j, a in enumerate(row) if a > 0)
+        else:
+            rows.append(i)
+    cols = [j for j in range(A.shape[1]) if j not in dropped]
+    return np.array(rows, dtype=int), np.array(cols, dtype=int)
 
 
 def allocation_oracle(pt, support, rng, flow_range=(1.0, 100.0)) -> np.ndarray:

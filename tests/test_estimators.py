@@ -23,12 +23,13 @@ from odflow import (
 )
 from odflow import estimators
 from odflow.estimators import EstimationError, uncovered_column
+from odflow.network import MeasurementSystem
 from odflow.fixtures import (
     SIX_LINKS_A,
     SIX_LINKS_B,
     SUPPORT_4SPARSE,
 )
-from oracles import grid_rows
+from oracles import grid_rows, zero_count_presolve
 
 
 def four_sparse_truth(f1=10.0, f2=20.0, f3=40.0):
@@ -143,6 +144,121 @@ class TestFeasibleStart:
         with pytest.raises(ValueError, match="path lengths must be finite"):
             vmt_bounds(six_link_system, y, lengths)
         assert phase1_counts == []
+
+
+def api_system(matrix, table):
+    """A static system over ``table``'s paths with a hand-written matrix."""
+    matrix = np.array(matrix, dtype=float)
+    return MeasurementSystem(matrix, tuple(range(matrix.shape[0])),
+                             tuple(range(matrix.shape[1])), "static", table)
+
+
+@pytest.fixture
+def phase1_systems(monkeypatch):
+    """The ``(A, b)`` of every phase 1 the estimators run."""
+    calls = []
+    phase1 = estimators.lp_phase1
+    monkeypatch.setattr(estimators, "lp_phase1",
+                        lambda A, b: calls.append((A, b)) or phase1(A, b))
+    return calls
+
+
+class TestPresolve:
+    # the phase-1 door drops zero-count rows without negative entries and
+    # the columns they force to zero, and maps every answer back
+    def test_positive_count_with_every_column_forced_out_is_infeasible(
+            self, fig2, phase1_systems):
+        # row 0 counts zero on paths 0-2, so row 1's count of 5 on paths 1
+        # and 2 has no column left
+        A = np.zeros((3, 14))
+        A[0, :3] = A[1, 1:3] = A[2, 3:] = 1.0
+        ms, y = api_system(A, fig2.table), [0.0, 5.0, 4.0]
+        for estimate in (estimate_l1, lambda ms, y: vmt_bounds(ms, y, np.ones(14))):
+            with pytest.raises(InfeasibleError):
+                estimate(ms, y)
+        assert solve_lp(StandardLP(c=np.ones(14), A=A, b=y)).status == "infeasible"
+        kept, b = phase1_systems[0]
+        assert kept.shape == (2, 11) and not kept[0].any() and b.tolist() == [5.0, 4.0]
+
+    def test_zero_row_with_a_negative_entry_is_kept(self, fig2, phase1_systems):
+        # x_1 - x_7 = 0 holds the two flows equal; dropping that row with
+        # column 1 would force x_1 and then x_7 to zero.  l4-2's zero count
+        # goes, with paths 4, 8 and 11.
+        x = four_sparse_truth(f1=20.0)
+        links = build_static_incidence(fig2.table, SIX_LINKS_B, fig2.network).matrix
+        A = np.vstack([links, np.eye(14)[1] - np.eye(14)[7]])
+        ms = api_system(A, fig2.table)
+        y = A @ x
+        assert y[-1] == 0.0
+        got = estimate_l1(ms, y)
+        want = solve_lp(StandardLP(c=np.ones(14), A=A, b=y))
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert np.linalg.norm(got.allocation.x - want.x) <= 1e-9 * np.linalg.norm(want.x)
+        assert got.allocation.x[1] == pytest.approx(got.allocation.x[7], rel=1e-9)
+        assert got.allocation.x[1] > 0
+        kept, b = phase1_systems[0]
+        assert kept.shape == (6, 11) and (kept[-1] < 0).any() and b[-1] == 0.0
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_all_zero_counts_give_zero(self, fig1, fig2, phase1_systems, dynamic):
+        ms = (build_dynamic_system(fig1.table, fig1.network,
+                                   grid_rows(fig1.network.link_ids, [1, 2]))
+              if dynamic else build_static_incidence(fig2.table, SIX_LINKS_A, fig2.network))
+        y = np.zeros(ms.n_rows)
+        covered = ms.matrix.any(axis=0).astype(float)
+        for res in (estimate_l1(ms, y), reweighted_l1(ms, y, iters=2),
+                    estimate_weighted_l1(ms, y, WeightMatrix(np.full(ms.n_cols, 2.0)))):
+            assert res.status == "optimal"
+            assert res.objective == 0.0 and res.residual_eq == 0.0
+            assert res.allocation.x.tobytes() == np.zeros(ms.n_cols).tobytes()
+        bounds = vmt_bounds(ms, y, covered)
+        assert bounds.vmt_lower == bounds.vmt_upper == 0.0
+        assert not bounds.x_min.x.any() and not bounds.x_max.x.any()
+        # no row is left, and only columns that cross no measured row
+        assert all(A.shape == (0, ms.n_cols - int(covered.sum())) for A, _ in phase1_systems)
+
+    def test_basis_and_unbounded_index_are_full_columns(self, fig1):
+        full = build_dynamic_system(fig1.table, fig1.network,
+                                    grid_rows(fig1.network.link_ids, [2, 3, 4]))
+        rng = np.random.default_rng(5)
+        shifted = 0
+        for _ in range(30):
+            keep = np.sort(rng.permutation(full.n_rows)[:int(rng.integers(2, full.n_rows))])
+            ms = full.subsystem([full.row_labels[i] for i in keep])
+            x = np.where(rng.random(ms.n_cols) < 0.3, rng.uniform(1.0, 100.0, ms.n_cols), 0.0)
+            y = ms.matrix @ x
+            rows, cols = zero_count_presolve(ms.matrix, y)
+            start = estimators._feasible_start(ms, y)
+            assert start.cols.tolist() == cols.tolist()
+            lengths = np.ones(ms.n_cols)
+            for c, sense in ((lengths, "min"), (lengths, "max")):
+                got = start.solve(c, sense)
+                want = solve_lp(StandardLP(c=c[cols], A=ms.matrix[np.ix_(rows, cols)],
+                                           b=y[rows], sense=sense))
+                assert got.status == want.status
+                assert got.basis == tuple(cols[list(want.basis)].tolist())
+                assert set(np.flatnonzero(got.x)) <= set(got.basis)
+                if want.unbounded_index is None:
+                    assert got.unbounded_index is None
+                    continue
+                assert got.unbounded_index == cols[want.unbounded_index]
+                assert got.unbounded_index == uncovered_column(ms, lengths)
+                shifted += got.unbounded_index != want.unbounded_index
+        assert shifted  # some certificate sits past a dropped column
+
+    def test_vmt_names_the_full_column(self, fig2, phase1_systems):
+        # l3-1's zero count forces out paths 0, 5 and 12; path 9 (l4-1 ->
+        # l1-2) is the first that crosses no measured link, column 7 of the
+        # presolved program
+        ms = build_static_incidence(fig2.table, ["l3-1", "l3-2", "l3-4"], fig2.network)
+        x = np.zeros(14)
+        x[[1, 3]] = 4.0, 7.0
+        with pytest.raises(UnboundedError) as exc:
+            vmt_bounds(ms, ms.matrix @ x, np.ones(14))
+        assert uncovered_column(ms, np.ones(14)) == 9
+        assert exc.value.path_label == ms.col_labels[9] == 9
+        kept, _ = phase1_systems[0]
+        assert kept.shape == (2, 11)
 
 
 class TestL1:
@@ -472,8 +588,11 @@ class TestVmtBounds:
             vmt_bounds(six_link_system, np.zeros(6), lengths)
 
     def test_matches_two_solve_lp_calls(self, fig2, nguyen):
-        # min and max share one phase 1; each must equal its own full solve,
-        # as must the plain and weighted l1 estimates of the same programs
+        # min and max share one phase 1 of the presolved program; each must
+        # equal solve_lp on that program bit for bit, zero on the dropped
+        # columns, and the full program's solve to 1e-9, as must the plain
+        # and weighted l1 estimates of the same programs
+        presolved = 0
         for bundle, m in ((fig2, 6), (nguyen, 22), (nguyen, 38)):
             lengths = path_lengths(bundle)
             link_ids = list(bundle.network.link_ids)
@@ -486,29 +605,49 @@ class TestVmtBounds:
                 x = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 100.0, n), 0.0)
                 y = ms.matrix @ x
                 lam = weight_rng.uniform(0.5, 2.0, n)
+                rows, cols = zero_count_presolve(ms.matrix, y)
+                presolved += cols.size < n
+
+                def solves(c, sense="min"):
+                    # solve_lp on the presolved program, at full size, and
+                    # on the full program
+                    sol = solve_lp(StandardLP(c=c[cols], A=ms.matrix[np.ix_(rows, cols)],
+                                              b=y[rows], sense=sense))
+                    full = np.zeros(n)
+                    full[cols] = sol.x
+                    return (replace(sol, x=full),
+                            solve_lp(StandardLP(c=c, A=ms.matrix, b=y, sense=sense)))
+
+                def close(got, want):
+                    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+                    assert (np.linalg.norm(got.x - np.clip(want.x, 0.0, None))
+                            <= 1e-9 * np.linalg.norm(want.x))
+
                 for c, est in ((np.ones(n), estimate_l1(ms, y)),
                                (lam, estimate_weighted_l1(ms, y, WeightMatrix(lam)))):
-                    sol = solve_lp(StandardLP(c=c, A=ms.matrix, b=y, sense="min"))
-                    assert est.status == sol.status
+                    sol, full = solves(c)
+                    assert est.status == sol.status == full.status
                     assert est.allocation.x.tobytes() == np.clip(sol.x, 0.0, None).tobytes()
                     assert est.objective == sol.objective
                     assert est.iterations == sol.iterations
                     assert est.residual_eq == sol.residual_eq
-                lo, hi = (
-                    solve_lp(StandardLP(c=lengths, A=ms.matrix, b=y, sense=sense))
-                    for sense in ("min", "max")
-                )
+                    close(replace(sol, x=est.allocation.x), full)
+                (lo, lo_full), (hi, hi_full) = (solves(lengths, sense) for sense in ("min", "max"))
                 try:
                     bounds = vmt_bounds(ms, y, lengths)
                 except UnboundedError as exc:
                     # raised from coverage, before the max program is solved
-                    assert hi.status == "unbounded"
-                    assert exc.path_label == ms.col_labels[hi.unbounded_index]
+                    assert hi.status == hi_full.status == "unbounded"
+                    assert exc.path_label == ms.col_labels[hi_full.unbounded_index]
+                    assert cols[hi.unbounded_index] == hi_full.unbounded_index
                     continue
                 assert bounds.vmt_lower == lo.objective
                 assert bounds.vmt_upper == hi.objective
-                assert np.array_equal(bounds.x_min.x, np.clip(lo.x, 0.0, None))
-                assert np.array_equal(bounds.x_max.x, np.clip(hi.x, 0.0, None))
+                assert bounds.x_min.x.tobytes() == np.clip(lo.x, 0.0, None).tobytes()
+                assert bounds.x_max.x.tobytes() == np.clip(hi.x, 0.0, None).tobytes()
+                close(replace(lo, x=bounds.x_min.x), lo_full)
+                close(replace(hi, x=bounds.x_max.x), hi_full)
+        assert presolved  # some programs shrank
 
     def test_coverage_rule_matches_simplex_on_dynamic_systems(self, fig1, fig2, nguyen):
         # Row subsets of time-expanded systems leave some (path, departure)

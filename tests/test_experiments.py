@@ -41,6 +41,13 @@ from oracles import allocation_oracle, brute_force_grid_paths
 
 
 class TestSampling:
+    def test_measured_tuple_leaves_no_block_behind(self, fig2, block_growth):
+        # a tuple built from a generator is sized for 10 and shrunk, and
+        # CPython keeps each freed one on its free list of 7-tuples
+        links = list(fig2.network.link_ids)
+        rng = np.random.default_rng(0)
+        assert block_growth(lambda: sample_measurements(links, 7, rng)) < 100
+
     def test_full_support(self, fig2):
         rng = substream(0, 0)
         assert sample_support(fig2.table, 14, rng) == tuple(range(14))
@@ -576,9 +583,21 @@ class TestVmtSweep:
         assert 0 < unbounded < 40
         assert len(calls) == 40 - unbounded
 
-    # sha256 of repr of every point's fields: the report of the sweep that
-    # computed the path lengths on every call
-    PINNED_REPORT = "b7998901ac1ff9476309c13ce1f2a1b3adabf229cc8f85cf4e92dbd96335c4f2"
+    def test_phase1_runs_on_the_presolved_systems(self, monkeypatch):
+        # each trial's zero counts and the columns they force out stay out
+        # of phase 1, which sees only positive counts
+        calls = []
+        phase1 = estimators.lp_phase1
+        monkeypatch.setattr(estimators, "lp_phase1",
+                            lambda A, b: calls.append((A.shape, b)) or phase1(A, b))
+        run_vmt_sweep(TrialConfig(fixture="nguyen", trials=10, seed=3), m_grid=[26, 38])
+        assert calls and all(b.min() > 0 for _, b in calls)
+        assert max(shape[1] for shape, _ in calls) < 66
+
+    # sha256 of repr of every point's fields, with the zero-count presolve;
+    # the full programs give the same rates and counts and differ only in
+    # M = 22's mean_ratio_min, by 2.3e-16 relative
+    PINNED_REPORT = "3a8e68713fb7b1be2453fa2fafd943ee788011c219592bc2c2f3e6b1bd30b269"
 
     def test_report_pinned(self):
         report = run_vmt_sweep(TrialConfig(fixture="nguyen", trials=30, seed=8),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ class TestPathsRoundTrip:
         path = tmp_path / "paths.json"
         path.write_text('{"a": 1}')
         with pytest.raises(FileFormatError):
+            load_paths(path)
+
+    @pytest.mark.parametrize("entry,bad", [
+        ({"od": [[1], 3], "links": ["a"]}, "[1]"),
+        ({"od": [1, None], "links": ["a"]}, "None"),
+        ({"od": [1, 3], "links": ["a", ["b"]]}, "['b']"),
+        ({"od": [1, 3], "links": [1.5]}, "1.5"),
+    ], ids=["od-list", "od-null", "link-list", "link-float"])
+    def test_ids_checked_without_a_network(self, tmp_path, entry, bad):
+        # a list id loaded, then failed unhashable in PathTable.from_paths
+        path = tmp_path / "paths.json"
+        path.write_text(json.dumps([{"od": [1, 3], "links": ["a"]}, entry]))
+        with pytest.raises(FileFormatError, match=re.escape(f"has id {bad},")):
             load_paths(path)
 
 

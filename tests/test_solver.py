@@ -37,6 +37,7 @@ from odflow.solver import (
     solve_lp_padded,
 )
 from odflow.experiments import _STACK_TRIALS
+from odflow.fixtures import SUPPORT_3SPARSE
 from oracles import (
     ProblemTooLargeError,
     grid_rows,
@@ -214,6 +215,16 @@ class TestSolveLp:
 
 
 class TestLpPhases:
+    def test_phase1_leaves_no_block_behind(self, fig2, block_growth):
+        # a basis tuple built from a generator is sized for 10 and shrunk,
+        # and CPython keeps each freed one on its free list of 7-tuples
+        ms = build_static_incidence(fig2.table, list(fig2.network.link_ids)[:7], fig2.network)
+        x = np.zeros(14)
+        x[list(SUPPORT_3SPARSE)] = 10.0, 20.0, 30.0
+        y = ms.matrix @ x
+        assert len(lp_phase1(ms.matrix, y).basis) == 7
+        assert block_growth(lambda: lp_phase1(ms.matrix, y)) < 100
+
     def test_shared_phase1_matches_full_solves(self):
         # phase 2 must leave the shared phase-1 state untouched, so every
         # objective optimized from it matches a fresh solve
