@@ -287,7 +287,7 @@ def _cmd_noisy_cdf(args) -> int:
 
 def _cmd_vmt_sweep(args) -> int:
     cfg = TrialConfig(fixture=args.fixture, trials=args.trials, seed=args.seed)
-    report = run_vmt_sweep(cfg, m_grid=args.m_grid, recovery_tol=args.recovery_tol)
+    report = run_vmt_sweep(cfg, m_grid=args.m_grid)
     fileio.write_csv(args.output, report.CSV_HEADER, report.csv_rows())
     print(f"{len(report.points)} M values -> {args.output}")
     return EXIT_OK
@@ -436,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", default="nguyen", choices=FIXTURE_NAMES)
     p.add_argument("--m-grid", type=_grid, default="14,18,22,26,30,34,38")
     p.add_argument("--trials", type=_AT_LEAST_1, default=500)
-    p.add_argument("--recovery-tol", type=_NONNEGATIVE, default=0.001)
     _add_seed(p)
     p.add_argument("--output", required=True, help="CSV to write")
     p.set_defaults(func=_cmd_vmt_sweep)

@@ -123,7 +123,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
 class TrialConfig:
     """The settings every sweep reads: fixture, trials per grid point and
     experiment seed.  Each sweep takes the rest (grid, supports, noise) as
-    arguments of its own.  ``tol`` is the recovery tolerance, a constant.
+    arguments of its own.  ``tol`` is the recovery tolerance, a constant;
+    it stays a field because the benchmark reads it.
     """
 
     fixture: str = "fig2"
@@ -138,13 +139,6 @@ class TrialConfig:
         if self.trials < 1:
             raise ValueError(f"trials {self.trials} must be at least 1")
         _check_uint64("seed", self.seed)
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    # Checked up front: a negative or NaN tolerance would grade every trial
-    # a failure, and a NaN noise level would give NaN counts.
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} {value} must be finite and nonnegative")
 
 
 def sample_support(pt: PathTable, s: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -243,7 +237,9 @@ def add_noise(y, nu: float, rng: np.random.Generator) -> np.ndarray:
     Values are deliberately not clipped at zero; the noise-aware programs
     must cope with slightly negative counts.
     """
-    _check_nonnegative("nu", nu)
+    # A NaN noise level would give NaN counts.
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu {nu} must be finite and nonnegative")
     y = np.asarray(y, dtype=float)
     if nu == 0:
         return y.copy()
@@ -577,33 +573,29 @@ class VmtReport:
         ]
 
 
-def run_vmt_sweep(
-    cfg: TrialConfig,
-    m_grid: Sequence[int],
-    recovery_tol: float = 0.001,
-) -> VmtReport:
+def run_vmt_sweep(cfg: TrialConfig, m_grid: Sequence[int]) -> VmtReport:
     """Travel-bound recovery study on the Nguyen-Dupuis fixture.
 
     Each trial routes one random path per OD pair with a random flow, then
     bounds total travel from a random measured subset.  Recovery means the
-    bounding program returned the truth itself (absolute l2 error at most
-    ``recovery_tol``); among failures the mean ratios of the bounds to the
-    true value are recorded.  Trials where the maximizing program is
-    unbounded (a path of positive length crosses no measured link,
-    :func:`~odflow.estimators.uncovered_column`) count as failures with
-    their ratio excluded and are tallied separately; their counts come from
-    the truth and so are feasible, and they are settled before any solve.
+    bounding program returned the truth itself, by the path-allocation flag
+    of :func:`grade_recovery`, which grades every bounded min and max
+    program of a grid point in one call; among failures the mean ratios of
+    the bounds to the true value are recorded.  Trials where the maximizing
+    program is unbounded (a path of positive length crosses no measured
+    link, :func:`~odflow.estimators.uncovered_column`) count as failures
+    with their ratio excluded and are tallied separately; their counts come
+    from the truth and so are feasible, and they are settled before any
+    solve.
     """
-    _check_nonnegative("recovery_tol", recovery_tol)
     bundle, full = _sweep_system(cfg.fixture, m_grid)
     pt, link_ids = bundle.table, full.row_labels
     lengths = bundle.path_lengths
 
     points: list[VmtSweepPoint] = []
     for p_idx, m in enumerate(m_grid):
-        rec_min = rec_max = unbounded = violations = 0
-        ratios_min: list[float] = []
-        ratios_max: list[float] = []
+        unbounded = violations = 0
+        truths, bounded = [], []
         for t in range(cfg.trials):
             rng = substream(cfg.seed, p_idx * cfg.trials + t)
             x_true = np.zeros(pt.n_paths)
@@ -621,19 +613,21 @@ def run_vmt_sweep(
                 and bounds.vmt_upper >= true_value - 1e-6
             ):
                 violations += 1
-            if float(np.linalg.norm(bounds.x_min.x - x_true)) <= recovery_tol:
-                rec_min += 1
-            else:
-                ratios_min.append(bounds.vmt_lower / true_value)
-            if float(np.linalg.norm(bounds.x_max.x - x_true)) <= recovery_tol:
-                rec_max += 1
-            else:
-                ratios_max.append(bounds.vmt_upper / true_value)
+            truths.append(x_true)
+            bounded.append((bounds, true_value))
+        ok_min = ok_max = []
+        if bounded:
+            # one grade: the min programs' rows, then the max programs'
+            x_hat = [b.x_min.x for b, _ in bounded] + [b.x_max.x for b, _ in bounded]
+            path_ok = grade_recovery(x_hat, truths + truths, pt)[:, 0]
+            ok_min, ok_max = path_ok.reshape(2, -1).tolist()
+        ratios_min = [b.vmt_lower / v for (b, v), ok in zip(bounded, ok_min) if not ok]
+        ratios_max = [b.vmt_upper / v for (b, v), ok in zip(bounded, ok_max) if not ok]
         points.append(VmtSweepPoint(
             m=m,
             trials=cfg.trials,
-            rate_min=rec_min / cfg.trials,
-            rate_max=rec_max / cfg.trials,
+            rate_min=sum(ok_min) / cfg.trials,
+            rate_max=sum(ok_max) / cfg.trials,
             mean_ratio_min=float(np.mean(ratios_min)) if ratios_min else math.nan,
             mean_ratio_max=float(np.mean(ratios_max)) if ratios_max else math.nan,
             unbounded_count=unbounded,

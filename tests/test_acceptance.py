@@ -198,7 +198,7 @@ def test_criterion_4_noisy_comparison():
 @pytest.fixture(scope="module")
 def vmt_report():
     cfg = TrialConfig(fixture="nguyen", trials=500, seed=16_180)
-    return run_vmt_sweep(cfg, m_grid=[18, 22, 26], recovery_tol=0.001)
+    return run_vmt_sweep(cfg, m_grid=[18, 22, 26])
 
 
 def test_criterion_5a_travel_bound_sandwich(vmt_report):

@@ -679,12 +679,12 @@ def fill(argv, inputs):
 
 class TestFlagValues:
     # each of these exited 0 or 3 (after reading inputs or running
-    # trials), or gave a usage error from the command body
+    # trials), or gave a usage error from the command body; the two
+    # vmt-sweep cases cover that command's flags
     @pytest.mark.parametrize("argv,flag", [
-        (["vmt-sweep", "--m-grid", "38", "--trials", "2", "--recovery-tol", "-1"],
-         "--recovery-tol"),
-        (["vmt-sweep", "--m-grid", "38", "--trials", "2", "--recovery-tol", "nan"],
-         "--recovery-tol"),
+        (["vmt-sweep", "--m-grid", "38", "--trials", "0"], "--trials"),
+        (["vmt-sweep", "--m-grid", "38", "--trials", "2", "--fixture", "sioux"],
+         "--fixture"),
         (["enumerate", "--network", "fig1", "--od", "1,3", "--max-links", "-1"],
          "--max-links"),
         (["enumerate", "--network", "fig1", "--od", "1,3", "--max-turns", "-1"],
@@ -757,7 +757,7 @@ class TestManifestRoundTrip:
         ["sweep", "--sparsity", "3,4", "--m-grid", "8,10", "--trials", "4"],
         ["noisy-cdf", "--support", "4,8,12", "--nu", "0.1", "--m", "7",
          "--delta", "0.3", "--trials", "4"],
-        ["vmt-sweep", "--m-grid", "30,38", "--recovery-tol", "0.01", "--trials", "3"],
+        ["vmt-sweep", "--m-grid", "30,38", "--trials", "3"],
         ["grid", "--n", "10", "--alpha", "0.2", "--turns", "3"],
     ])
     def test_rerun_reproduces_output_bytes(self, tmp_path, inputs, argv):
@@ -799,6 +799,27 @@ class TestBadInputFiles:
         manifest.write_text(text)
         assert main(["rerun", str(manifest)]) == 3
         assert "argv list of strings" in capsys.readouterr().err
+
+    def test_manifest_with_dropped_recovery_tol_exits_2(self, tmp_path, capsys):
+        # vmt-sweep manifests once recorded --recovery-tol, a flag since
+        # removed: argparse refuses the replay before any trial runs
+        out = tmp_path / "vmt.csv"
+        manifest = tmp_path / "vmt.csv.manifest.json"
+        manifest.write_text(json.dumps({
+            "argv": ["vmt-sweep", "--fixture", "nguyen", "--m-grid", "30,38",
+                     "--output", str(out), "--recovery-tol", "0.001",
+                     "--seed", "0", "--trials", "3"],
+            "command": "vmt-sweep",
+            "created_utc": "2026-01-01T00:00:00+00:00",
+            "inputs": {"fixture": "nguyen"},
+            "outputs": [str(out)],
+            "seed": 0,
+            "tool": "odflow",
+            "version": "0.1.0",
+        }))
+        assert main(["rerun", str(manifest)]) == 2
+        assert "unrecognized arguments: --recovery-tol 0.001" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_manifest_not_replayed(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

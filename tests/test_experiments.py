@@ -605,6 +605,33 @@ class TestVmtSweep:
         digest = hashlib.sha256(repr([astuple(p) for p in report.points]).encode())
         assert digest.hexdigest() == self.PINNED_REPORT
 
+    def test_graded_by_grade_recovery(self, monkeypatch):
+        # a min program's answer 5e-4 off the truth on one path passed the
+        # old absolute 0.001 rule; grade_recovery's relative 1e-6 fails it
+        cfg = TrialConfig(fixture="nguyen", trials=20, seed=1)
+        grid = [10, 38]  # every M = 10 trial is unbounded
+        want = run_vmt_sweep(cfg, m_grid=grid).points
+        assert want[0].unbounded_count == 20 and want[1].rate_min > 0
+        bounds = experiments.vmt_bounds
+
+        def nudged(ms, y, lengths):
+            b = bounds(ms, y, lengths)
+            x = b.x_min.x.copy()
+            x[np.argmax(x)] += 5e-4
+            return replace(b, x_min=replace(b.x_min, x=x))
+
+        graded = []
+        grade = experiments.grade_recovery
+        monkeypatch.setattr(experiments, "vmt_bounds", nudged)
+        monkeypatch.setattr(experiments, "grade_recovery",
+                            lambda x_hat, x_true, pt: graded.append(len(x_hat))
+                            or grade(x_hat, x_true, pt))
+        got = run_vmt_sweep(cfg, m_grid=grid).points
+        assert got[1].rate_min == 0
+        assert got[1].rate_max == want[1].rate_max
+        # one grade per grid point with a bounded trial: its min and max rows
+        assert graded == [2 * 20]
+
     def test_path_lengths_once_per_fixture(self, monkeypatch):
         # fresh bundles, so that no earlier test has filled their cache
         bundles = {name: replace(get_fixture(name)) for name in ("fig2", "nguyen")}
@@ -663,12 +690,6 @@ class TestTrialConfig:
         report = run_recovery_sweep(TrialConfig(trials=1, seed=seed), m_grid=[10],
                                     supports=[SUPPORT_3SPARSE])
         assert report.seed == 2**64 - 1
-
-    @pytest.mark.parametrize("value", [-1.0, math.nan])
-    def test_vmt_recovery_tol_checked(self, value):
-        with pytest.raises(ValueError, match="recovery_tol"):
-            run_vmt_sweep(TrialConfig(fixture="nguyen", trials=5), m_grid=[38],
-                          recovery_tol=value)
 
 
 class TestSweepSystems:

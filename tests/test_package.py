@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from importlib import import_module
 from pathlib import Path
 
 import odflow
-from odflow import experiments
+from odflow import estimators, experiments
 
 
 def test_star_import_resolves_every_public_name():
@@ -38,6 +39,19 @@ def test_benchmark_config_reads_exist():
     # its replays with ``TrialConfig().tol``.
     assert [f.name for f in fields(experiments.TrialConfig)] == ["fixture", "trials", "seed"]
     assert experiments.TrialConfig().tol == experiments._RECOVERY_TOL
+
+
+def test_benchmark_calls_bind():
+    # The call shapes benchmarks/workloads.py uses; a signature change that
+    # broke one would otherwise fail only a benchmark run.
+    calls = [
+        (experiments.run_vmt_sweep, ("cfg",), {"m_grid": [22]}),
+        (experiments.run_recovery_sweep, ("cfg",), {"m_grid": [4, 5], "supports": [3]}),
+        (experiments.sample_allocation, ("table", (4, 8, 12), "rng", (1.0, 100.0)), {}),
+        (estimators.vmt_bounds, ("ms", "y", "lengths"), {}),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)
 
 
 def test_cli_import_leaves_scipy_optimize_out():
