@@ -25,8 +25,8 @@ on the dropped columns (:meth:`_Start.solve`).  The test ``y_i == 0`` is
 exact, and every incidence this library builds is nonnegative, so on
 noiseless sparse counts the programs shrink; noisy counts go to the cone
 solver and are not presolved.  Every estimator leaves through
-:func:`accept_points`, and a point it rejects raises the error of its
-status.
+:func:`accept_points`, which zeroes the solver's dust and negatives, and
+a point it rejects raises the error of its status.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .solver import (
     solve_cone,
 )
 
-# Entries below this (relative) floor are treated as structural zeros when
-# reporting sparsity; solvers leave residual dust at the 1e-10 scale.
+# The zero floor of every accepted point (:func:`accept_points`), relative to
+# the larger of 1 and its largest entry; solvers leave dust at 1e-10.
 SPARSITY_EPS_SCALE = 1e-8
 
 # Largest negative excursion tolerated from a solver before it is a bug.
@@ -111,8 +111,7 @@ class Allocation:
         self.x.flags.writeable = False
 
     def sparsity(self) -> int:
-        eps = SPARSITY_EPS_SCALE * max(1.0, float(np.max(self.x, initial=0.0)))
-        return int(np.count_nonzero(self.x > eps))
+        return int(np.count_nonzero(self.x))
 
     def per_path_totals(self) -> np.ndarray:
         """Sum over departure slots, giving one flow per catalogued path."""
@@ -218,17 +217,18 @@ def _feasible_start(ms: MeasurementSystem, y) -> _Start:
 
 def accept_points(status, x) -> tuple[np.ndarray, np.ndarray]:
     """``(ok, x)``: whether an estimator accepts each solver point, and the
-    points clipped at zero.
+    points with the solver's dust zeroed.
 
     A point is accepted when its status is optimal and no entry lies below
-    ``-_NEG_CLIP_TOL``; the solver's roundoff dust above that bound is
-    clipped.  ``status`` holds one status per row of ``x``, or one status
-    for a single point.
+    ``-_NEG_CLIP_TOL``.  Entries at or below ``SPARSITY_EPS_SCALE`` times
+    the larger of 1 and their row's largest entry are set to 0.  ``status``
+    holds one status per row of ``x``, or one status for a single point.
     """
     x = np.asarray(x, dtype=float)
     low = x.min(axis=-1, initial=np.inf)
     ok = (np.asarray(status) == STATUS_OPTIMAL) & ~(low < -_NEG_CLIP_TOL)
-    return ok, np.clip(x, 0.0, None)
+    floor = SPARSITY_EPS_SCALE * np.maximum(1.0, x.max(axis=-1, keepdims=True, initial=0.0))
+    return ok, np.where(x <= floor, 0.0, x)
 
 
 def _accepted(ms: MeasurementSystem, sol: Solution, method: str) -> Allocation:

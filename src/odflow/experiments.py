@@ -124,7 +124,7 @@ class TrialConfig:
     """The settings every sweep reads: fixture, trials per grid point and
     experiment seed.  Each sweep takes the rest (grid, supports, noise) as
     arguments of its own.  ``tol`` is the recovery tolerance, a constant;
-    it stays a field because the benchmark reads it.
+    it stays a class attribute because the benchmark reads it.
     """
 
     fixture: str = "fig2"

@@ -13,7 +13,9 @@ solver's array scans; they share its rank-1 update.
 pair of the table, the reference for the one that walks only the pairs
 its support touches.
 :func:`zero_count_presolve` is the estimators' presolve read row by row,
-the reference for the one phase-1 door's array form.
+the reference for the one phase-1 door's array form.  :func:`zero_floor`
+is the zero rule of every reported flow read entry by entry, the reference
+for ``accept_points``' one select.
 :func:`json_text_oracle` is the JSON text ``fileio.dump_json`` must write,
 from ``json``'s own encoder.  :func:`grid_rows` is no reference either: it
 spells the paper's links x times grid as the rows a dynamic system is built
@@ -232,6 +234,15 @@ def zero_count_presolve(A, y):
             rows.append(i)
     cols = [j for j in range(A.shape[1]) if j not in dropped]
     return np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+def zero_floor(x) -> np.ndarray:
+    """A solver point as the estimators report it, read entry by entry:
+    every entry at or below 1e-8 times the larger of 1 and the point's
+    largest entry is 0.0, and every other entry is kept as it is."""
+    entries = np.asarray(x, dtype=float).tolist()
+    floor = 1e-8 * max([1.0] + entries)
+    return np.array([0.0 if v <= floor else v for v in entries])
 
 
 def allocation_oracle(pt, support, rng, flow_range=(1.0, 100.0)) -> np.ndarray:

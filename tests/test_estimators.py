@@ -18,7 +18,9 @@ from odflow import (
     estimate_l2_noisy,
     estimate_weighted_l1,
     reweighted_l1,
+    sample_measurements,
     solve_lp,
+    substream,
     vmt_bounds,
 )
 from odflow import estimators
@@ -29,7 +31,7 @@ from odflow.fixtures import (
     SIX_LINKS_B,
     SUPPORT_4SPARSE,
 )
-from oracles import grid_rows, zero_count_presolve
+from oracles import grid_rows, zero_count_presolve, zero_floor
 
 
 def four_sparse_truth(f1=10.0, f2=20.0, f3=40.0):
@@ -620,14 +622,14 @@ class TestVmtBounds:
 
                 def close(got, want):
                     assert got.objective == pytest.approx(want.objective, rel=1e-9)
-                    assert (np.linalg.norm(got.x - np.clip(want.x, 0.0, None))
+                    assert (np.linalg.norm(got.x - zero_floor(want.x))
                             <= 1e-9 * np.linalg.norm(want.x))
 
                 for c, est in ((np.ones(n), estimate_l1(ms, y)),
                                (lam, estimate_weighted_l1(ms, y, WeightMatrix(lam)))):
                     sol, full = solves(c)
                     assert est.status == sol.status == full.status
-                    assert est.allocation.x.tobytes() == np.clip(sol.x, 0.0, None).tobytes()
+                    assert est.allocation.x.tobytes() == zero_floor(sol.x).tobytes()
                     assert est.objective == sol.objective
                     assert est.iterations == sol.iterations
                     assert est.residual_eq == sol.residual_eq
@@ -643,8 +645,8 @@ class TestVmtBounds:
                     continue
                 assert bounds.vmt_lower == lo.objective
                 assert bounds.vmt_upper == hi.objective
-                assert bounds.x_min.x.tobytes() == np.clip(lo.x, 0.0, None).tobytes()
-                assert bounds.x_max.x.tobytes() == np.clip(hi.x, 0.0, None).tobytes()
+                assert bounds.x_min.x.tobytes() == zero_floor(lo.x).tobytes()
+                assert bounds.x_max.x.tobytes() == zero_floor(hi.x).tobytes()
                 close(replace(lo, x=bounds.x_min.x), lo_full)
                 close(replace(hi, x=bounds.x_max.x), hi_full)
         assert presolved  # some programs shrank
@@ -751,3 +753,78 @@ class TestDynamicEstimation:
         for j, (n, _) in enumerate(ms.col_labels):
             want[n] += x[j]
         assert np.array_equal(alloc.per_path_totals(), want)
+
+
+def assert_one_zero_rule(alloc, od_flows=None, splits=()):
+    """No entry of ``alloc`` lies in ``(0, floor]``, its sparsity is its
+    nonzero count, and each split names an OD pair with positive flow."""
+    assert alloc.x.tobytes() == zero_floor(alloc.x).tobytes()
+    assert alloc.sparsity() == np.count_nonzero(alloc.x)
+    for n in splits:
+        assert od_flows[alloc.table.od_of_path[n]] > 0
+
+
+class TestZeroFloor:
+    def test_dust_only_od_pair_has_no_split(self, nguyen):
+        # the l1 basis leaves 1.42e-14 on path 60, the only flow of OD
+        # (4, 3), which once came back as that pair's flow and a split of 1.0
+        pt = nguyen.table
+        link_ids = list(nguyen.network.link_ids)
+        full = build_static_incidence(pt, link_ids, nguyen.network)
+        rng = substream(3, 22002)
+        x = np.zeros(full.n_cols)
+        for g in pt.paths_by_od:
+            x[g[rng.integers(len(g))]] = rng.uniform(1, 100)
+        ms = full.subsystem(sample_measurements(link_ids, 22, rng))
+        res = estimate_l1(ms, ms.matrix @ x)
+        k = pt.od_index[(4, 3)]
+        assert pt.paths_by_od[k] == (60, 61, 62, 63, 64, 65)
+        assert res.allocation.x[60] == 0.0
+        assert res.od_flows[k] == 0.0
+        assert not set(res.splits) & set(pt.paths_by_od[k])
+        assert res.allocation.sparsity() == 10
+
+    def test_one_rule_at_every_exit(self, fig2, nguyen):
+        rng = np.random.default_rng(32)
+        systems = []
+        for bundle, m_grid in ((fig2, (6, 8, 10)), (nguyen, (22, 30, 38))):
+            links = list(bundle.network.link_ids)
+            full = build_static_incidence(bundle.table, links, bundle.network)
+            systems += [full.subsystem(sample_measurements(links, m, rng)) for m in m_grid]
+        systems.append(build_dynamic_system(
+            fig2.table, fig2.network, grid_rows(list(fig2.network.link_ids), [2, 3, 4])))
+        bounded = 0
+        for ms in systems:
+            n = ms.n_cols
+            x = np.where(rng.random(n) < 0.3, rng.uniform(1.0, 100.0, n), 0.0)
+            y = ms.matrix @ x
+            noise = rng.normal(0.0, 0.5, ms.n_rows)
+            delta = 1.1 * np.linalg.norm(noise)
+            results = [
+                estimate_l1(ms, y),
+                estimate_weighted_l1(ms, y, WeightMatrix(rng.uniform(0.5, 2.0, n))),
+                reweighted_l1(ms, y),
+                estimate_l2(ms, y),
+                estimate_l1_noisy(ms, y + noise, delta),
+                estimate_l2_noisy(ms, y + noise, delta),
+            ]
+            for res in results:
+                assert_one_zero_rule(res.allocation, res.od_flows, res.splits)
+            try:
+                bounds = vmt_bounds(ms, y, np.ones(n))
+            except UnboundedError:
+                continue
+            bounded += 1
+            assert_one_zero_rule(bounds.x_min)
+            assert_one_zero_rule(bounds.x_max)
+        assert bounded
+
+    def test_floor_is_per_row(self):
+        # 5e-3 is dust beside 1e6 (floor 1e-2) but a flow beside 1 (floor
+        # 1e-8); a small negative is zeroed to +0.0 and the point accepted
+        x = np.array([[1e6, 5e-3, -1e-9],
+                      [1.0, 5e-3, 0.0]])
+        ok, got = estimators.accept_points(["optimal", "optimal"], x)
+        assert ok.tolist() == [True, True]
+        assert got.tolist() == [[1e6, 0.0, 0.0], [1.0, 5e-3, 0.0]]
+        assert not np.signbit(got).any()
