@@ -259,8 +259,10 @@ def _cmd_vmt(args) -> int:
     paths, _ = split_column_labels(ms.col_labels)
     bounds = vmt_bounds(ms, y, lengths[paths])
     fileio.dump_json(fileio.bounds_to_dict(bounds), args.output)
-    print(f"vmt_lower={bounds.vmt_lower:.12g} vmt_upper={bounds.vmt_upper:.12g} "
-          f"-> {args.output}")
+    # equal bounds: every allocation that fits the counts has this travel
+    identified = " identified" if bounds.vmt_lower == bounds.vmt_upper else ""
+    print(f"vmt_lower={bounds.vmt_lower:.12g} vmt_upper={bounds.vmt_upper:.12g}"
+          f"{identified} -> {args.output}")
     return EXIT_OK
 
 

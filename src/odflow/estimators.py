@@ -375,6 +375,13 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
     once the minimum has shown the counts feasible, that is raised as an
     :class:`UnboundedError` naming the column, without solving the
     maximum, so callers can treat it as a failed trial.
+
+    When the lengths lie in the row space of the measured rows
+    (``objective_constant`` on the minimum's :class:`Solution`), the counts
+    identify travel, and the minimum's answer is returned as the maximum
+    without a second phase 2.  That is exactly what the maximum would give:
+    its first reduced costs are the minimum's negated, bit for bit, so
+    neither sense pivots, and both read the same point off phase 1's basis.
     """
     v = np.asarray(path_lengths, dtype=float).ravel()
     if v.shape != (ms.n_cols,):
@@ -392,10 +399,14 @@ def vmt_bounds(ms: MeasurementSystem, y, path_lengths) -> VmtBounds:
             f"vmt-max: unbounded; column {label!r} crosses no measured link",
             path_label=label,
         )
-    hi = start.solve(v, "max")
+    if lo.objective_constant:
+        hi, x_max = lo, x_min
+    else:
+        hi = start.solve(v, "max")
+        x_max = _accepted(ms, hi, "vmt-max")
     return VmtBounds(
         x_min=x_min,
-        x_max=_accepted(ms, hi, "vmt-max"),
+        x_max=x_max,
         vmt_lower=float(lo.objective),
         vmt_upper=float(hi.objective),
     )

@@ -269,9 +269,9 @@ def grade_recovery(x_hat, x_true, pt: PathTable) -> np.ndarray:
     ``tol`` relatively (absolutely, for pairs with no true flow).  Total
     flow: the summed flow within ``tol`` relatively.
     Each norm is the dot product of a row with itself, as ``np.linalg.norm``
-    forms it, and the OD flows of all rows are one ``np.bincount`` with a
-    bin offset per row, which adds each row's entries in its own order; so
-    a row gets the flags it would get alone.
+    forms it, and the OD flows of all rows of both stacks are one
+    ``np.bincount`` with a bin offset per row, which adds each row's entries
+    in its own order; so a row gets the flags it would get alone.
     """
     tol = _RECOVERY_TOL
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
@@ -279,28 +279,21 @@ def grade_recovery(x_hat, x_true, pt: PathTable) -> np.ndarray:
     if x_hat.shape != x_true.shape or x_true.shape[1:] != (pt.n_paths,):
         raise ValueError("estimates and truths must be rows of one length per path")
     K, n_od = len(x_true), pt.n_od_pairs
-
-    def norm(X):
-        return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-
-    nrm = norm(x_true)
-    rel = np.divide(norm(x_hat - x_true), nrm, out=norm(x_hat), where=nrm > 0)
-    path_ok = rel <= tol
+    X = np.concatenate([x_hat, x_true, x_hat - x_true])
+    nrm_hat, nrm, nrm_err = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).reshape(3, K)
+    path_ok = np.divide(nrm_err, nrm, out=nrm_hat, where=nrm > 0) <= tol
 
     bins = (np.asarray(pt.od_of_path, dtype=np.intp)
-            + n_od * np.arange(K)[:, None]).ravel()
-
-    def od_flows(X):
-        return np.bincount(bins, weights=X.ravel(), minlength=K * n_od).reshape(K, n_od)
-
-    flows_hat, flows_true = od_flows(x_hat), od_flows(x_true)
+            + n_od * np.arange(2 * K)[:, None]).ravel()
+    flows_hat, flows_true = np.bincount(bins, weights=X[:2 * K].ravel(),
+                                        minlength=2 * K * n_od).reshape(2, K, n_od)
     od_ok = (np.abs(flows_hat - flows_true) <= tol * np.maximum(flows_true, 1.0)).all(axis=1)
     tot_hat, tot_true = flows_hat.sum(axis=1), flows_true.sum(axis=1)
     total_ok = np.abs(tot_hat - tot_true) <= tol * np.maximum(tot_true, 1.0)
 
     od_ok |= path_ok
     total_ok |= od_ok
-    return np.stack([path_ok, od_ok, total_ok], axis=1)
+    return np.array([path_ok, od_ok, total_ok]).T
 
 
 def check_recovery(x_hat, x_true, pt: PathTable) -> RecoveryFlags:

@@ -143,6 +143,9 @@ class Solution:
     ``residual_cone`` the amount by which the measurement ball is exceeded
     (cone solver).  ``basis`` is the final simplex basis when available,
     ``unbounded_index`` the entering variable that certified unboundedness.
+    ``objective_constant`` is set by :func:`lp_phase2` when its first
+    reduced costs are all zero to ``_TOL_FEAS``: the cost lies in the row
+    space of the kept rows, so every feasible point has the same objective.
     """
 
     x: np.ndarray
@@ -153,6 +156,7 @@ class Solution:
     iterations: int = 0
     basis: tuple[int, ...] | None = None
     unbounded_index: int | None = None
+    objective_constant: bool = False
 
 
 @dataclass(frozen=True)
@@ -461,7 +465,10 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
     starting from phase 1's final tableau.
 
     ``iterations`` counts the phase-1 pivots and this call's own, as one
-    :func:`solve_lp` call would.
+    :func:`solve_lp` call would.  ``objective_constant`` is set when every
+    entry of the first reduced-cost row lies within ``±_TOL_FEAS``: ``c`` is
+    then in the row space of the kept rows, neither sense has a column to
+    enter, and the answer is phase 1's basis and point.
     """
     n = start.A.shape[1]
     c = _lp_cost(c, n, sense)
@@ -471,6 +478,7 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
     cost = c if sense == "min" else -c
     basis = list(start.basis)
     T = _phase2_tableau(start.tableau, cost, cost[basis])
+    constant = bool((np.abs(T[-1, :n]) <= _TOL_FEAS).all())
     status, iters, unbounded_j = _pivot_loop(T, basis)
     total_iters = start.iterations + iters
     if status == STATUS_ITERATION_LIMIT:
@@ -489,6 +497,7 @@ def lp_phase2(start: FeasibleBasis, c, sense: str = "min") -> Solution:
         iterations=total_iters,
         basis=tuple(basis),
         unbounded_index=unbounded_j,
+        objective_constant=constant,
     )
 
 

@@ -308,6 +308,29 @@ class TestVmt:
         assert payload["vmt_lower"] <= true_value + 1e-6
         assert payload["vmt_upper"] >= true_value - 1e-6
 
+    @pytest.mark.parametrize("name,lengths,said", [
+        ("fig2", "--link-lengths", True), ("fig1", "--link-lengths", True),
+        ("fig1", "--unit", False)])
+    def test_identified_when_bounds_meet(self, tmp_path, request, capsys,
+                                         name, lengths, said):
+        # every link measured, 7 on paths 0 and 5: link-summed path lengths
+        # lie in the row space, so the counts fix travel; fig1's unit
+        # lengths do not (bounds 7 and 14)
+        bundle = request.getfixturevalue(name)
+        links = list(bundle.network.link_ids)
+        ms = build_static_incidence(bundle.table, links, bundle.network)
+        x = np.zeros(ms.n_cols)
+        x[[0, 5]] = 7.0
+        counts = tmp_path / "counts.csv"
+        write_counts(counts, links, ms.matrix @ x)
+        out = tmp_path / "v.json"
+        rc = main(["vmt", "--network", name, "--paths", name,
+                   "--measurements", str(counts), lengths, "--output", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert (payload["vmt_lower"] == payload["vmt_upper"]) is said
+        assert (" identified -> " in capsys.readouterr().out) is said
+
     def test_dynamic_file_off_the_grid(self, tmp_path, fig2):
         # each link counted at only one of two times: 16 of the 44 columns
         # of the links x times grid cross no counted row, and their travel

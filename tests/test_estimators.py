@@ -17,6 +17,8 @@ from odflow import (
     estimate_l2,
     estimate_l2_noisy,
     estimate_weighted_l1,
+    lp_phase1,
+    lp_phase2,
     reweighted_l1,
     sample_measurements,
     solve_lp,
@@ -694,10 +696,12 @@ class TestVmtBounds:
     @pytest.mark.parametrize("entry,rejected", [(-1e-5, True), (-1e-9, False)])
     def test_points_judged_as_estimators_judge_them(self, fig1, monkeypatch,
                                                     sense, entry, rejected):
-        # an entry below -1e-6 is an error, not dust to clip
+        # an entry below -1e-6 is an error, not dust to clip; truth on paths
+        # 0 and 5 gives unit-length bounds 7 and 14, so travel is not
+        # identified and the max is solved
         ms = build_static_incidence(fig1.table, list(fig1.network.link_ids), fig1.network)
         x = np.zeros(7)
-        x[5] = 7.0
+        x[[0, 5]] = 7.0
         phase2 = estimators.lp_phase2
 
         def stub(start, c, how="min"):
@@ -715,6 +719,49 @@ class TestVmtBounds:
             bounds = vmt_bounds(ms, ms.matrix @ x, np.ones(7))
             point = bounds.x_min if sense == "min" else bounds.x_max
             assert point.x[0] == 0.0
+
+    @pytest.mark.parametrize("name,constant", [("fig1", False), ("fig2", True)])
+    def test_objective_constant_flag(self, request, name, constant):
+        # with every link measured, the all-ones cost is in the row space of
+        # fig2's rows but not of fig1's
+        bundle = request.getfixturevalue(name)
+        ms = build_static_incidence(bundle.table, list(bundle.network.link_ids), bundle.network)
+        y = ms.matrix @ np.arange(1.0, ms.n_cols + 1)
+        sol = lp_phase2(lp_phase1(ms.matrix, y), np.ones(ms.n_cols))
+        assert sol.status == "optimal"
+        assert sol.objective_constant is constant
+
+    def test_min_without_pivots_is_not_constant(self, fig2):
+        # the min of x_0 + 2 x_1 on x_0 + x_1 = 1 stays on phase 1's basis,
+        # but the max pivots: the flag reads both signs of the reduced costs
+        A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
+        lo = lp_phase2(lp_phase1(A, b), c)
+        assert lo.iterations == 1 and lo.objective == 1.0  # phase 1's pivot only
+        assert not lo.objective_constant
+        bounds = vmt_bounds(api_system(A, fig2.table), b, c)
+        assert (bounds.vmt_lower, bounds.vmt_upper) == (1.0, 2.0)
+
+    def test_identified_travel_reuses_the_min(self, fig1, nguyen, monkeypatch):
+        # nguyen's path lengths are sums of its link rows, so with every link
+        # measured the counts fix travel and one phase 2 answers both bounds;
+        # fig1's unit lengths with truth on paths 0 and 5 give 7 and 14
+        calls = []
+        phase2 = estimators.lp_phase2
+        monkeypatch.setattr(estimators, "lp_phase2",
+                            lambda start, c, sense="min": calls.append(sense)
+                            or phase2(start, c, sense))
+        ms, x, y = nguyen_all_links(nguyen, 0)
+        bounds = vmt_bounds(ms, y, path_lengths(nguyen))
+        assert calls == ["min"]
+        assert bounds.x_max is bounds.x_min
+        assert bounds.vmt_upper == bounds.vmt_lower
+        calls.clear()
+        ms = build_static_incidence(fig1.table, list(fig1.network.link_ids), fig1.network)
+        x = np.zeros(7)
+        x[[0, 5]] = 7.0
+        bounds = vmt_bounds(ms, ms.matrix @ x, np.ones(7))
+        assert calls == ["min", "max"]
+        assert (bounds.vmt_lower, bounds.vmt_upper) == (7.0, 14.0)
 
     def test_rounded_counts_give_finite_bounds(self, nguyen):
         # Counts rounded to 12 digits leave ~1e-10 in phase 1's artificials

@@ -296,7 +296,7 @@ def reference_flags(x_hat, x_true, pt, tol=1e-6):
 class TestGradeRecovery:
     def test_stack_matches_single_rows(self, fig2):
         # the l1 answers to 20 chunks of sweep programs (fig2, sparsity
-        # 2..6, every M of 3..10), clipped as the sweep clips them
+        # 2..6, every M of 3..10), floored as accept_points floors them
         full = experiments._sweep_system("fig2", [])[1]
         x_hat, x_true = [], []
         for chunk in range(20):
